@@ -18,7 +18,7 @@ from .errors import (
     ForwardTooCloseToBoundary,
     NonpositiveShiftedStrike,
 )
-from .numerics import SQRT_2PI, TridiagonalSystem, mills_ratio, thomas_solve
+from .numerics import TridiagonalSystem, mills_ratio, thomas_solve
 
 KAPPA_CONVENTIONS = ("total", "annualized")
 
@@ -345,25 +345,22 @@ def price_self_consistent(grid, params, expiry, kappa_sigma="total") -> PriceSur
 def implied_vol_curve(surface: PriceSurface) -> np.ndarray:
     """Bachelier normal vol per strike, inverted from the OTM-side price.
 
-    Strikes whose price is at or below intrinsic within tolerance are
-    marked absent (NaN).
+    Strikes whose price is at or below intrinsic within tolerance, or not
+    finite, are marked absent (NaN).  All other strikes off the forward are
+    inverted together in one call.
     """
     grid = surface.grid
     F = grid.forward
     T = surface.slice.expiry
-    tol = 1e-16 * (1.0 + abs(F))
+    k = grid.strikes
+    prices = np.where(k < F, surface.puts, surface.calls)
+    priced = np.isfinite(prices) & (prices > 1e-16 * (1.0 + abs(F)))
     out = np.full(grid.size, np.nan)
-    for j, k in enumerate(grid.strikes):
-        if k < F:
-            price, kind = surface.puts[j], "put"
-        else:
-            price, kind = surface.calls[j], "call"
-        if price <= tol:
-            continue
-        try:
-            out[j] = numerics.bachelier_implied_vol(price, F, k, T, kind)
-        except numerics.PriceOutOfBounds:
-            continue
+    wing = priced & (k != F)
+    out[wing] = numerics.bachelier_otm_vols(prices[wing], np.abs(k[wing] - F), T)
+    n = grid.forward_index
+    if priced[n]:
+        out[n] = numerics.bachelier_implied_vol(prices[n], F, F, T)
     return out
 
 

@@ -5,7 +5,8 @@ numbers, basis points for vols, years for expiries) and are converted to
 absolute units exactly once, here.  Every command writes deterministic
 output: identical config and inputs give byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical/model error.
+Exit codes: 0 success, 2 input error (configuration, files, quote data),
+3 numerical/model error.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ from .analytic_calib import calibrate
 
 PCT = 0.01
 BP = 0.0001
-
-_FLAG_DESTS = (
-    "grid_lo", "grid_hi", "grid_count", "forward", "expiry",
-    "beta", "shift", "alpha", "rho", "nu", "quotes", "out", "kappa_sigma",
-)
 
 
 def _load_config(path) -> dict:
@@ -277,6 +273,7 @@ def cmd_recalibrate(config: dict) -> int:
         raise ConfigError("grid must contain at least two points")
     h = (hi - lo) / (count - 1)
     kappa_sigma = _kappa_sigma(config)
+    grid = build_uniform_grid(lo, hi, count, F)
     if source_kind == "hagan":
         price_fn = hagan_price_fn(source_params, F, T)
 
@@ -286,7 +283,6 @@ def cmd_recalibrate(config: dict) -> int:
 
         source_vols = None
     else:
-        grid = build_uniform_grid(lo, hi, count, F)
         source_surface = price_self_consistent(
             grid, source_params, T, kappa_sigma=kappa_sigma
         )
@@ -302,7 +298,6 @@ def cmd_recalibrate(config: dict) -> int:
         price_fn, F, T, target_beta=target_beta, target_b=target_b, h=h,
         kappa_sigma=kappa_sigma,
     )
-    grid = build_uniform_grid(lo, hi, count, F)
     target_surface = price_self_consistent(
         grid, result.params, T, kappa_sigma=kappa_sigma
     )
@@ -386,7 +381,11 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config) if args.config else {}
         config = _merge(config, args)
-        return _COMMANDS[args.command](config)
+        try:
+            return _COMMANDS[args.command](config)
+        except OSError as exc:
+            # the commands open no file but --quotes and --out
+            raise ConfigError(f"cannot access file: {exc}") from None
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

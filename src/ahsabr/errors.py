@@ -6,7 +6,8 @@ class AhSabrError(Exception):
 
 
 class ConfigError(AhSabrError):
-    """Invalid run configuration (bad field value, missing input)."""
+    """Invalid input: a bad configuration value, a missing or unreadable
+    input file, an unwritable output path or malformed quote data."""
 
 
 class NumericalError(AhSabrError):
@@ -53,7 +54,7 @@ class ConvergenceError(NumericalError):
     """A fixed-point or root-finding iteration failed to converge."""
 
 
-class MalformedRow(AhSabrError):
+class MalformedRow(ConfigError):
     """A quote-file row could not be parsed."""
 
     def __init__(self, line: int, reason: str):
@@ -62,7 +63,7 @@ class MalformedRow(AhSabrError):
         self.reason = reason
 
 
-class MissingStrike(AhSabrError):
+class MissingStrike(ConfigError):
     """A required strike is absent from the supplied quotes."""
 
     def __init__(self, strike: float):
@@ -70,5 +71,5 @@ class MissingStrike(AhSabrError):
         self.strike = strike
 
 
-class SchemaMismatch(AhSabrError):
+class SchemaMismatch(ConfigError):
     """Report document carries an unsupported schema version or shape."""

@@ -1,6 +1,7 @@
 """Engine tests: grid construction, local-vol machinery, the one-step solve
 and its arbitrage properties, and the self-consistent ATM fixed point."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,8 +24,12 @@ from ahsabr.ah_engine import (
     solve_one_step,
     y_of_k,
 )
-from ahsabr.errors import ForwardTooCloseToBoundary, NonpositiveShiftedStrike
-from ahsabr.numerics import bachelier_price, mills_ratio
+from ahsabr.errors import (
+    ForwardTooCloseToBoundary,
+    NonpositiveShiftedStrike,
+    PriceOutOfBounds,
+)
+from ahsabr.numerics import bachelier_implied_vol, bachelier_price, mills_ratio
 
 from conftest import ED_ATM_PRICE_POINTS, ED_EXPIRY, ED_FORWARD, ED_GRID, ED_PARAMS
 
@@ -195,6 +200,26 @@ class TestKappa:
             direct = 2.0 * (1.0 - xi * float(mills_ratio(xi)))
             assert kappa(k, 0.02, sigma, T) == pytest.approx(direct, rel=1e-10)
 
+    def test_series_switch_against_exact(self):
+        # strikes 1e-12 apart straddle xi = 50, scalar and array, against
+        # 40-digit values; the direct branch gives up log10(xi^2) ~ 3.4
+        # digits to the cancellation in 1 - xi*M(xi)
+        import mpmath
+
+        F, sigma, T = 0.02, 0.01, 1.0
+        ks = 0.52 + 1e-12 * np.arange(-5, 6)
+        xis = np.abs(ks - F) / sigma
+        assert xis.min() < 50.0 <= xis.max()
+        with mpmath.workdps(40):
+            exact = [
+                float(2 * (1 - x * mpmath.sqrt(mpmath.pi / 2)
+                           * mpmath.exp(x * x / 2) * mpmath.erfc(x / mpmath.sqrt(2))))
+                for x in map(mpmath.mpf, xis)
+            ]
+        scalar = [kappa(float(k), F, sigma, T) for k in ks]
+        assert scalar == pytest.approx(exact, rel=1e-11)
+        assert np.array_equal(kappa(ks, F, sigma, T), scalar)
+
     def test_conventions(self):
         k, F, sigma, T = 0.015, 0.02, 0.0095, 4.0
         total = kappa(k, F, sigma, T, "total")
@@ -357,6 +382,47 @@ class TestImpliedVolCurve:
         sel = np.abs(grid.strikes - F) < 2.0 * s
         spread = np.nanmax(vols[sel]) - np.nanmin(vols[sel])
         assert spread < 1e-3 * alpha
+
+
+def per_strike_vols(surface):
+    """The implied-vol curve one strike at a time through the scalar
+    inversion: the reference for the vectorised implied_vol_curve."""
+    F = surface.grid.forward
+    T = surface.slice.expiry
+    out = np.full(surface.grid.size, np.nan)
+    for j, k in enumerate(surface.grid.strikes):
+        price, kind = (surface.puts[j], "put") if k < F else (surface.calls[j], "call")
+        if price <= 1e-16 * (1.0 + abs(F)):
+            continue
+        try:
+            out[j] = bachelier_implied_vol(price, F, k, T, kind)
+        except PriceOutOfBounds:
+            continue
+    return out
+
+
+class TestImpliedVolCurveAgainstLoop:
+    def test_ed_surface_same_nan_set_and_values(self, ed_surface):
+        vols = implied_vol_curve(ed_surface)
+        ref = per_strike_vols(ed_surface)
+        assert np.array_equal(np.isnan(vols), np.isnan(ref))
+        assert 0 < np.count_nonzero(np.isnan(ref)) < ref.size
+        ok = ~np.isnan(ref)
+        assert np.max(np.abs(vols[ok] - ref[ok]) / ref[ok]) < 1e-13
+
+    def test_unpriceable_strikes_are_absent(self, ed_surface):
+        n = ed_surface.grid.forward_index
+        puts = ed_surface.puts.copy()
+        calls = ed_surface.calls.copy()
+        puts[n - 5] = np.nan
+        calls[n + 5] = np.inf
+        calls[n + 6] = -1e-20
+        calls[n] = 0.0
+        broken = dataclasses.replace(ed_surface, puts=puts, calls=calls)
+        vols = implied_vol_curve(broken)
+        for j in (n - 5, n + 5, n + 6, n):
+            assert math.isnan(vols[j])
+        assert np.array_equal(np.isnan(vols), np.isnan(per_strike_vols(broken)))
 
 
 class TestExtractQuoteSet:

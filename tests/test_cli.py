@@ -3,6 +3,9 @@ the published fixtures, and the quote-file calibration workflow."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -213,6 +216,95 @@ class TestCalibrate:
             out=str(tmp_path / "report.json"),
         )
         assert main(["calibrate", "--config", cfg]) == 2
+
+
+def ed_quotes(tmp_path, drop=()):
+    """Quote CSV of the five near-ATM prices of the solved ED surface (both
+    kinds at the forward), leaving out the node offsets from the forward
+    listed in `drop`."""
+    surface = ah.price_self_consistent(
+        ah.build_uniform_grid(*ED_GRID, ED_FORWARD), ah.SabrParams(**ED_PARAMS),
+        ED_EXPIRY,
+    )
+    n = surface.grid.forward_index
+    quotes = []
+    for off, kind in ((-2, "put"), (-1, "put"), (0, "call"), (0, "put"),
+                      (1, "call"), (2, "call")):
+        k = float(surface.grid.strikes[n + off])
+        price = surface.puts[n + off] if kind == "put" else surface.calls[n + off]
+        if off not in drop:
+            quotes.append(RateQuote("EDH3", "2021-01-04", kind, k, float(price)))
+    path = tmp_path / "quotes.csv"
+    write_quotes(path, [to_price_space(q) for q in quotes])
+    return str(path)
+
+
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
+class TestInputFiles:
+    """Unusable files and bad quote data are input errors: exit 2 and one
+    line on stderr, never a traceback."""
+
+    def test_ed_quotes_calibrate(self, tmp_path):
+        out = tmp_path / "report.json"
+        cfg = ed_config(tmp_path, out, quotes=ed_quotes(tmp_path))
+        assert main(["calibrate", "--config", cfg]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["params"]["nu"] == pytest.approx(ED_PARAMS["nu"], abs=1e-8)
+
+    def test_missing_quotes_file_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "no_such_quotes.csv")
+        cfg = ed_config(tmp_path, tmp_path / "report.json", quotes=missing)
+        assert main(["calibrate", "--config", cfg]) == 2
+        assert_one_line_error(capsys, "no_such_quotes.csv")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["price", "density", "calibrate",
+                                         "recalibrate"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "no_such_dir" / "out.txt"
+        cfg = ed_config(tmp_path, out, quotes=ed_quotes(tmp_path))
+        assert main([command, "--config", cfg]) == 2
+        assert_one_line_error(capsys, "no_such_dir")
+
+    def test_malformed_row_exit_2(self, tmp_path, capsys):
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(
+            "contract,quote_date,kind,strike_price,last\n"
+            "EDH3,2021-01-04,C,99.75,not-a-number\n"
+        )
+        cfg = ed_config(tmp_path, tmp_path / "report.json", quotes=str(quotes))
+        assert main(["calibrate", "--config", cfg]) == 2
+        assert_one_line_error(capsys, "line 2")
+
+    def test_header_only_quotes_exit_2(self, tmp_path, capsys):
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text("contract,quote_date,kind,strike_price,last\n")
+        cfg = ed_config(tmp_path, tmp_path / "report.json", quotes=str(quotes))
+        assert main(["calibrate", "--config", cfg]) == 2
+        assert_one_line_error(capsys, "no quote found")
+
+    def test_missing_required_strike_exit_2(self, tmp_path, capsys):
+        cfg = ed_config(tmp_path, tmp_path / "report.json",
+                        quotes=ed_quotes(tmp_path, drop=(2,)))
+        assert main(["calibrate", "--config", cfg]) == 2
+        assert_one_line_error(capsys, "no quote found at required strike")
+
+
+def test_import_loads_no_scipy():
+    """The package and its CLI import numpy only; scipy is a test oracle."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ah.__file__)))
+    code = ("import sys, ahsabr, ahsabr.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def recal_config(tmp_path, out, target_beta_pct, target_shift_pct):

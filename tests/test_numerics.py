@@ -1,8 +1,9 @@
-"""Oracle tests for the scalar special functions, Bachelier pricing and the
-tridiagonal solver.
+"""Oracle tests for the special functions, Bachelier pricing and inversion,
+and the tridiagonal solver.
 
-Reference values were computed once with 40-digit mpmath and frozen here;
-the tridiagonal solver is cross-checked against a dense LU solve.
+Spot reference values were computed once with 40-digit mpmath and frozen
+here; the dense erfcx grid is checked against mpmath as it runs, and the
+tridiagonal solver against a dense LU solve.
 """
 
 import math
@@ -14,7 +15,10 @@ from hypothesis import given, settings, strategies as st
 from ahsabr.errors import PriceOutOfBounds, SingularPivot
 from ahsabr.numerics import (
     TridiagonalSystem,
+    _erfcx,
+    _erfcx_array,
     bachelier_implied_vol,
+    bachelier_otm_vols,
     bachelier_price,
     mills_ratio,
     norm_cdf,
@@ -84,6 +88,108 @@ class TestMillsRatio:
         for x in (0.1, 1.0, 2.5, 5.0):
             direct = norm_cdf(-x) / norm_pdf(x)
             assert float(mills_ratio(x)) == pytest.approx(direct, rel=1e-12)
+
+
+def exact_erfcx(y):
+    """exp(y^2) erfc(y) at 30 digits, rounded to the nearest double."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        return float(mpmath.exp(mpmath.mpf(y) ** 2) * mpmath.erfc(mpmath.mpf(y)))
+
+
+def ulps(got, exact):
+    return np.abs(np.asarray(got) - exact) / np.spacing(exact)
+
+
+class TestErfcx:
+    """Cody's rationals against 30-digit values.  scipy.special.erfcx, which
+    they replace, is 8, 6 and 4 ulps off on the three ranges of this grid."""
+
+    JOINS = (0.46875, 4.0)
+    # the largest error allowed on each range (lo, hi]
+    RANGES = ((-1.0, 0.46875, 4), (0.46875, 4.0, 6), (4.0, math.inf, 4))
+
+    def grid(self):
+        y = [0.0, *np.geomspace(1e-12, 1e4, 4001)]
+        for join in self.JOINS:
+            # both sides of every join, a few ulps out
+            y += [join + i * np.spacing(join) for i in range(-3, 4)]
+        return np.array(sorted(y))
+
+    def test_dense_grid_both_paths(self):
+        y = self.grid()
+        exact = np.array([exact_erfcx(v) for v in y])
+        array = _erfcx_array(y)
+        scalar = np.array([_erfcx(float(v)) for v in y])
+        for lo, hi, tol in self.RANGES:
+            sel = (y > lo) & (y <= hi)
+            assert sel.sum() > 100
+            assert np.max(ulps(array[sel], exact[sel])) <= tol, (lo, hi)
+            assert np.max(ulps(scalar[sel], exact[sel])) <= tol, (lo, hi)
+
+    def test_joins_are_continuous(self):
+        for join in self.JOINS:
+            below, above = join, float(np.nextafter(join, 10.0))
+            assert _erfcx(below) == pytest.approx(_erfcx(above), rel=1e-14)
+
+    def test_extremes(self):
+        assert _erfcx(0.0) == 1.0
+        assert _erfcx(math.inf) == 0.0
+        assert _erfcx(1e200) == pytest.approx(1.0 / (1e200 * math.sqrt(math.pi)), rel=1e-15)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = _erfcx_array(np.array([0.0, math.inf, math.nan, 1e300]))
+        assert out[0] == 1.0 and out[1] == 0.0 and math.isnan(out[2])
+        assert out[3] == pytest.approx(1.0 / (1e300 * math.sqrt(math.pi)), rel=1e-15)
+
+    def test_mills_ratio_paths_agree(self):
+        x = np.geomspace(1e-6, 1e3, 500)
+        array = mills_ratio(x)
+        assert array.shape == x.shape
+        scalar = np.array([mills_ratio(float(v)) for v in x])
+        # Horner on floats and a matrix product on arrays round differently
+        assert np.max(np.abs(array - scalar) / scalar) < 2e-15
+        assert mills_ratio(x.reshape(20, 25)).shape == (20, 25)
+
+
+class TestBachelierOtmVols:
+    def test_seeded_round_trip(self):
+        # up to 8 ATM standard deviations from the forward (the value is the
+        # same on both sides), T in [0.25, 30], all in one call
+        rng = np.random.default_rng(20201)
+        n = 4000
+        sigma = rng.uniform(1e-4, 0.05, n)
+        T = rng.uniform(0.25, 30.0, n)
+        distance = rng.uniform(0.0, 8.0, n) * sigma * np.sqrt(T)
+        # the OTM call at F + distance, priced without parity
+        price = np.array([
+            bachelier_price(0.0, d, s, t, "call")
+            for d, s, t in zip(distance, sigma, T)
+        ])
+        got = bachelier_otm_vols(price, distance, T)
+        assert np.max(np.abs(got - sigma) / sigma) < 1e-12
+
+    def test_scalar_api_uses_the_kernel(self):
+        F, T = 0.02, 3.0
+        for k in (0.001, 0.015, 0.0199, 0.0201, 0.03, 0.09):
+            price = bachelier_price(F, k, 0.007, T, "put" if k < F else "call")
+            vol = float(bachelier_otm_vols([price], [abs(F - k)], T)[0])
+            kind = "put" if k < F else "call"
+            assert bachelier_implied_vol(price, F, k, T, kind) == vol
+
+    def test_extreme_wings_and_tiny_distances(self):
+        # time values from 1e-305 to 1e11 times the distance: the log-space
+        # iteration keeps every one in range
+        T = 1.0
+        u = np.array([1e-12, 1e-6, 0.3, 3.0, 20.0, 37.0])
+        distance = np.full(u.size, 0.01)
+        price = np.array([bachelier_price(0.0, 0.01, 0.01 / x, T) for x in u])
+        assert price.min() > 0.0
+        got = bachelier_otm_vols(price, distance, T)
+        assert np.max(np.abs(got * u / 0.01 - 1.0)) < 1e-12
+
+    def test_empty_input(self):
+        assert bachelier_otm_vols(np.empty(0), np.empty(0), 1.0).size == 0
 
 
 class TestBachelierPrice:
