@@ -232,51 +232,15 @@ def _assemble_z(grid: Grid, slice_: MarketSlice, params: SabrParams) -> np.ndarr
     return slice_.expiry * theta2 / (h_plus * h_minus)
 
 
-def _solve_system(grid: Grid, z: np.ndarray, payoff: np.ndarray) -> np.ndarray:
-    """Solve the one-step system with zero-second-difference boundary rows.
-
-    The boundary conditions c_kk = 0 are imposed as linear extrapolation
-    through the two adjacent nodes and substituted into the first and last
-    interior rows, keeping the solve strictly tridiagonal.
-    """
-    k = grid.strikes
-    h_minus, h_plus = grid.steps()
-    w = z / (h_plus + h_minus)
-    lower = -w * h_plus  # multiplies value at node j-1
-    diag = 1.0 + z
-    upper = -w * h_minus  # multiplies value at node j+1
-    rhs = payoff[1:-1].copy()
-
-    r_lo = (k[1] - k[0]) / (k[2] - k[1])
-    r_hi = (k[-1] - k[-2]) / (k[-2] - k[-3])
-
-    # v_0 = (1+r_lo) v_1 - r_lo v_2 folded into the first interior row
-    diag0 = diag[0] + lower[0] * (1.0 + r_lo)
-    upper0 = upper[0] - lower[0] * r_lo
-    # v_N = (1+r_hi) v_{N-1} - r_hi v_{N-2} folded into the last interior row
-    diagN = diag[-1] + upper[-1] * (1.0 + r_hi)
-    lowerN = lower[-1] - upper[-1] * r_hi
-
-    d = diag.copy()
-    d[0] = diag0
-    d[-1] = diagN
-    lo = lower[1:].copy()
-    lo[-1] = lowerN
-    up = upper[:-1].copy()
-    up[0] = upper0
-
-    interior = thomas_solve(TridiagonalSystem(lower=lo, diag=d, upper=up, rhs=rhs))
-
-    out = np.empty(grid.size)
-    out[1:-1] = interior
-    out[0] = (1.0 + r_lo) * interior[0] - r_lo * interior[1]
-    out[-1] = (1.0 + r_hi) * interior[-1] - r_hi * interior[-2]
-    return out
-
-
 def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> PriceSurface:
     """Price calls and puts on the grid with the one-step method and extract
-    the discrete density from the call second differences."""
+    the discrete density from the call second differences.
+
+    Calls and puts share one matrix.  Its boundary conditions c_kk = 0 are
+    imposed as linear extrapolation through the two adjacent nodes and
+    folded into the first and last interior rows, keeping the solve strictly
+    tridiagonal.
+    """
     if grid.strikes[0] + params.shift <= 0.0:
         raise NonpositiveShiftedStrike(
             f"lowest strike {grid.strikes[0]} violates k + shift > 0"
@@ -286,10 +250,33 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
         raise ValueError("grid forward node and slice forward disagree")
     z = _assemble_z(grid, slice_, params)
     k = grid.strikes
-    calls = _solve_system(grid, z, np.maximum(F - k, 0.0))
-    puts = _solve_system(grid, z, np.maximum(k - F, 0.0))
-
     h_minus, h_plus = grid.steps()
+    w = z / (h_plus + h_minus)
+    lower = -w * h_plus  # multiplies value at node j-1
+    diag = 1.0 + z
+    upper = -w * h_minus  # multiplies value at node j+1
+    r_lo = (k[1] - k[0]) / (k[2] - k[1])
+    r_hi = (k[-1] - k[-2]) / (k[-2] - k[-3])
+    # v_0 = (1+r_lo) v_1 - r_lo v_2 folded into the first interior row
+    d = diag.copy()
+    d[0] = diag[0] + lower[0] * (1.0 + r_lo)
+    up = upper[:-1].copy()
+    up[0] = upper[0] - lower[0] * r_lo
+    # v_N = (1+r_hi) v_{N-1} - r_hi v_{N-2} folded into the last interior row
+    d[-1] = diag[-1] + upper[-1] * (1.0 + r_hi)
+    lo = lower[1:].copy()
+    lo[-1] = lower[-1] - upper[-1] * r_hi
+
+    calls, puts = np.empty(grid.size), np.empty(grid.size)
+    for out, payoff in ((calls, np.maximum(F - k, 0.0)),
+                        (puts, np.maximum(k - F, 0.0))):
+        interior = thomas_solve(
+            TridiagonalSystem(lower=lo, diag=d, upper=up, rhs=payoff[1:-1])
+        )
+        out[1:-1] = interior
+        out[0] = (1.0 + r_lo) * interior[0] - r_lo * interior[1]
+        out[-1] = (1.0 + r_hi) * interior[-1] - r_hi * interior[-2]
+
     density = (
         (calls[2:] - calls[1:-1]) / h_plus - (calls[1:-1] - calls[:-2]) / h_minus
     ) * 2.0 / (h_plus + h_minus)

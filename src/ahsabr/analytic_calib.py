@@ -51,10 +51,8 @@ class QuoteSet:
     kappa_sigma: str = "total"
 
     def __post_init__(self):
-        for name in ("p_minus2", "p_minus1", "atm", "c_plus1", "c_plus2"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
         for name in (
+            "p_minus2", "p_minus1", "atm", "c_plus1", "c_plus2",
             "h_minus_nm1", "h_plus_nm1", "h_minus_n",
             "h_plus_n", "h_minus_np1", "h_plus_np1",
         ):
@@ -88,14 +86,35 @@ class CalibDiagnostics:
     kappa_minus: float
     kappa_plus: float
     sigma_atm: float
-    residual_minus: float = 0.0
-    residual_plus: float = 0.0
+    residual_minus: float
+    residual_plus: float
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
     params: SabrParams
     diagnostics: CalibDiagnostics
+
+
+def _row_z(left, mid, right, h_minus, h_plus, atm, message,
+           error=DegenerateButterfly) -> float:
+    """System coefficient z_j of the pricing row at k_j, from the prices at
+    k_{j-1}, k_j, k_{j+1}; a denominator below 1e-14 of the ATM scale means
+    no positive density at k_j and raises error(message)."""
+    width = h_plus + h_minus
+    denom = left * h_plus + right * h_minus - mid * width
+    if denom <= 1e-14 * atm * width:
+        raise error(message)
+    return mid * width / denom
+
+
+def _cev_level(F: float, beta: float, b: float) -> float:
+    """(F + b)^beta, checked first: out of range the power could turn
+    complex, overflow or vanish."""
+    if not (0.0 <= beta <= 1.0 and b >= 0.0 and F + b > 0.0):
+        raise ValueError(f"beta {beta}, shift {b} or forward + shift {F + b} "
+                         "out of range")
+    return (F + b) ** beta
 
 
 def alpha_from_straddle(q: QuoteSet, beta: float, b: float) -> float:
@@ -106,33 +125,61 @@ def alpha_from_straddle(q: QuoteSet, beta: float, b: float) -> float:
     formula ATM / (p_{n-1} + p_{n+1} - 2*ATM).
     """
     hp, hm = q.h_plus_n, q.h_minus_n
-    denom = q.p_minus1 * hp + q.p_plus1 * hm - q.atm * (hp + hm)
-    if denom <= 1e-14 * q.atm * (hp + hm):
-        raise DegenerateStraddle(
-            "straddle quotes admit no positive ATM density (denominator <= 0)"
-        )
-    z_n = q.atm * (hp + hm) / denom
-    return math.sqrt(z_n * hp * hm / (2.0 * q.expiry)) / (q.forward + b) ** beta
+    z_n = _row_z(
+        q.p_minus1, q.atm, q.p_plus1, hm, hp, q.atm,
+        "straddle quotes admit no positive ATM density (denominator <= 0)",
+        DegenerateStraddle,
+    )
+    level = _cev_level(q.forward, beta, b)
+    return math.sqrt(z_n * hp * hm / (2.0 * q.expiry)) / level
 
 
 def z_coefficients(q: QuoteSet) -> tuple[float, float]:
     """System coefficients z_{n-1}, z_{n+1} implied by the butterfly rows."""
-    hp, hm = q.h_plus_nm1, q.h_minus_nm1
-    denom_m = q.p_minus2 * hp + q.atm * hm - q.p_minus1 * (hp + hm)
-    if denom_m <= 1e-14 * q.atm * (hp + hm):
-        raise DegenerateButterfly(
-            "put butterfly implies a non-positive density at k_{n-1}"
-        )
-    z_minus = q.p_minus1 * (hp + hm) / denom_m
-
-    hp, hm = q.h_plus_np1, q.h_minus_np1
-    denom_p = q.c_plus2 * hm + q.atm * hp - q.c_plus1 * (hp + hm)
-    if denom_p <= 1e-14 * q.atm * (hp + hm):
-        raise DegenerateButterfly(
-            "call butterfly implies a non-positive density at k_{n+1}"
-        )
-    z_plus = q.c_plus1 * (hp + hm) / denom_p
+    z_minus = _row_z(
+        q.p_minus2, q.p_minus1, q.atm, q.h_minus_nm1, q.h_plus_nm1, q.atm,
+        "put butterfly implies a non-positive density at k_{n-1}",
+    )
+    z_plus = _row_z(
+        q.atm, q.c_plus1, q.c_plus2, q.h_minus_np1, q.h_plus_np1, q.atm,
+        "call butterfly implies a non-positive density at k_{n+1}",
+    )
     return z_minus, z_plus
+
+
+def _neighbours(q: QuoteSet, alpha, beta, b, sigma_atm):
+    """Strike, y and kappa at k_{n-1} and k_{n+1}:
+    (k_m, k_p, y_m, y_p, kappa_m, kappa_p)."""
+    F, T = q.forward, q.expiry
+    params0 = SabrParams(alpha=alpha, beta=beta, rho=0.0, nu=0.0, shift=b)
+    k_m = F - q.h_minus_n
+    k_p = F + q.h_plus_n
+    return (
+        k_m, k_p, y_of_k(k_m, F, params0), y_of_k(k_p, F, params0),
+        kappa(k_m, F, sigma_atm, T, q.kappa_sigma),
+        kappa(k_p, F, sigma_atm, T, q.kappa_sigma),
+    )
+
+
+def _solve_nu_rho(j2_m: float, j2_p: float, y_m: float, y_p: float, **diag):
+    """The 2x2 solve of nu_rho_from_z from J(y)^2 at both neighbours, with
+    its guards.  Returns nu, rho and the CalibDiagnostics made of `diag`,
+    the y values and the relative residual of each relation."""
+    r_m = (j2_m - 1.0) / y_m
+    r_p = (j2_p - 1.0) / y_p
+    nu2 = (r_m - r_p) / (y_m - y_p)
+    if nu2 < 0.0:
+        raise NegativeNuSquared(f"quotes imply nu^2 = {nu2:.3e} < 0")
+    nu = math.sqrt(nu2)
+    rho = (nu2 * y_m - r_m) / (2.0 * nu) if nu > 0.0 else 0.0
+    if abs(rho) >= 1.0:
+        raise RhoOutOfRange(f"quotes imply |rho| = {abs(rho):.6f} >= 1")
+    return nu, rho, CalibDiagnostics(
+        y_minus=y_m, y_plus=y_p,
+        residual_minus=(nu2 * y_m - 2.0 * rho * nu - r_m) / max(abs(r_m), 1e-300),
+        residual_plus=(nu2 * y_p - 2.0 * rho * nu - r_p) / max(abs(r_p), 1e-300),
+        **diag,
+    )
 
 
 def nu_rho_from_z(
@@ -149,14 +196,8 @@ def nu_rho_from_z(
     Each z coefficient pins J(y)^2 = 1 - 2*rho*nu*y + nu^2*y^2 at one
     neighbouring strike; subtracting the two relations isolates nu^2.
     """
-    F, T = q.forward, q.expiry
-    params0 = SabrParams(alpha=alpha, beta=beta, rho=0.0, nu=0.0, shift=b)
-    k_m = F - q.h_minus_n
-    k_p = F + q.h_plus_n
-    y_m = y_of_k(k_m, F, params0)
-    y_p = y_of_k(k_p, F, params0)
-    kap_m = kappa(k_m, F, sigma_atm, T, q.kappa_sigma)
-    kap_p = kappa(k_p, F, sigma_atm, T, q.kappa_sigma)
+    T = q.expiry
+    k_m, k_p, y_m, y_p, kap_m, kap_p = _neighbours(q, alpha, beta, b, sigma_atm)
 
     # J^2 at the two neighbours, read off the z definition
     j2_m = z_minus * q.h_plus_nm1 * q.h_minus_nm1 / (
@@ -165,29 +206,10 @@ def nu_rho_from_z(
     j2_p = z_plus * q.h_plus_np1 * q.h_minus_np1 / (
         T * kap_p * alpha**2 * (k_p + b) ** (2.0 * beta)
     )
-    r_m = (j2_m - 1.0) / y_m
-    r_p = (j2_p - 1.0) / y_p
-
-    nu2 = (r_m - r_p) / (y_m - y_p)
-    if nu2 < 0.0:
-        raise NegativeNuSquared(f"quotes imply nu^2 = {nu2:.3e} < 0")
-    nu = math.sqrt(nu2)
-    if nu > 0.0:
-        rho = (nu2 * y_m - r_m) / (2.0 * nu)
-    else:
-        rho = 0.0
-    if abs(rho) >= 1.0:
-        raise RhoOutOfRange(f"quotes imply |rho| = {abs(rho):.6f} >= 1")
-
-    scale_m = max(abs(r_m), 1e-300)
-    scale_p = max(abs(r_p), 1e-300)
-    diag = CalibDiagnostics(
-        z_minus=z_minus, z_plus=z_plus, y_minus=y_m, y_plus=y_p,
+    return _solve_nu_rho(
+        j2_m, j2_p, y_m, y_p, z_minus=z_minus, z_plus=z_plus,
         kappa_minus=kap_m, kappa_plus=kap_p, sigma_atm=sigma_atm,
-        residual_minus=(nu2 * y_m - 2.0 * rho * nu - r_m) / scale_m,
-        residual_plus=(nu2 * y_p - 2.0 * rho * nu - r_p) / scale_p,
     )
-    return nu, rho, diag
 
 
 def calibrate(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
@@ -222,7 +244,7 @@ def calibrate_uniform(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
     if denom_a <= 1e-14 * q.atm * (h + h):
         raise DegenerateStraddle("straddle quotes admit no positive ATM density")
     zh_n = q.atm * h / denom_a
-    alpha = math.sqrt(zh_n * h * h / T) / (F + b) ** beta
+    alpha = math.sqrt(zh_n * h * h / T) / _cev_level(F, beta, b)
 
     # half butterfly coefficients: z_{n-1}/2 and z_{n+1}/2
     denom_m = q.p_minus2 * h + q.atm * h - q.p_minus1 * (h + h)
@@ -234,29 +256,15 @@ def calibrate_uniform(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
         raise DegenerateButterfly("call butterfly implies a non-positive density")
     zh_plus = q.c_plus1 * h / denom_p
 
-    params0 = SabrParams(alpha=alpha, beta=beta, rho=0.0, nu=0.0, shift=b)
-    k_m = F - q.h_minus_n
-    k_p = F + q.h_plus_n
-    y_m = y_of_k(k_m, F, params0)
-    y_p = y_of_k(k_p, F, params0)
-    kap_half_m = 0.5 * kappa(k_m, F, sigma_atm, T, q.kappa_sigma)
-    kap_half_p = 0.5 * kappa(k_p, F, sigma_atm, T, q.kappa_sigma)
+    k_m, k_p, y_m, y_p, kap_m, kap_p = _neighbours(q, alpha, beta, b, sigma_atm)
+    kap_half_m = 0.5 * kap_m
+    kap_half_p = 0.5 * kap_p
 
     j2_m = zh_minus * h * h / (T * kap_half_m * alpha**2 * (k_m + b) ** (2.0 * beta))
     j2_p = zh_plus * h * h / (T * kap_half_p * alpha**2 * (k_p + b) ** (2.0 * beta))
-    r_m = (j2_m - 1.0) / y_m
-    r_p = (j2_p - 1.0) / y_p
-    nu2 = (r_m - r_p) / (y_m - y_p)
-    if nu2 < 0.0:
-        raise NegativeNuSquared(f"quotes imply nu^2 = {nu2:.3e} < 0")
-    nu = math.sqrt(nu2)
-    rho = (nu2 * y_m - r_m) / (2.0 * nu) if nu > 0.0 else 0.0
-    if abs(rho) >= 1.0:
-        raise RhoOutOfRange(f"quotes imply |rho| = {abs(rho):.6f} >= 1")
-    diag = CalibDiagnostics(
-        z_minus=2.0 * zh_minus, z_plus=2.0 * zh_plus, y_minus=y_m, y_plus=y_p,
-        kappa_minus=2.0 * kap_half_m, kappa_plus=2.0 * kap_half_p,
-        sigma_atm=sigma_atm,
+    nu, rho, diag = _solve_nu_rho(
+        j2_m, j2_p, y_m, y_p, z_minus=2.0 * zh_minus, z_plus=2.0 * zh_plus,
+        kappa_minus=kap_m, kappa_plus=kap_p, sigma_atm=sigma_atm,
     )
     params = SabrParams(alpha=alpha, beta=beta, rho=rho, nu=nu, shift=b)
     return CalibrationResult(params=params, diagnostics=diag)
@@ -402,12 +410,12 @@ def quote_set_from_curve(
 
 
 def surface_price_fn(surface) -> Callable[[float, str], float]:
-    """Price source backed by a solved surface; strikes must hit grid nodes."""
+    """Price source backed by a solved surface; strikes must hit grid nodes
+    (the nearest node, so the grid may be non-uniform)."""
     grid = surface.grid
 
     def price(k: float, kind: str) -> float:
-        idx = int(round((k - grid.strikes[0]) / (grid.strikes[1] - grid.strikes[0])))
-        idx = min(max(idx, 0), grid.size - 1)
+        idx = int(abs(grid.strikes - k).argmin())
         if abs(grid.strikes[idx] - k) > 1e-9 * (1.0 + abs(k)):
             raise ValueError(f"strike {k} is not a node of the surface grid")
         return float(surface.calls[idx] if kind == "call" else surface.puts[idx])

@@ -15,40 +15,57 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .ah_engine import (
+    KAPPA_CONVENTIONS,
     SabrParams,
     build_uniform_grid,
     implied_vol_curve,
     price_self_consistent,
 )
-from .analytic_calib import recalibrate, surface_price_fn
-from .errors import AhSabrError, ConfigError, NumericalError
+from .analytic_calib import calibrate, recalibrate, surface_price_fn
+from .errors import AhSabrError, ConfigError
 from .hagan_ref import hagan_implied_vol, HaganQuoteRequest, hagan_price_fn
 from .market_io import (
     CalibrationReport,
-    _check_finite,
-    _fmt,
-    _to_json,
     assemble_quote_set,
+    fmt,
     parse_quotes,
     to_rate_space,
+    write_csv,
+    write_json,
     write_report,
 )
-from .analytic_calib import calibrate
 
 PCT = 0.01
 BP = 0.0001
+
+# flag -> (type, help, config section, key); section None is the top level
+_FLAGS = {
+    "--grid-lo": (float, "lowest strike, percent", "grid", "lo_pct"),
+    "--grid-hi": (float, "highest strike, percent", "grid", "hi_pct"),
+    "--grid-count": (int, "number of grid nodes", "grid", "count"),
+    "--forward": (float, "forward rate, percent", "market", "forward_pct"),
+    "--expiry": (float, "expiry in years", "market", "expiry_years"),
+    "--alpha": (float, "alpha, percent", "model", "alpha_pct"),
+    "--beta": (float, "beta, percent", "model", "beta_pct"),
+    "--rho": (float, "rho, percent", "model", "rho_pct"),
+    "--nu": (float, "nu, percent", "model", "nu_pct"),
+    "--shift": (float, "shift, percent", "model", "shift_pct"),
+    "--quotes": (str, "quote CSV path", None, "quotes"),
+    "--out": (str, "output file path", None, "out"),
+    "--kappa-sigma": (str, "sigma convention inside the kappa adjustment",
+                      None, "kappa_sigma"),
+}
 
 
 def _load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -59,38 +76,19 @@ def _load_config(path) -> dict:
 def _merge(config: dict, args: argparse.Namespace) -> dict:
     """Flags win over the config file."""
     merged = dict(config)
-    grid = dict(merged.get("grid", {}))
-    model = dict(merged.get("model", {}))
-    market = dict(merged.get("market", {}))
-    if args.grid_lo is not None:
-        grid["lo_pct"] = args.grid_lo
-    if args.grid_hi is not None:
-        grid["hi_pct"] = args.grid_hi
-    if args.grid_count is not None:
-        grid["count"] = args.grid_count
-    if args.forward is not None:
-        market["forward_pct"] = args.forward
-    if args.expiry is not None:
-        market["expiry_years"] = args.expiry
-    # under recalibrate the --beta/--shift flags name the target model
-    target_flags = ("beta", "shift") if args.command == "recalibrate" else ()
-    target = dict(merged.get("target", {}))
-    for name in ("alpha", "beta", "rho", "nu", "shift"):
-        value = getattr(args, name)
-        if value is not None:
-            section = target if name in target_flags else model
-            section[f"{name}_pct"] = value
-    if target:
-        merged["target"] = target
-    if args.quotes is not None:
-        merged["quotes"] = args.quotes
-    if args.out is not None:
-        merged["out"] = args.out
-    if args.kappa_sigma is not None:
-        merged["kappa_sigma"] = args.kappa_sigma
-    merged["grid"] = grid
-    merged["model"] = model
-    merged["market"] = market
+    for name in ("grid", "market", "model", "target"):
+        section = merged.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name} must be a JSON object")
+        merged[name] = dict(section)
+    for flag, (_, _, section, key) in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        # under recalibrate the --beta/--shift flags name the target model
+        if args.command == "recalibrate" and flag in ("--beta", "--shift"):
+            section = "target"
+        (merged[section] if section else merged)[key] = value
     return merged
 
 
@@ -100,23 +98,27 @@ def _require(section: dict, key: str, where: str) -> float:
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, inf or an int past it
         raise ConfigError(f"{where}.{key} must be finite")
     return float(value)
 
 
 def _parse_grid(config: dict):
-    grid = config.get("grid", {})
+    """(lo, hi, count, step) of the uniform grid."""
+    grid = config["grid"]
     lo = _require(grid, "lo_pct", "grid") * PCT
     hi = _require(grid, "hi_pct", "grid") * PCT
     count = grid.get("count")
     if not isinstance(count, int) or isinstance(count, bool):
         raise ConfigError(f"grid.count must be an integer, got {count!r}")
-    return lo, hi, count
+    h = (hi - lo) / (count - 1) if count > 1 else 0.0
+    if not h > 0.0:
+        raise ConfigError("grid needs count >= 2 and hi_pct above lo_pct")
+    return lo, hi, count, h
 
 
 def _parse_market(config: dict):
-    market = config.get("market", {})
+    market = config["market"]
     F = _require(market, "forward_pct", "market") * PCT
     T = _require(market, "expiry_years", "market")
     if T <= 0.0:
@@ -124,133 +126,106 @@ def _parse_market(config: dict):
     return F, T
 
 
-def _parse_model(config: dict, section: str = "model") -> SabrParams:
-    model = config.get(section, {})
+def _parse_model(config: dict) -> SabrParams:
+    model = config["model"]
     try:
         return SabrParams(
-            alpha=_require(model, "alpha_pct", section) * PCT,
-            beta=_require(model, "beta_pct", section) * PCT,
-            rho=_require(model, "rho_pct", section) * PCT,
-            nu=_require(model, "nu_pct", section) * PCT,
-            shift=_require(model, "shift_pct", section) * PCT,
+            alpha=_require(model, "alpha_pct", "model") * PCT,
+            beta=_require(model, "beta_pct", "model") * PCT,
+            rho=_require(model, "rho_pct", "model") * PCT,
+            nu=_require(model, "nu_pct", "model") * PCT,
+            shift=_require(model, "shift_pct", "model") * PCT,
         )
     except ValueError as exc:
-        raise ConfigError(f"invalid {section} parameters: {exc}") from None
+        raise ConfigError(f"invalid model parameters: {exc}") from None
 
 
 def _kappa_sigma(config: dict) -> str:
     value = config.get("kappa_sigma", "total")
-    if value not in ("total", "annualized"):
+    if value not in KAPPA_CONVENTIONS:
         raise ConfigError(
-            f"kappa_sigma must be 'total' or 'annualized', got {value!r}"
+            f"kappa_sigma must be one of {KAPPA_CONVENTIONS}, got {value!r}"
         )
     return value
 
 
-def _out_path(config: dict) -> str:
-    out = config.get("out")
-    if not isinstance(out, str) or not out:
-        raise ConfigError("missing output path (--out)")
-    return out
+def _path(config: dict, key: str, what: str) -> str:
+    path = config.get(key)
+    if not isinstance(path, str) or not path:
+        raise ConfigError(f"missing {what} path (--{key})")
+    return path
 
 
 def _build_surface(config: dict):
-    lo, hi, count = _parse_grid(config)
+    lo, hi, count, _ = _parse_grid(config)
     F, T = _parse_market(config)
     params = _parse_model(config)
     grid = build_uniform_grid(lo, hi, count, F)
     return price_self_consistent(grid, params, T, kappa_sigma=_kappa_sigma(config))
 
 
-def _csv_cell(x: float) -> str:
-    """17-significant-digit decimal; empty where the value is undefined."""
-    return "" if math.isnan(x) else _fmt(x)
-
-
 def cmd_price(config: dict) -> int:
     surface = _build_surface(config)
-    out = _out_path(config)
+    out = _path(config, "out", "output")
     vols = implied_vol_curve(surface)
     strikes = surface.grid.strikes
     # density is defined on interior nodes only; boundary cells stay empty
     density = np.full(strikes.size, math.nan)
     density[1:-1] = surface.density
-    with open(out, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("strike,call,put,density,normal_vol_bp\n")
-        for j in range(strikes.size):
-            fh.write(
-                f"{_fmt(strikes[j])},{_fmt(surface.calls[j])},"
-                f"{_fmt(surface.puts[j])},{_csv_cell(density[j])},"
-                f"{_csv_cell(vols[j] / BP)}\n"
-            )
+    write_csv(out, ("strike", "call", "put", "density", "normal_vol_bp"),
+              zip(strikes, surface.calls, surface.puts, density, vols / BP))
     return 0
 
 
 def cmd_density(config: dict) -> int:
     surface = _build_surface(config)
-    out = _out_path(config)
+    out = _path(config, "out", "output")
     strikes = surface.grid.strikes[1:-1]
     density = surface.density
-    with open(out, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("strike,density\n")
-        for k, d in zip(strikes, density):
-            fh.write(f"{_fmt(k)},{_fmt(d)}\n")
+    write_csv(out, ("strike", "density"), zip(strikes, density))
     h_minus, h_plus = surface.grid.steps()
-    weights = 0.5 * (h_minus + h_plus)
-    mass = float(np.sum(density * weights))
-    mean = float(np.sum(density * weights * strikes))
-    print(f"mass={_fmt(mass)}")
-    print(f"mean={_fmt(mean)}")
-    print(f"min_density={_fmt(float(density.min()))}")
+    mean = float(np.sum(density * (0.5 * (h_minus + h_plus)) * strikes))
+    print(f"mass={fmt(surface.density_mass())}")
+    print(f"mean={fmt(mean)}")
+    print(f"min_density={fmt(float(density.min()))}")
     return 0
 
 
-def _vol_curve_rows(surface):
-    vols = implied_vol_curve(surface)
-    rows = []
-    for k, v in zip(surface.grid.strikes, vols):
-        if not math.isnan(v):
-            rows.append({"strike": float(k), "normal_vol_bp": float(v / BP)})
-    return rows
+def _vols_bp(surface) -> dict:
+    """Implied normal vol in bp by strike, over the strikes that have one."""
+    vols = implied_vol_curve(surface) / BP
+    strikes = surface.grid.strikes.tolist()
+    return {k: v for k, v in zip(strikes, vols.tolist()) if not math.isnan(v)}
 
 
 def cmd_calibrate(config: dict) -> int:
-    lo, hi, count = _parse_grid(config)
+    lo, hi, count, h = _parse_grid(config)
     F, T = _parse_market(config)
-    model = config.get("model", {})
-    beta = _require(model, "beta_pct", "model") * PCT
-    b = _require(model, "shift_pct", "model") * PCT
-    quotes_path = config.get("quotes")
-    if not isinstance(quotes_path, str) or not quotes_path:
-        raise ConfigError("missing quotes path (--quotes)")
-    out = _out_path(config)
+    beta = _require(config["model"], "beta_pct", "model") * PCT
+    b = _require(config["model"], "shift_pct", "model") * PCT
+    quotes_path = _path(config, "quotes", "quotes")
+    out = _path(config, "out", "output")
+    kappa_sigma = _kappa_sigma(config)
 
-    h = (hi - lo) / (count - 1) if count > 1 else 0.0
-    if h <= 0.0:
-        raise ConfigError("grid must contain at least two points")
-    price_quotes = parse_quotes(quotes_path)
-    rate_quotes = [to_rate_space(q) for q in price_quotes]
-    quote_set = assemble_quote_set(
-        rate_quotes, F, T, h, kappa_sigma=_kappa_sigma(config)
-    )
+    rate_quotes = [to_rate_space(q) for q in parse_quotes(quotes_path)]
+    quote_set = assemble_quote_set(rate_quotes, F, T, h, kappa_sigma=kappa_sigma)
     result = calibrate(quote_set, beta=beta, b=b)
 
     grid = build_uniform_grid(lo, hi, count, F)
-    surface = price_self_consistent(
-        grid, result.params, T, kappa_sigma=_kappa_sigma(config)
-    )
+    surface = price_self_consistent(grid, result.params, T, kappa_sigma=kappa_sigma)
     report = CalibrationReport.from_result(
         result,
         quotes=quote_set,
         grid={"lo": lo, "hi": hi, "count": count, "forward": F},
-        vol_curve=_vol_curve_rows(surface),
+        vol_curve=[{"strike": k, "normal_vol_bp": v}
+                   for k, v in _vols_bp(surface).items()],
     )
     write_report(report, out)
     return 0
 
 
 def cmd_recalibrate(config: dict) -> int:
-    lo, hi, count = _parse_grid(config)
+    lo, hi, count, h = _parse_grid(config)
     F, T = _parse_market(config)
     source_params = _parse_model(config)
     source_kind = config.get("source", "hagan")
@@ -258,41 +233,27 @@ def cmd_recalibrate(config: dict) -> int:
         raise ConfigError(
             f"source must be 'hagan' or 'onestep', got {source_kind!r}"
         )
-    target = dict(config.get("target", {}))
     # an absent target field defaults to the source value (identity direction)
-    model = config.get("model", {})
-    if "beta_pct" not in target and "beta_pct" in model:
-        target["beta_pct"] = model["beta_pct"]
-    if "shift_pct" not in target and "shift_pct" in model:
-        target["shift_pct"] = model["shift_pct"]
+    model = config["model"]
+    target = {"beta_pct": model["beta_pct"], "shift_pct": model["shift_pct"],
+              **config["target"]}
     target_beta = _require(target, "beta_pct", "target") * PCT
     target_b = _require(target, "shift_pct", "target") * PCT
-    out = _out_path(config)
-
-    if count < 2:
-        raise ConfigError("grid must contain at least two points")
-    h = (hi - lo) / (count - 1)
+    out = _path(config, "out", "output")
     kappa_sigma = _kappa_sigma(config)
     grid = build_uniform_grid(lo, hi, count, F)
+
     if source_kind == "hagan":
         price_fn = hagan_price_fn(source_params, F, T)
 
         def source_vol_bp(k: float) -> float:
-            req = HaganQuoteRequest(k, F, T, source_params)
-            return hagan_implied_vol(req) / BP
-
-        source_vols = None
+            return hagan_implied_vol(HaganQuoteRequest(k, F, T, source_params)) / BP
     else:
         source_surface = price_self_consistent(
             grid, source_params, T, kappa_sigma=kappa_sigma
         )
         price_fn = surface_price_fn(source_surface)
-        source_vols = dict(
-            (float(k), float(v / BP))
-            for k, v in zip(grid.strikes, implied_vol_curve(source_surface))
-            if not math.isnan(v)
-        )
-        source_vol_bp = None
+        source_vol_bp = _vols_bp(source_surface).get
 
     result = recalibrate(
         price_fn, F, T, target_beta=target_beta, target_b=target_b, h=h,
@@ -301,41 +262,19 @@ def cmd_recalibrate(config: dict) -> int:
     target_surface = price_self_consistent(
         grid, result.params, T, kappa_sigma=kappa_sigma
     )
-    target_vols = implied_vol_curve(target_surface)
-
     smile = []
-    for k, tv in zip(grid.strikes, target_vols):
-        if math.isnan(tv):
-            continue
-        if source_vols is not None:
-            sv = source_vols.get(float(k))
-            if sv is None:
-                continue
-        else:
-            sv = source_vol_bp(float(k))
-        smile.append({
-            "strike": float(k),
-            "source_vol_bp": sv,
-            "target_vol_bp": float(tv / BP),
-        })
+    for k, tv in _vols_bp(target_surface).items():
+        sv = source_vol_bp(k)
+        if sv is not None:
+            smile.append({"strike": k, "source_vol_bp": sv, "target_vol_bp": tv})
 
-    p, q = source_params, result.params
     doc = {
         "schema_version": 1,
-        "source": {
-            "kind": source_kind,
-            "alpha": p.alpha, "beta": p.beta, "rho": p.rho,
-            "nu": p.nu, "shift": p.shift,
-        },
-        "target": {
-            "alpha": q.alpha, "beta": q.beta, "rho": q.rho,
-            "nu": q.nu, "shift": q.shift,
-        },
+        "source": {"kind": source_kind, **asdict(source_params)},
+        "target": asdict(result.params),
         "smile": smile,
     }
-    _check_finite(doc)
-    with open(out, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(_to_json(doc) + "\n")
+    write_json(doc, out)
     return 0
 
 
@@ -356,22 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--grid-lo", type=float, help="lowest strike, percent")
-        p.add_argument("--grid-hi", type=float, help="highest strike, percent")
-        p.add_argument("--grid-count", type=int, help="number of grid nodes")
-        p.add_argument("--forward", type=float, help="forward rate, percent")
-        p.add_argument("--expiry", type=float, help="expiry in years")
-        p.add_argument("--alpha", type=float, help="alpha, percent")
-        p.add_argument("--beta", type=float, help="beta, percent")
-        p.add_argument("--rho", type=float, help="rho, percent")
-        p.add_argument("--nu", type=float, help="nu, percent")
-        p.add_argument("--shift", type=float, help="shift, percent")
-        p.add_argument("--quotes", help="quote CSV path")
-        p.add_argument("--out", help="output file path")
-        p.add_argument(
-            "--kappa-sigma", choices=("total", "annualized"),
-            help="sigma convention inside the kappa adjustment",
-        )
+        for flag, (type_, help_, _, _) in _FLAGS.items():
+            choices = KAPPA_CONVENTIONS if flag == "--kappa-sigma" else None
+            p.add_argument(flag, type=type_, choices=choices, help=help_)
     return parser
 
 
@@ -379,22 +305,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-        config = _merge(config, args)
         try:
-            return _COMMANDS[args.command](config)
+            config = _load_config(args.config) if args.config else {}
+            return _COMMANDS[args.command](_merge(config, args))
         except OSError as exc:
-            # the commands open no file but --quotes and --out
+            # no file is opened but --config, --quotes and --out
             raise ConfigError(f"cannot access file: {exc}") from None
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, AhSabrError) as exc:
+    except (AhSabrError, ArithmeticError) as exc:
+        # ArithmeticError: a float power or division left the double range
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

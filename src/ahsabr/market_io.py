@@ -1,14 +1,16 @@
-"""IR futures option quote ingestion and calibration-report persistence.
+"""IR futures option quote ingestion and every file format of the package.
 
 Quotes arrive in futures-price space (strike 99.50 means a 0.50% rate) and
-are flipped into rate space before the five-quote set is assembled.  Reports
-are versioned JSON documents with floats written at 17 significant digits so
-the write/read round trip is lossless.
+are flipped into rate space before the five-quote set is assembled.  Files
+are LF-terminated CSV (write_csv) or indented JSON (write_json; reports are
+versioned), with floats at 17 significant digits (fmt) so the write/read
+round trip is lossless.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
@@ -36,8 +38,8 @@ class FuturesOptionQuote:
             raise ValueError(f"kind must be 'C' or 'P', got {self.kind!r}")
         if not 0.0 < self.strike_price < 200.0:
             raise ValueError(f"strike_price out of range: {self.strike_price}")
-        if self.last < 0.0:
-            raise ValueError(f"negative premium: {self.last}")
+        if not 0.0 <= self.last < math.inf:
+            raise ValueError(f"premium must be finite and nonnegative: {self.last}")
 
 
 @dataclass(frozen=True)
@@ -75,44 +77,37 @@ def to_price_space(q: RateQuote) -> FuturesOptionQuote:
 
 def parse_quotes(path) -> list[FuturesOptionQuote]:
     """Read the documented CSV format; malformed rows fail with their line."""
-    quotes = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(1, "empty file") from None
-        if [h.strip() for h in header] != QUOTE_HEADER:
-            raise MalformedRow(1, f"expected header {','.join(QUOTE_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 5:
-                raise MalformedRow(lineno, f"expected 5 fields, got {len(row)}")
-            contract, quote_date, kind, strike_s, last_s = (c.strip() for c in row)
-            try:
-                strike = float(strike_s)
-                last = float(last_s)
-            except ValueError as exc:
-                raise MalformedRow(lineno, f"bad number: {exc}") from None
-            try:
-                quotes.append(
-                    FuturesOptionQuote(contract, quote_date, kind, strike, last)
-                )
-            except ValueError as exc:
-                raise MalformedRow(lineno, str(exc)) from None
+            rows = list(reader)
+        except csv.Error as exc:
+            raise MalformedRow(reader.line_num, str(exc)) from None
+    if not rows:
+        raise MalformedRow(1, "empty file")
+    if [h.strip() for h in rows[0]] != QUOTE_HEADER:
+        raise MalformedRow(1, f"expected header {','.join(QUOTE_HEADER)}")
+    quotes = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 5:
+            raise MalformedRow(lineno, f"expected 5 fields, got {len(row)}")
+        contract, quote_date, kind, strike, last = (c.strip() for c in row)
+        try:
+            quotes.append(FuturesOptionQuote(
+                contract, quote_date, kind, float(strike), float(last)
+            ))
+        except ValueError as exc:
+            raise MalformedRow(lineno, str(exc)) from None
     return quotes
 
 
 def write_quotes(path, quotes: Iterable[FuturesOptionQuote]) -> None:
     """Emit the CSV format parse_quotes reads (LF endings, '.' decimals)."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(QUOTE_HEADER) + "\n")
-        for q in quotes:
-            fh.write(
-                f"{q.contract},{q.quote_date},{q.kind},"
-                f"{_fmt(q.strike_price)},{_fmt(q.last)}\n"
-            )
+    write_csv(path, QUOTE_HEADER, (
+        (q.contract, q.quote_date, q.kind, q.strike_price, q.last) for q in quotes
+    ))
 
 
 def assemble_quote_set(
@@ -146,16 +141,12 @@ def assemble_quote_set(
             return other.premium_rate - intrinsic_gap
         raise MissingStrike(target)
 
-    put_q = find(F, "put")
-    call_q = find(F, "call")
-    if put_q is not None and call_q is not None:
-        atm = 0.5 * (put_q.premium_rate + call_q.premium_rate)  # straddle / 2
-    elif put_q is not None:
-        atm = put_q.premium_rate
-    elif call_q is not None:
-        atm = call_q.premium_rate
-    else:
+    # half the straddle where both kinds are quoted at the forward
+    found = (find(F, "put"), find(F, "call"))
+    at_forward = [q.premium_rate for q in found if q is not None]
+    if not at_forward:
         raise MissingStrike(F)
+    atm = sum(at_forward) / len(at_forward)
 
     return QuoteSet(
         p_minus2=otm_price(F - 2.0 * h, "put"),
@@ -190,26 +181,46 @@ class CalibrationReport:
         )
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
     """17-significant-digit decimal; lossless for doubles."""
     return format(float(x), ".17g")
 
 
-def _to_json(obj, indent: int = 0) -> str:
+def write_csv(path, header, rows) -> None:
+    """Write a CSV file with LF endings: strings as given, numbers through
+    fmt, and an empty cell where a number is undefined (NaN)."""
+
+    def cell(x) -> str:
+        if isinstance(x, str):
+            return x
+        return "" if math.isnan(x) else fmt(x)
+
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(x) for x in row) + "\n")
+
+
+def _to_json(obj, where: str, indent: int) -> str:
+    """Indented JSON text of obj; `where` names obj's place in the document
+    for the error raised on a non-finite float."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f'{inner}"{key}": {_to_json(val, indent + 1)}'
+            f'{inner}"{key}": {_to_json(val, f"{where}.{key}", indent + 1)}'
             for key, val in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{inner}{_to_json(val, indent + 1)}" for val in obj]
+        items = [
+            f"{inner}{_to_json(val, f'{where}[{i}]', indent + 1)}"
+            for i, val in enumerate(obj)
+        ]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -217,36 +228,28 @@ def _to_json(obj, indent: int = 0) -> str:
         return str(obj)
     if isinstance(obj, float):
         if not math.isfinite(obj):
-            raise ValueError(f"non-finite number {obj} cannot be serialized")
-        return _fmt(obj)
+            raise ValueError(f"non-finite value at {where}")
+        return fmt(obj)
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     if obj is None:
         return "null"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    raise TypeError(f"cannot serialize {type(obj)!r} at {where}")
 
 
-def _check_finite(obj, path="report"):
-    if isinstance(obj, dict):
-        for key, val in obj.items():
-            _check_finite(val, f"{path}.{key}")
-    elif isinstance(obj, (list, tuple)):
-        for i, val in enumerate(obj):
-            _check_finite(val, f"{path}[{i}]")
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        raise ValueError(f"non-finite value at {path}")
+def write_json(doc: dict, path) -> None:
+    """Write doc as indented JSON with floats through fmt.  A non-finite
+    float raises ValueError naming its place (report.smile[0].strike)
+    before the file opens."""
+    text = _to_json(doc, "report", 0)
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def report_to_dict(report: CalibrationReport) -> dict:
-    p = report.params
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "params": {
-            "alpha": p.alpha, "beta": p.beta, "rho": p.rho,
-            "nu": p.nu, "shift": p.shift,
-        },
+        "params": asdict(report.params),
         "diagnostics": asdict(report.diagnostics),
         "quotes": asdict(report.quotes),
         "grid": dict(report.grid),
@@ -258,15 +261,10 @@ def report_to_dict(report: CalibrationReport) -> dict:
 
 
 def write_report(report: CalibrationReport, path) -> None:
-    doc = report_to_dict(report)
-    _check_finite(doc)
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(_to_json(doc) + "\n")
+    write_json(report_to_dict(report), path)
 
 
 def read_report(path) -> CalibrationReport:
-    import json
-
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

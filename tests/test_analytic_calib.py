@@ -9,6 +9,7 @@ import pytest
 
 import ahsabr as ah
 from ahsabr.ah_engine import (
+    Grid,
     SabrParams,
     _assemble_z,
     build_uniform_grid,
@@ -205,6 +206,17 @@ class TestCalibrate:
         assert 0.0 < d.kappa_minus < 2.0 and 0.0 < d.kappa_plus < 2.0
 
 
+class TestLevelRange:
+    @pytest.mark.parametrize("beta,b", [(1.5, 0.03), (0.4, -0.02), (0.4, -0.03)])
+    @pytest.mark.parametrize("calib", [calibrate, calibrate_uniform])
+    def test_out_of_range_rejected_before_the_power(self, calib, beta, b):
+        # at F = 0.02, b = -0.02 puts F + b at 0 and b = -0.03 below it
+        params = SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.30, shift=0.03)
+        q, _ = solved_quotes(params)
+        with pytest.raises(ValueError, match="out of range"):
+            calib(q, beta, b)
+
+
 class TestCalibrateUniform:
     def test_agrees_with_general_form(self):
         params = SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.30, shift=0.03)
@@ -215,6 +227,16 @@ class TestCalibrateUniform:
         assert uniform.alpha == general.alpha
         assert uniform.nu == general.nu
         assert uniform.rho == general.rho
+
+    def test_residuals_computed_and_equal_to_general_form(self):
+        # a case whose residuals are not exactly zero
+        params = SabrParams(alpha=0.015, beta=0.0, rho=0.3, nu=0.6, shift=0.03)
+        q, _ = solved_quotes(params)
+        general = calibrate(q, 0.0, 0.03).diagnostics
+        uniform = calibrate_uniform(q, 0.0, 0.03).diagnostics
+        assert uniform == general
+        assert abs(uniform.residual_minus) < 1e-12
+        assert abs(uniform.residual_plus) < 1e-12
 
     def test_rejects_unequal_steps(self):
         q = uniform_quote_set()
@@ -286,6 +308,23 @@ class TestQuoteSetFromCurve:
         assert q.p_minus2 == direct.p_minus2
         assert q.c_plus2 == direct.c_plus2
         assert q.atm == pytest.approx(direct.atm, rel=1e-12)
+
+    def test_surface_price_fn_on_non_uniform_grid(self):
+        # 61 nodes, F = 0.25%: a left wing whose steps grow geometrically
+        # away from the forward, then even 0.05% steps above it
+        F, h = 0.0025, 0.0005
+        left = F - h * np.cumsum(1.1 ** np.arange(20))[::-1]
+        strikes = np.concatenate([left, F + h * np.arange(40)])
+        grid = Grid(strikes=strikes, forward_index=20)
+        params = SabrParams(alpha=0.004, beta=0.2, rho=0.2, nu=0.5, shift=0.03)
+        surface = price_self_consistent(grid, params, 2.0)
+        price = surface_price_fn(surface)
+        for j, k in enumerate(strikes):
+            assert price(k, "call") == surface.calls[j]
+            assert price(k, "put") == surface.puts[j]
+        for k in (strikes[0] - h, 0.5 * (strikes[19] + strikes[20]), F + 0.0201):
+            with pytest.raises(ValueError, match="not a node"):
+                price(k, "call")
 
     def test_surface_price_fn_rejects_off_node_strike(self):
         params = SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.30, shift=0.03)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ahsabr as ah
+from ahsabr import cli
 from ahsabr.cli import main
 from ahsabr.market_io import to_price_space, write_quotes, RateQuote
 
@@ -289,6 +290,24 @@ class TestInputFiles:
         assert main(["calibrate", "--config", cfg]) == 2
         assert_one_line_error(capsys, "no quote found")
 
+    def test_oversized_field_exit_2(self, tmp_path, capsys):
+        # past the csv module's field size limit
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text("contract,quote_date,kind,strike_price,last\n"
+                          + "x" * 200_000 + "\n")
+        cfg = ed_config(tmp_path, tmp_path / "report.json", quotes=str(quotes))
+        assert main(["calibrate", "--config", cfg]) == 2
+        assert_one_line_error(capsys, "line 2", "field larger than field limit")
+
+    def test_float_underflow_exit_3(self, tmp_path, capsys):
+        # an expiry of one subnormal step sends the ATM vol to infinity
+        cfg = ed_config(tmp_path, tmp_path / "report.json",
+                        quotes=ed_quotes(tmp_path),
+                        market={"forward_pct": pct(ED_FORWARD),
+                                "expiry_years": 5e-324})
+        assert main(["calibrate", "--config", cfg]) == 3
+        assert_one_line_error(capsys, "ZeroDivisionError")
+
     def test_missing_required_strike_exit_2(self, tmp_path, capsys):
         cfg = ed_config(tmp_path, tmp_path / "report.json",
                         quotes=ed_quotes(tmp_path, drop=(2,)))
@@ -361,6 +380,30 @@ class TestRecalibrate:
                 doc["source"][key], abs=1e-8
             )
 
+    def test_nan_source_vol_rejected_at_write(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(cli, "hagan_implied_vol", lambda req: math.nan)
+        out = tmp_path / "recal.json"
+        cfg = recal_config(tmp_path, out, pct(0.40), pct(0.03))
+        assert main(["recalibrate", "--config", cfg]) == 2
+        assert_one_line_error(capsys, "report.smile[0].source_vol_bp")
+        assert not out.exists()
+
+    def test_zero_shifted_forward_exit_2(self, tmp_path, capsys):
+        # forward 0 and target shift 0: (F + b)^beta has no positive value
+        out = tmp_path / "recal.json"
+        cfg = write_config(
+            tmp_path,
+            grid={"lo_pct": -2.0, "hi_pct": 8.0, "count": 81},
+            market={"forward_pct": 0.0, "expiry_years": HAGAN_EXPIRY},
+            model={f"{k}_pct": pct(v) for k, v in HAGAN_SOURCE.items()},
+            target={"beta_pct": 40.0, "shift_pct": 0.0},
+            out=str(out),
+        )
+        assert main(["recalibrate", "--config", cfg]) == 2
+        assert_one_line_error(capsys, "forward + shift 0.0")
+        assert not out.exists()
+
     def test_beta_flag_names_the_target(self, tmp_path):
         out = tmp_path / "recal.json"
         cfg = recal_config(tmp_path, out, pct(0.40), pct(0.03))
@@ -392,6 +435,21 @@ class TestConfigHandling:
             model={f"{k}_pct": pct(v) for k, v in ED_PARAMS.items()},
         )
         assert main(["price", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("section,value,command", [
+        ("grid", 5, "price"),
+        ("grid", [1, 2], "calibrate"),
+        ("target", 3, "recalibrate"),
+        ("model", "x", "density"),
+    ])
+    def test_non_object_section_exit_2(self, tmp_path, capsys, section, value,
+                                       command):
+        out = tmp_path / "out"
+        cfg = ed_config(tmp_path, out, quotes=ed_quotes(tmp_path),
+                        **{section: value})
+        assert main([command, "--config", cfg]) == 2
+        assert_one_line_error(capsys, f"config section {section} ")
+        assert not out.exists()
 
     def test_non_integer_grid_count_exit_2(self, tmp_path):
         out = tmp_path / "surface.csv"

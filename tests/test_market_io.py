@@ -3,6 +3,7 @@ errors, the price/rate involution, quote-set assembly with parity completion,
 and lossless JSON report round trips."""
 
 import math
+import re
 
 import pytest
 
@@ -43,7 +44,7 @@ class TestFuturesOptionQuote:
 
     @pytest.mark.parametrize("bad", [
         dict(kind="call"), dict(strike_price=0.0), dict(strike_price=250.0),
-        dict(last=-0.01),
+        dict(last=-0.01), dict(last=math.nan), dict(last=math.inf),
     ])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
@@ -287,8 +288,12 @@ class TestReportRoundTrip:
             vol_curve=[{"strike": 0.02, "normal_vol_bp": math.nan}],
             metadata=report.metadata,
         )
-        with pytest.raises(ValueError):
-            write_report(broken, tmp_path / "broken.json")
+        path = tmp_path / "broken.json"
+        with pytest.raises(ValueError, match=re.escape(
+            "report.vol_curve[0].normal_vol_bp"
+        )):
+            write_report(broken, path)
+        assert not path.exists()
 
     def test_seventeen_digit_floats(self, solved, tmp_path):
         report = sample_report(solved)
