@@ -43,7 +43,6 @@ from .market_io import (
     write_report,
 )
 from .numerics import (
-    TridiagonalSystem,
     bachelier_implied_vol,
     bachelier_price,
     norm_cdf,

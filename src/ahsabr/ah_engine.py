@@ -8,7 +8,7 @@ the discrete density and the implied normal-vol curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +17,9 @@ from .errors import (
     ConvergenceError,
     ForwardTooCloseToBoundary,
     NonpositiveShiftedStrike,
+    NumericalError,
 )
-from .numerics import TridiagonalSystem, mills_ratio, thomas_solve
+from .numerics import mills_ratio, thomas_solve
 
 KAPPA_CONVENTIONS = ("total", "annualized")
 
@@ -191,8 +192,10 @@ def kappa(k, F, sigma, T, convention="total"):
     # Mills-ratio asymptotic series there (both branches ~1e-13 relative at 50)
     big = xi >= 50.0
     if np.any(big):
-        x2 = np.square(np.where(big, xi, 1.0))
-        series = (1.0 / x2) * (1.0 - 3.0 / x2 + 15.0 / x2**2 - 105.0 / x2**3 + 945.0 / x2**4)
+        # powers of x2 past the double range go to inf, their terms to 0
+        with np.errstate(over="ignore"):
+            x2 = np.square(np.where(big, xi, 1.0))
+            series = (1.0 / x2) * (1.0 - 3.0 / x2 + 15.0 / x2**2 - 105.0 / x2**3 + 945.0 / x2**4)
         core = np.where(big, series, core)
     out = 2.0 * core
     return float(out) if np.ndim(k) == 0 else out
@@ -212,7 +215,6 @@ class PriceSurface:
     calls: np.ndarray
     puts: np.ndarray
     density: np.ndarray
-    z: np.ndarray = field(repr=False, default=None)
 
     def density_mass(self) -> float:
         """Midpoint-rule mass of the interior density."""
@@ -222,19 +224,22 @@ class PriceSurface:
 
 def _assemble_z(grid: Grid, slice_: MarketSlice, params: SabrParams) -> np.ndarray:
     """z_j = T * theta(k_j)^2 / (h+_j h-_j) over interior nodes, with
-    theta^2 = local_vol^2 * kappa."""
+    theta^2 = local_vol^2 * kappa.  Values past the double range come out as
+    inf or NaN, without warnings; solve_one_step rejects them."""
     k = grid.strikes[1:-1]
     F = grid.forward
-    theta2 = local_vol(k, F, params) ** 2 * kappa(
-        k, F, slice_.atm_normal_vol, slice_.expiry, slice_.kappa_sigma
-    )
     h_minus, h_plus = grid.steps()
-    return slice_.expiry * theta2 / (h_plus * h_minus)
+    with np.errstate(all="ignore"):
+        theta2 = local_vol(k, F, params) ** 2 * kappa(
+            k, F, slice_.atm_normal_vol, slice_.expiry, slice_.kappa_sigma
+        )
+        return slice_.expiry * theta2 / (h_plus * h_minus)
 
 
 def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> PriceSurface:
     """Price calls and puts on the grid with the one-step method and extract
-    the discrete density from the call second differences.
+    the discrete density from the second differences of the out-of-the-money
+    side: puts below the forward, calls at and above it.
 
     Calls and puts share one matrix.  Its boundary conditions c_kk = 0 are
     imposed as linear extrapolation through the two adjacent nodes and
@@ -249,6 +254,8 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
     if abs(F - slice_.forward) > 1e-12 * (1.0 + abs(F)):
         raise ValueError("grid forward node and slice forward disagree")
     z = _assemble_z(grid, slice_, params)
+    if not np.all(np.isfinite(z)):
+        raise NumericalError("one-step coefficients left the double range")
     k = grid.strikes
     h_minus, h_plus = grid.steps()
     w = z / (h_plus + h_minus)
@@ -258,35 +265,33 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
     r_lo = (k[1] - k[0]) / (k[2] - k[1])
     r_hi = (k[-1] - k[-2]) / (k[-2] - k[-3])
     # v_0 = (1+r_lo) v_1 - r_lo v_2 folded into the first interior row
-    d = diag.copy()
-    d[0] = diag[0] + lower[0] * (1.0 + r_lo)
-    up = upper[:-1].copy()
-    up[0] = upper[0] - lower[0] * r_lo
+    diag[0] += lower[0] * (1.0 + r_lo)
+    upper[0] -= lower[0] * r_lo
     # v_N = (1+r_hi) v_{N-1} - r_hi v_{N-2} folded into the last interior row
-    d[-1] = diag[-1] + upper[-1] * (1.0 + r_hi)
-    lo = lower[1:].copy()
-    lo[-1] = lower[-1] - upper[-1] * r_hi
+    diag[-1] += upper[-1] * (1.0 + r_hi)
+    lower[-1] -= upper[-1] * r_hi
 
-    calls, puts = np.empty(grid.size), np.empty(grid.size)
-    for out, payoff in ((calls, np.maximum(F - k, 0.0)),
-                        (puts, np.maximum(k - F, 0.0))):
-        interior = thomas_solve(
-            TridiagonalSystem(lower=lo, diag=d, upper=up, rhs=payoff[1:-1])
-        )
-        out[1:-1] = interior
-        out[0] = (1.0 + r_lo) * interior[0] - r_lo * interior[1]
-        out[-1] = (1.0 + r_hi) * interior[-1] - r_hi * interior[-2]
+    values = np.empty((2, grid.size))  # one row per payoff: calls, then puts
+    values[:, 1:-1] = thomas_solve(
+        lower[1:], diag, upper[:-1],
+        np.maximum(F - k[1:-1], 0.0), np.maximum(k[1:-1] - F, 0.0),
+    )
+    values[:, 0] = (1.0 + r_lo) * values[:, 1] - r_lo * values[:, 2]
+    values[:, -1] = (1.0 + r_hi) * values[:, -2] - r_hi * values[:, -3]
+    calls, puts = values
 
-    density = (
-        (calls[2:] - calls[1:-1]) / h_plus - (calls[1:-1] - calls[:-2]) / h_minus
-    ) * 2.0 / (h_plus + h_minus)
+    # below the forward the calls are deep in the money and their second
+    # difference is cancellation noise on a fine grid; the puts there are not
+    slopes = np.diff(values) / np.diff(k)
+    second = np.diff(slopes) * 2.0 / (h_plus + h_minus)
+    density = np.where(k[1:-1] < F, second[1], second[0])
     # the boundary rows force a zero second difference at the first and last
     # interior nodes; write the exact value rather than its roundoff residue
     density[0] = 0.0
     density[-1] = 0.0
     return PriceSurface(
         grid=grid, slice=slice_, params=params, calls=calls, puts=puts,
-        density=density, z=z,
+        density=density,
     )
 
 
@@ -318,6 +323,8 @@ def self_consistent_slice(
         if it > 50:
             damping = 0.5
         sigma = sigma + damping * (new_sigma - sigma)
+        if not sigma > 0.0:  # a new_sigma far below sigma cancels the update
+            raise ConvergenceError("ATM fixed point left the positive domain")
     raise ConvergenceError(
         f"ATM vol fixed point did not converge in {max_iter} iterations"
     )
@@ -358,21 +365,9 @@ def extract_quote_set(surface: PriceSurface):
 
     grid = surface.grid
     n = grid.forward_index
-    k = grid.strikes
     atm = 0.5 * (surface.calls[n] + surface.puts[n])
-    return QuoteSet(
-        p_minus2=float(surface.puts[n - 2]),
-        p_minus1=float(surface.puts[n - 1]),
-        atm=float(atm),
-        c_plus1=float(surface.calls[n + 1]),
-        c_plus2=float(surface.calls[n + 2]),
-        h_minus_nm1=float(k[n - 1] - k[n - 2]),
-        h_plus_nm1=float(k[n] - k[n - 1]),
-        h_minus_n=float(k[n] - k[n - 1]),
-        h_plus_n=float(k[n + 1] - k[n]),
-        h_minus_np1=float(k[n + 1] - k[n]),
-        h_plus_np1=float(k[n + 2] - k[n + 1]),
-        forward=grid.forward,
-        expiry=surface.slice.expiry,
-        kappa_sigma=surface.slice.kappa_sigma,
+    prices = [*surface.puts[n - 2:n], atm, *surface.calls[n + 1:n + 3]]
+    return QuoteSet.from_nodes(
+        [float(p) for p in prices], np.diff(grid.strikes[n - 2:n + 3]).tolist(),
+        grid.forward, surface.slice.expiry, surface.slice.kappa_sigma,
     )

@@ -66,6 +66,18 @@ class QuoteSet:
         if abs(self.h_plus_n - self.h_minus_np1) > 1e-12 * scale:
             raise ValueError("h+_n and h-_{n+1} describe the same gap and must agree")
 
+    @classmethod
+    def from_nodes(cls, prices, steps, forward, expiry, kappa_sigma="total"):
+        """The prices (p_{n-2}, p_{n-1}, atm, c_{n+1}, c_{n+2}) at five nodes
+        and the four steps between them, left to right; each inner step is
+        h+ of the node on its left and h- of the node on its right."""
+        s0, s1, s2, s3 = steps
+        return cls(
+            *prices, h_minus_nm1=s0, h_plus_nm1=s1, h_minus_n=s1,
+            h_plus_n=s2, h_minus_np1=s2, h_plus_np1=s3,
+            forward=forward, expiry=expiry, kappa_sigma=kappa_sigma,
+        )
+
     @property
     def sigma_atm(self) -> float:
         """ATM normal vol implied by the ATM identity price = vol*sqrt(T/2pi)."""
@@ -397,16 +409,10 @@ def quote_set_from_curve(
 
     price_fn(strike, kind) must return undiscounted option prices.
     """
-    return QuoteSet(
-        p_minus2=price_fn(F - 2.0 * h, "put"),
-        p_minus1=price_fn(F - h, "put"),
-        atm=price_fn(F, "call"),
-        c_plus1=price_fn(F + h, "call"),
-        c_plus2=price_fn(F + 2.0 * h, "call"),
-        h_minus_nm1=h, h_plus_nm1=h, h_minus_n=h,
-        h_plus_n=h, h_minus_np1=h, h_plus_np1=h,
-        forward=F, expiry=T, kappa_sigma=kappa_sigma,
-    )
+    strikes = (F - 2.0 * h, F - h, F, F + h, F + 2.0 * h)
+    kinds = ("put", "put", "call", "call", "call")
+    prices = [price_fn(k, kind) for k, kind in zip(strikes, kinds)]
+    return QuoteSet.from_nodes(prices, (h, h, h, h), F, T, kappa_sigma)
 
 
 def surface_price_fn(surface) -> Callable[[float, str], float]:

@@ -42,6 +42,7 @@ from .market_io import (
 
 PCT = 0.01
 BP = 0.0001
+MAX_GRID_COUNT = 100001  # nodes; checked before anything is allocated
 
 # flag -> (type, help, config section, key); section None is the top level
 _FLAGS = {
@@ -111,6 +112,8 @@ def _parse_grid(config: dict):
     count = grid.get("count")
     if not isinstance(count, int) or isinstance(count, bool):
         raise ConfigError(f"grid.count must be an integer, got {count!r}")
+    if count > MAX_GRID_COUNT:
+        raise ConfigError(f"grid.count must be at most {MAX_GRID_COUNT}")
     h = (hi - lo) / (count - 1) if count > 1 else 0.0
     if not h > 0.0:
         raise ConfigError("grid needs count >= 2 and hi_pct above lo_pct")

@@ -16,7 +16,12 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 from .ah_engine import SabrParams
-from .analytic_calib import CalibDiagnostics, CalibrationResult, QuoteSet
+from .analytic_calib import (
+    CalibDiagnostics,
+    CalibrationResult,
+    QuoteSet,
+    quote_set_from_curve,
+)
 from .errors import MalformedRow, MissingStrike, SchemaMismatch
 
 SCHEMA_VERSION = 1
@@ -148,16 +153,10 @@ def assemble_quote_set(
         raise MissingStrike(F)
     atm = sum(at_forward) / len(at_forward)
 
-    return QuoteSet(
-        p_minus2=otm_price(F - 2.0 * h, "put"),
-        p_minus1=otm_price(F - h, "put"),
-        atm=atm,
-        c_plus1=otm_price(F + h, "call"),
-        c_plus2=otm_price(F + 2.0 * h, "call"),
-        h_minus_nm1=h, h_plus_nm1=h, h_minus_n=h,
-        h_plus_n=h, h_minus_np1=h, h_plus_np1=h,
-        forward=F, expiry=T, kappa_sigma=kappa_sigma,
-    )
+    def price(target: float, kind: str) -> float:
+        return atm if target == F else otm_price(target, kind)
+
+    return quote_set_from_curve(price, F, T, h, kappa_sigma)
 
 
 @dataclass(frozen=True)
@@ -222,18 +221,12 @@ def _to_json(obj, where: str, indent: int) -> str:
             for i, val in enumerate(obj)
         ]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"non-finite value at {where}")
         return fmt(obj)
-    if isinstance(obj, str):
+    if obj is None or isinstance(obj, (bool, int, str)):
         return json.dumps(obj)
-    if obj is None:
-        return "null"
     raise TypeError(f"cannot serialize {type(obj)!r} at {where}")
 
 

@@ -8,7 +8,6 @@ other modules build on this one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,51 +209,41 @@ def bachelier_implied_vol(price, F, k, T, kind="call"):
     return float(bachelier_otm_vols([time_value], [abs(F - k)], T)[0])
 
 
-@dataclass(frozen=True)
-class TridiagonalSystem:
-    """Tridiagonal linear system: lower/upper have length N-1, diag/rhs length N."""
+def thomas_solve(lower, diag, upper, *rhs) -> list:
+    """Solve the tridiagonal system with sub-diagonal `lower` and
+    super-diagonal `upper` (length N-1) and diagonal `diag` (length N) for
+    each right-hand side (length N) by the Thomas algorithm (no pivoting).
+    Returns one solution array per right-hand side.
 
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.diag)
-        if len(self.rhs) != n or len(self.lower) != n - 1 or len(self.upper) != n - 1:
-            raise ValueError("inconsistent tridiagonal system dimensions")
-
-
-def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
-    """Solve a tridiagonal system by the Thomas algorithm (no pivoting).
-
+    The elimination (pivots and the scaled super-diagonal) runs once for all
+    right-hand sides.  Its loops run on Python floats, which round exactly as
+    float64 numpy scalars do at a fraction of their per-operation cost.
     Assembled pricing systems are strictly diagonally dominant so pivoting is
     unnecessary; a SingularPivot guard remains as defense in depth.
     """
-    n = len(sys.diag)
-    lower = np.asarray(sys.lower, dtype=float)
-    diag = np.asarray(sys.diag, dtype=float)
-    upper = np.asarray(sys.upper, dtype=float)
-    rhs = np.asarray(sys.rhs, dtype=float)
-
-    c = np.empty(n - 1) if n > 1 else np.empty(0)
-    d = np.empty(n)
-    piv = diag[0]
-    if abs(piv) < 1e-300:
-        raise SingularPivot("zero pivot at row 0")
-    if n > 1:
-        c[0] = upper[0] / piv
-    d[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - lower[i - 1] * c[i - 1]
+    n = len(diag)
+    if len(lower) != n - 1 or len(upper) != n - 1 or any(len(r) != n for r in rhs):
+        raise ValueError("inconsistent tridiagonal system dimensions")
+    # row 0 has no sub-diagonal and row N-1 no super-diagonal entry
+    lower = [0.0] + np.asarray(lower, dtype=float).tolist()
+    diag = np.asarray(diag, dtype=float).tolist()
+    upper = np.asarray(upper, dtype=float).tolist() + [0.0]
+    pivots, c, c_prev = [], [], 0.0
+    for i, (a, b, u) in enumerate(zip(lower, diag, upper)):
+        piv = b - a * c_prev
         if abs(piv) < 1e-300:
             raise SingularPivot(f"zero pivot at row {i}")
-        if i < n - 1:
-            c[i] = upper[i] / piv
-        d[i] = (rhs[i] - lower[i - 1] * d[i - 1]) / piv
+        c_prev = u / piv
+        pivots.append(piv)
+        c.append(c_prev)
 
-    x = np.empty(n)
-    x[n - 1] = d[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
+    out = []
+    for r in rhs:
+        d, prev = [], 0.0
+        for a, piv, v in zip(lower, pivots, np.asarray(r, dtype=float).tolist()):
+            prev = (v - a * prev) / piv
+            d.append(prev)
+        for i in range(n - 2, -1, -1):
+            d[i] -= c[i] * d[i + 1]
+        out.append(np.array(d))
+    return out

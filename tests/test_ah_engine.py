@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import ahsabr as ah
+from ahsabr import ah_engine
 from ahsabr.ah_engine import (
     Grid,
     MarketSlice,
@@ -27,9 +28,15 @@ from ahsabr.ah_engine import (
 from ahsabr.errors import (
     ForwardTooCloseToBoundary,
     NonpositiveShiftedStrike,
+    NumericalError,
     PriceOutOfBounds,
 )
-from ahsabr.numerics import bachelier_implied_vol, bachelier_price, mills_ratio
+from ahsabr.numerics import (
+    bachelier_implied_vol,
+    bachelier_price,
+    mills_ratio,
+    thomas_solve,
+)
 
 from conftest import ED_ATM_PRICE_POINTS, ED_EXPIRY, ED_FORWARD, ED_GRID, ED_PARAMS
 
@@ -220,6 +227,11 @@ class TestKappa:
         assert scalar == pytest.approx(exact, rel=1e-11)
         assert np.array_equal(kappa(ks, F, sigma, T), scalar)
 
+    @pytest.mark.filterwarnings("error")
+    def test_series_past_double_range(self):
+        # at xi = 1e80 the powers of xi^2 overflow; their terms vanish quietly
+        assert kappa(1e-60, 0.0, 1e-140, 1.0) == pytest.approx(2e-160, rel=1e-14)
+
     def test_conventions(self):
         k, F, sigma, T = 0.015, 0.02, 0.0095, 4.0
         total = kappa(k, F, sigma, T, "total")
@@ -302,6 +314,25 @@ class TestSolveOneStep:
         d1 = prices[1] - prices[0]
         d2 = prices[2] - prices[1]
         assert 3.5 < d1 / d2 < 4.5
+
+    def test_one_elimination_for_calls_and_puts(self, monkeypatch):
+        solved = []
+
+        def counting(lower, diag, upper, *rhs):
+            solved.append(len(rhs))
+            return thomas_solve(lower, diag, upper, *rhs)
+
+        monkeypatch.setattr(ah_engine, "thomas_solve", counting)
+        grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
+        solve_one_step(grid, MarketSlice.from_vol(0.02, 5.0, 0.0095), make_params())
+        assert solved == [2]
+
+    @pytest.mark.filterwarnings("error")
+    def test_coefficients_past_double_range_rejected(self):
+        grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
+        slice_ = MarketSlice.from_vol(0.02, 5.0, 0.0095)
+        with pytest.raises(NumericalError, match="double range"):
+            solve_one_step(grid, slice_, make_params(alpha=1e200))
 
     def test_nonpositive_shifted_strike(self):
         params = make_params(shift=0.01)

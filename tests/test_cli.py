@@ -84,6 +84,17 @@ class TestPrice:
         assert main(["price", "--config", cfg, "--shift", "4.0"]) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["price", "density"])
+    def test_tiny_expiry_exit_3(self, tmp_path, capsys, command):
+        # the ATM fixed point collapses towards a zero vol: a numerical error
+        out = tmp_path / "surface.csv"
+        cfg = ed_config(tmp_path, out, market={
+            "forward_pct": pct(ED_FORWARD), "expiry_years": 1e-300})
+        assert main([command, "--config", cfg]) == 3
+        assert_one_line_error(capsys, "ConvergenceError")
+        assert not out.exists()
+
     def test_flag_overrides_config(self, tmp_path):
         out = tmp_path / "surface.csv"
         cfg = ed_config(tmp_path, out)
@@ -449,6 +460,16 @@ class TestConfigHandling:
                         **{section: value})
         assert main([command, "--config", cfg]) == 2
         assert_one_line_error(capsys, f"config section {section} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [100002, 10**9, 10**400])
+    def test_grid_count_above_bound_exit_2(self, tmp_path, capsys, count):
+        # rejected before a grid of that size is allocated or a float formed
+        out = tmp_path / "surface.csv"
+        cfg = ed_config(tmp_path, out, grid={
+            "lo_pct": pct(ED_GRID[0]), "hi_pct": pct(ED_GRID[1]), "count": count})
+        assert main(["price", "--config", cfg]) == 2
+        assert_one_line_error(capsys, "grid.count must be at most 100001")
         assert not out.exists()
 
     def test_non_integer_grid_count_exit_2(self, tmp_path):

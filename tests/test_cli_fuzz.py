@@ -7,6 +7,7 @@ import io
 import json
 import pathlib
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -144,7 +145,8 @@ def quote_files(draw):
 
 
 def run(command, doc, flags=(), quotes=None):
-    """main() on `doc` written as the config, with stderr captured."""
+    """main() on `doc` written as the config, with stderr captured.  Every
+    warning raised counts as a stderr line, as the installed CLI prints it."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         doc = dict(doc, out=str(tmp / "out"))
@@ -157,9 +159,12 @@ def run(command, doc, flags=(), quotes=None):
             argv += [flag, value]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
+                contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv)
-    return code, err.getvalue()
+    shown = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, err.getvalue() + shown
 
 
 def assert_clean_exit(code, err):

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from ahsabr.errors import PriceOutOfBounds, SingularPivot
 from ahsabr.numerics import (
-    TridiagonalSystem,
     _erfcx,
     _erfcx_array,
     bachelier_implied_vol,
@@ -281,13 +280,13 @@ class TestBachelierImpliedVol:
 class TestThomasSolve:
     def test_three_by_three_hand_case(self):
         # diag [2,2,2], off-diagonals [1,1], rhs [1,2,3]: solution by hand
-        sys = TridiagonalSystem(
-            lower=np.array([1.0, 1.0]),
-            diag=np.array([2.0, 2.0, 2.0]),
-            upper=np.array([1.0, 1.0]),
-            rhs=np.array([1.0, 2.0, 3.0]),
+        (got,) = thomas_solve(
+            np.array([1.0, 1.0]),
+            np.array([2.0, 2.0, 2.0]),
+            np.array([1.0, 1.0]),
+            np.array([1.0, 2.0, 3.0]),
         )
-        assert thomas_solve(sys) == pytest.approx([0.5, 0.0, 1.5], abs=1e-15)
+        assert got == pytest.approx([0.5, 0.0, 1.5], abs=1e-15)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 25, 50])
     def test_against_dense_solve(self, n):
@@ -299,26 +298,38 @@ class TestThomasSolve:
         rhs = rng.uniform(-1.0, 1.0, n)
         dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
         expected = np.linalg.solve(dense, rhs)
-        got = thomas_solve(
-            TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs)
-        )
+        (got,) = thomas_solve(lower, diag, upper, rhs)
         assert np.max(np.abs(got - expected)) < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 25, 241])
+    def test_right_hand_sides_share_one_elimination(self, n):
+        # two right-hand sides in one call give what two calls give, bit for bit
+        rng = np.random.default_rng(4321 + n)
+        lower = rng.uniform(-1.0, 1.0, n - 1)
+        upper = rng.uniform(-1.0, 1.0, n - 1)
+        diag = 2.5 + rng.uniform(0.0, 1.0, n)
+        first, second = rng.uniform(-1.0, 1.0, (2, n))
+        both = thomas_solve(lower, diag, upper, first, second)
+        (alone_first,) = thomas_solve(lower, diag, upper, first)
+        (alone_second,) = thomas_solve(lower, diag, upper, second)
+        assert len(both) == 2
+        assert np.array_equal(both[0], alone_first)
+        assert np.array_equal(both[1], alone_second)
+
     def test_singular_pivot(self):
-        sys = TridiagonalSystem(
-            lower=np.array([1.0]),
-            diag=np.array([0.0, 1.0]),
-            upper=np.array([1.0]),
-            rhs=np.array([1.0, 1.0]),
-        )
         with pytest.raises(SingularPivot):
-            thomas_solve(sys)
+            thomas_solve(
+                np.array([1.0]),
+                np.array([0.0, 1.0]),
+                np.array([1.0]),
+                np.array([1.0, 1.0]),
+            )
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            TridiagonalSystem(
-                lower=np.array([1.0, 1.0]),
-                diag=np.array([2.0, 2.0]),
-                upper=np.array([1.0]),
-                rhs=np.array([1.0, 2.0]),
+            thomas_solve(
+                np.array([1.0, 1.0]),
+                np.array([2.0, 2.0]),
+                np.array([1.0]),
+                np.array([1.0, 2.0]),
             )
