@@ -21,7 +21,8 @@ from .errors import (
 )
 from .numerics import mills_ratio, thomas_solve
 
-KAPPA_CONVENTIONS = ("total", "annualized")
+FIXED_POINT_TOL = 1e-13  # relative change of sigma that ends the ATM fixed point
+FIXED_POINT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -42,50 +43,29 @@ class SabrParams:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if not abs(self.rho) < 1.0:
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
-        if self.nu < 0.0:
+        if not self.nu >= 0.0:
             raise ValueError(f"nu must be nonnegative, got {self.nu}")
-        if self.shift < 0.0:
+        if not self.shift >= 0.0:
             raise ValueError(f"shift must be nonnegative, got {self.shift}")
 
 
 @dataclass(frozen=True)
 class MarketSlice:
-    """Forward, expiry and the ATM quote in both price and normal-vol form.
+    """Expiry and the ATM normal vol; the ATM price follows from the vol
+    through the one-step ATM identity price = vol * sqrt(T / (2*pi))."""
 
-    atm_price and atm_normal_vol are linked through the one-step ATM identity
-    price = vol * sqrt(T / (2*pi)); use the from_vol / from_price constructors
-    so one field is always derived from the other.
-    """
-
-    forward: float
     expiry: float
     atm_normal_vol: float
-    atm_price: float
-    kappa_sigma: str = "total"
 
     def __post_init__(self):
-        if self.expiry <= 0.0:
+        if not self.expiry > 0.0:
             raise ValueError("expiry must be positive")
-        if self.atm_normal_vol <= 0.0:
+        if not self.atm_normal_vol > 0.0:
             raise ValueError("atm_normal_vol must be positive")
-        if self.kappa_sigma not in KAPPA_CONVENTIONS:
-            raise ValueError(f"kappa_sigma must be one of {KAPPA_CONVENTIONS}")
-        implied = self.atm_normal_vol * math.sqrt(self.expiry / (2.0 * math.pi))
-        if abs(self.atm_price - implied) > 1e-12 * max(implied, 1e-300):
-            raise ValueError(
-                "atm_price and atm_normal_vol violate the ATM identity; "
-                "use MarketSlice.from_vol or MarketSlice.from_price"
-            )
 
-    @classmethod
-    def from_vol(cls, forward, expiry, atm_normal_vol, kappa_sigma="total"):
-        price = atm_normal_vol * math.sqrt(expiry / (2.0 * math.pi))
-        return cls(forward, expiry, atm_normal_vol, price, kappa_sigma)
-
-    @classmethod
-    def from_price(cls, forward, expiry, atm_price, kappa_sigma="total"):
-        vol = atm_price * math.sqrt(2.0 * math.pi / expiry)
-        return cls(forward, expiry, vol, atm_price, kappa_sigma)
+    @property
+    def atm_price(self) -> float:
+        return self.atm_normal_vol * math.sqrt(self.expiry / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -94,7 +74,6 @@ class Grid:
 
     strikes: np.ndarray
     forward_index: int
-    shift_applied: float = 0.0
 
     def __post_init__(self):
         strikes = np.asarray(self.strikes, dtype=float)
@@ -141,7 +120,7 @@ def build_uniform_grid(lo, hi, count, F) -> Grid:
     shift = F - (lo + j * h)
     strikes = lo + shift + h * np.arange(count)
     strikes[j] = F  # exact, not just up to roundoff
-    return Grid(strikes=strikes, forward_index=j, shift_applied=shift)
+    return Grid(strikes=strikes, forward_index=j)
 
 
 def y_of_k(k, F, params: SabrParams):
@@ -173,19 +152,17 @@ def local_vol(k, F, params: SabrParams):
     return float(out) if np.ndim(k) == 0 else out
 
 
-def kappa(k, F, sigma, T, convention="total"):
+def kappa(k, F, sigma, T):
     """One-step local-volatility adjustment 2*(1 - xi*Phi(-xi)/phi(xi)).
 
-    xi = |F-k| / s where s is the ATM standard deviation sigma*sqrt(T) under
-    the default 'total' convention, or the annualized vol sigma under
-    'annualized'.  Value lies in (0, 2] with kappa(F) = 2, strictly
-    decreasing in |F-k|.
+    xi = |F-k| / (sigma*sqrt(T)): in these units Bachelier prices at vol sigma
+    satisfy the one-step row c - (F-k)^+ = (T/2) sigma^2 kappa c'' exactly, at
+    every strike and expiry; xi in annual vols would break it for T != 1.
+    Value lies in (0, 2] with kappa(F) = 2, strictly decreasing in |F-k|.
     """
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError("kappa requires sigma > 0")
-    if convention not in KAPPA_CONVENTIONS:
-        raise ValueError(f"convention must be one of {KAPPA_CONVENTIONS}")
-    s = sigma * math.sqrt(T) if convention == "total" else sigma
+    s = sigma * math.sqrt(T)
     xi = np.abs(np.asarray(k, dtype=float) - F) / s
     core = 1.0 - xi * mills_ratio(xi)
     # direct evaluation cancels catastrophically for large xi; switch to the
@@ -211,7 +188,6 @@ class PriceSurface:
 
     grid: Grid
     slice: MarketSlice
-    params: SabrParams
     calls: np.ndarray
     puts: np.ndarray
     density: np.ndarray
@@ -231,7 +207,7 @@ def _assemble_z(grid: Grid, slice_: MarketSlice, params: SabrParams) -> np.ndarr
     h_minus, h_plus = grid.steps()
     with np.errstate(all="ignore"):
         theta2 = local_vol(k, F, params) ** 2 * kappa(
-            k, F, slice_.atm_normal_vol, slice_.expiry, slice_.kappa_sigma
+            k, F, slice_.atm_normal_vol, slice_.expiry
         )
         return slice_.expiry * theta2 / (h_plus * h_minus)
 
@@ -251,8 +227,6 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
             f"lowest strike {grid.strikes[0]} violates k + shift > 0"
         )
     F = grid.forward
-    if abs(F - slice_.forward) > 1e-12 * (1.0 + abs(F)):
-        raise ValueError("grid forward node and slice forward disagree")
     z = _assemble_z(grid, slice_, params)
     if not np.all(np.isfinite(z)):
         raise NumericalError("one-step coefficients left the double range")
@@ -290,19 +264,11 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
     density[0] = 0.0
     density[-1] = 0.0
     return PriceSurface(
-        grid=grid, slice=slice_, params=params, calls=calls, puts=puts,
-        density=density,
+        grid=grid, slice=slice_, calls=calls, puts=puts, density=density,
     )
 
 
-def self_consistent_slice(
-    grid: Grid,
-    params: SabrParams,
-    expiry: float,
-    kappa_sigma: str = "total",
-    tol: float = 1e-13,
-    max_iter: int = 200,
-) -> MarketSlice:
+def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> MarketSlice:
     """Fixed point of sigma -> implied ATM normal vol of the solved surface.
 
     At the fixed point the solved ATM price satisfies the ATM identity with
@@ -311,28 +277,28 @@ def self_consistent_slice(
     F = grid.forward
     sigma = params.alpha * (F + params.shift) ** params.beta
     damping = 1.0
-    for it in range(max_iter):
-        slice_ = MarketSlice.from_vol(F, expiry, sigma, kappa_sigma)
+    for it in range(FIXED_POINT_MAX_ITER):
+        slice_ = MarketSlice(expiry, sigma)
         surface = solve_one_step(grid, slice_, params)
         atm = 0.5 * (surface.calls[grid.forward_index] + surface.puts[grid.forward_index])
         new_sigma = atm * math.sqrt(2.0 * math.pi / expiry)
         if new_sigma <= 0.0 or not math.isfinite(new_sigma):
             raise ConvergenceError("ATM fixed point left the positive domain")
-        if abs(new_sigma - sigma) <= tol * sigma:
-            return MarketSlice.from_vol(F, expiry, new_sigma, kappa_sigma)
+        if abs(new_sigma - sigma) <= FIXED_POINT_TOL * sigma:
+            return MarketSlice(expiry, new_sigma)
         if it > 50:
             damping = 0.5
         sigma = sigma + damping * (new_sigma - sigma)
         if not sigma > 0.0:  # a new_sigma far below sigma cancels the update
             raise ConvergenceError("ATM fixed point left the positive domain")
     raise ConvergenceError(
-        f"ATM vol fixed point did not converge in {max_iter} iterations"
+        f"ATM vol fixed point did not converge in {FIXED_POINT_MAX_ITER} iterations"
     )
 
 
-def price_self_consistent(grid, params, expiry, kappa_sigma="total") -> PriceSurface:
+def price_self_consistent(grid, params, expiry) -> PriceSurface:
     """solve_one_step at the self-consistent ATM volatility."""
-    slice_ = self_consistent_slice(grid, params, expiry, kappa_sigma)
+    slice_ = self_consistent_slice(grid, params, expiry)
     return solve_one_step(grid, slice_, params)
 
 
@@ -369,5 +335,5 @@ def extract_quote_set(surface: PriceSurface):
     prices = [*surface.puts[n - 2:n], atm, *surface.calls[n + 1:n + 3]]
     return QuoteSet.from_nodes(
         [float(p) for p in prices], np.diff(grid.strikes[n - 2:n + 3]).tolist(),
-        grid.forward, surface.slice.expiry, surface.slice.kappa_sigma,
+        grid.forward, surface.slice.expiry,
     )

@@ -19,6 +19,7 @@ from .errors import (
     DegenerateButterfly,
     DegenerateStraddle,
     NegativeNuSquared,
+    PriceOutOfBounds,
     RhoOutOfRange,
     UnstableDifferences,
 )
@@ -48,7 +49,6 @@ class QuoteSet:
     h_plus_np1: float
     forward: float
     expiry: float
-    kappa_sigma: str = "total"
 
     def __post_init__(self):
         for name in (
@@ -56,9 +56,9 @@ class QuoteSet:
             "h_minus_nm1", "h_plus_nm1", "h_minus_n",
             "h_plus_n", "h_minus_np1", "h_plus_np1",
         ):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.expiry <= 0.0:
+        if not self.expiry > 0.0:
             raise ValueError("expiry must be positive")
         scale = self.h_minus_n + self.h_plus_n
         if abs(self.h_plus_nm1 - self.h_minus_n) > 1e-12 * scale:
@@ -67,7 +67,7 @@ class QuoteSet:
             raise ValueError("h+_n and h-_{n+1} describe the same gap and must agree")
 
     @classmethod
-    def from_nodes(cls, prices, steps, forward, expiry, kappa_sigma="total"):
+    def from_nodes(cls, prices, steps, forward, expiry):
         """The prices (p_{n-2}, p_{n-1}, atm, c_{n+1}, c_{n+2}) at five nodes
         and the four steps between them, left to right; each inner step is
         h+ of the node on its left and h- of the node on its right."""
@@ -75,7 +75,7 @@ class QuoteSet:
         return cls(
             *prices, h_minus_nm1=s0, h_plus_nm1=s1, h_minus_n=s1,
             h_plus_n=s2, h_minus_np1=s2, h_plus_np1=s3,
-            forward=forward, expiry=expiry, kappa_sigma=kappa_sigma,
+            forward=forward, expiry=expiry,
         )
 
     @property
@@ -168,8 +168,8 @@ def _neighbours(q: QuoteSet, alpha, beta, b, sigma_atm):
     k_p = F + q.h_plus_n
     return (
         k_m, k_p, y_of_k(k_m, F, params0), y_of_k(k_p, F, params0),
-        kappa(k_m, F, sigma_atm, T, q.kappa_sigma),
-        kappa(k_p, F, sigma_atm, T, q.kappa_sigma),
+        kappa(k_m, F, sigma_atm, T),
+        kappa(k_p, F, sigma_atm, T),
     )
 
 
@@ -403,7 +403,6 @@ def quote_set_from_curve(
     F: float,
     T: float,
     h: float,
-    kappa_sigma: str = "total",
 ) -> QuoteSet:
     """Sample the five calibration quotes at spacing h from a price source.
 
@@ -412,7 +411,7 @@ def quote_set_from_curve(
     strikes = (F - 2.0 * h, F - h, F, F + h, F + 2.0 * h)
     kinds = ("put", "put", "call", "call", "call")
     prices = [price_fn(k, kind) for k, kind in zip(strikes, kinds)]
-    return QuoteSet.from_nodes(prices, (h, h, h, h), F, T, kappa_sigma)
+    return QuoteSet.from_nodes(prices, (h, h, h, h), F, T)
 
 
 def surface_price_fn(surface) -> Callable[[float, str], float]:
@@ -436,9 +435,15 @@ def recalibrate(
     target_beta: float,
     target_b: float,
     h: float,
-    kappa_sigma: str = "total",
 ) -> CalibrationResult:
     """Sample five quotes at spacing h from a source model and calibrate the
     one-step parameters at the target beta and shift."""
-    q = quote_set_from_curve(price_fn, F, T, h, kappa_sigma)
+
+    def sampled(k: float, kind: str) -> float:
+        price = price_fn(k, kind)
+        if not 0.0 < price < math.inf:  # the source model broke down, not the input
+            raise PriceOutOfBounds(f"source {kind} price {price!r} at strike {k!r}")
+        return price
+
+    q = quote_set_from_curve(sampled, F, T, h)
     return calibrate(q, target_beta, target_b)

@@ -20,7 +20,6 @@ from dataclasses import asdict
 import numpy as np
 
 from .ah_engine import (
-    KAPPA_CONVENTIONS,
     SabrParams,
     build_uniform_grid,
     implied_vol_curve,
@@ -58,8 +57,6 @@ _FLAGS = {
     "--shift": (float, "shift, percent", "model", "shift_pct"),
     "--quotes": (str, "quote CSV path", None, "quotes"),
     "--out": (str, "output file path", None, "out"),
-    "--kappa-sigma": (str, "sigma convention inside the kappa adjustment",
-                      None, "kappa_sigma"),
 }
 
 
@@ -76,6 +73,8 @@ def _load_config(path) -> dict:
 
 def _merge(config: dict, args: argparse.Namespace) -> dict:
     """Flags win over the config file."""
+    if "kappa_sigma" in config:  # an old config must not silently change results
+        raise ConfigError("config key kappa_sigma is gone: kappa uses sigma*sqrt(T)")
     merged = dict(config)
     for name in ("grid", "market", "model", "target"):
         section = merged.get(name, {})
@@ -143,15 +142,6 @@ def _parse_model(config: dict) -> SabrParams:
         raise ConfigError(f"invalid model parameters: {exc}") from None
 
 
-def _kappa_sigma(config: dict) -> str:
-    value = config.get("kappa_sigma", "total")
-    if value not in KAPPA_CONVENTIONS:
-        raise ConfigError(
-            f"kappa_sigma must be one of {KAPPA_CONVENTIONS}, got {value!r}"
-        )
-    return value
-
-
 def _path(config: dict, key: str, what: str) -> str:
     path = config.get(key)
     if not isinstance(path, str) or not path:
@@ -164,7 +154,7 @@ def _build_surface(config: dict):
     F, T = _parse_market(config)
     params = _parse_model(config)
     grid = build_uniform_grid(lo, hi, count, F)
-    return price_self_consistent(grid, params, T, kappa_sigma=_kappa_sigma(config))
+    return price_self_consistent(grid, params, T)
 
 
 def cmd_price(config: dict) -> int:
@@ -208,14 +198,13 @@ def cmd_calibrate(config: dict) -> int:
     b = _require(config["model"], "shift_pct", "model") * PCT
     quotes_path = _path(config, "quotes", "quotes")
     out = _path(config, "out", "output")
-    kappa_sigma = _kappa_sigma(config)
 
     rate_quotes = [to_rate_space(q) for q in parse_quotes(quotes_path)]
-    quote_set = assemble_quote_set(rate_quotes, F, T, h, kappa_sigma=kappa_sigma)
+    quote_set = assemble_quote_set(rate_quotes, F, T, h)
     result = calibrate(quote_set, beta=beta, b=b)
 
     grid = build_uniform_grid(lo, hi, count, F)
-    surface = price_self_consistent(grid, result.params, T, kappa_sigma=kappa_sigma)
+    surface = price_self_consistent(grid, result.params, T)
     report = CalibrationReport.from_result(
         result,
         quotes=quote_set,
@@ -243,7 +232,6 @@ def cmd_recalibrate(config: dict) -> int:
     target_beta = _require(target, "beta_pct", "target") * PCT
     target_b = _require(target, "shift_pct", "target") * PCT
     out = _path(config, "out", "output")
-    kappa_sigma = _kappa_sigma(config)
     grid = build_uniform_grid(lo, hi, count, F)
 
     if source_kind == "hagan":
@@ -252,19 +240,14 @@ def cmd_recalibrate(config: dict) -> int:
         def source_vol_bp(k: float) -> float:
             return hagan_implied_vol(HaganQuoteRequest(k, F, T, source_params)) / BP
     else:
-        source_surface = price_self_consistent(
-            grid, source_params, T, kappa_sigma=kappa_sigma
-        )
+        source_surface = price_self_consistent(grid, source_params, T)
         price_fn = surface_price_fn(source_surface)
         source_vol_bp = _vols_bp(source_surface).get
 
     result = recalibrate(
         price_fn, F, T, target_beta=target_beta, target_b=target_b, h=h,
-        kappa_sigma=kappa_sigma,
     )
-    target_surface = price_self_consistent(
-        grid, result.params, T, kappa_sigma=kappa_sigma
-    )
+    target_surface = price_self_consistent(grid, result.params, T)
     smile = []
     for k, tv in _vols_bp(target_surface).items():
         sv = source_vol_bp(k)
@@ -299,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", help="JSON config file; flags override it")
         for flag, (type_, help_, _, _) in _FLAGS.items():
-            choices = KAPPA_CONVENTIONS if flag == "--kappa-sigma" else None
-            p.add_argument(flag, type=type_, choices=choices, help=help_)
+            p.add_argument(flag, type=type_, help=help_)
     return parser
 
 

@@ -24,7 +24,7 @@ from .analytic_calib import (
 )
 from .errors import MalformedRow, MissingStrike, SchemaMismatch
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 QUOTE_HEADER = ["contract", "quote_date", "kind", "strike_price", "last"]
 
 
@@ -117,7 +117,6 @@ def write_quotes(path, quotes: Iterable[FuturesOptionQuote]) -> None:
 
 def assemble_quote_set(
     quotes: list[RateQuote], F: float, T: float, grid_step: float,
-    kappa_sigma: str = "total",
 ) -> QuoteSet:
     """Build the five-quote set from rate-space quotes around the forward.
 
@@ -156,7 +155,7 @@ def assemble_quote_set(
     def price(target: float, kind: str) -> float:
         return atm if target == F else otm_price(target, kind)
 
-    return quote_set_from_curve(price, F, T, h, kappa_sigma)
+    return quote_set_from_curve(price, F, T, h)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from ahsabr.numerics import (
     bachelier_implied_vol,
     bachelier_price,
     mills_ratio,
+    norm_pdf,
     thomas_solve,
 )
 
@@ -55,6 +56,7 @@ class TestSabrParams:
     @pytest.mark.parametrize("bad", [
         dict(alpha=0.0), dict(alpha=-0.01), dict(beta=-0.1), dict(beta=1.1),
         dict(rho=1.0), dict(rho=-1.0), dict(nu=-0.1), dict(shift=-0.01),
+        dict(nu=math.nan), dict(shift=math.nan),
     ])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
@@ -63,24 +65,23 @@ class TestSabrParams:
 
 class TestMarketSlice:
     def test_atm_identity_links_fields(self):
-        s = MarketSlice.from_vol(0.02, 2.0, 0.0095)
+        s = MarketSlice(2.0, 0.0095)
         assert s.atm_price == pytest.approx(
             0.0095 * math.sqrt(2.0 / (2.0 * math.pi)), rel=1e-15
         )
-        s2 = MarketSlice.from_price(0.02, 2.0, s.atm_price)
-        assert s2.atm_normal_vol == pytest.approx(0.0095, rel=1e-14)
-
-    def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ValueError):
-            MarketSlice(0.02, 2.0, 0.0095, 0.001)
+        assert s.atm_price * math.sqrt(2.0 * math.pi / 2.0) == pytest.approx(
+            0.0095, rel=1e-14
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MarketSlice.from_vol(0.02, -1.0, 0.0095)
+            MarketSlice(-1.0, 0.0095)
         with pytest.raises(ValueError):
-            MarketSlice.from_vol(0.02, 2.0, 0.0)
+            MarketSlice(2.0, 0.0)
         with pytest.raises(ValueError):
-            MarketSlice.from_vol(0.02, 2.0, 0.0095, kappa_sigma="weekly")
+            MarketSlice(math.nan, 0.0095)
+        with pytest.raises(ValueError):
+            MarketSlice(2.0, math.nan)
 
 
 class TestBuildUniformGrid:
@@ -98,7 +99,7 @@ class TestBuildUniformGrid:
     def test_translation_at_most_half_step(self):
         grid = build_uniform_grid(-0.05, 0.25, 241, 0.02013)
         h = 0.30 / 240
-        assert abs(grid.shift_applied) <= 0.5 * h + 1e-15
+        assert abs(grid.strikes[0] - (-0.05)) <= 0.5 * h + 1e-15
         assert grid.strikes[grid.forward_index] == 0.02013
 
     def test_forward_outside_range(self):
@@ -232,22 +233,24 @@ class TestKappa:
         # at xi = 1e80 the powers of xi^2 overflow; their terms vanish quietly
         assert kappa(1e-60, 0.0, 1e-140, 1.0) == pytest.approx(2e-160, rel=1e-14)
 
-    def test_conventions(self):
-        k, F, sigma, T = 0.015, 0.02, 0.0095, 4.0
-        total = kappa(k, F, sigma, T, "total")
-        annualized = kappa(k, F, sigma, T, "annualized")
-        # the annualized convention measures distance in annual vols,
-        # dropping the sqrt(T) factor from the denominator
-        assert annualized == pytest.approx(
-            kappa(k, F, sigma / math.sqrt(T), T, "total"), rel=1e-14
-        )
-        assert total != annualized
+    def test_one_step_row_exact_for_bachelier(self):
+        # xi in units of sigma*sqrt(T) makes the one-step row hold exactly
+        # for Bachelier calls at k >= F: c = (T/2) sigma^2 kappa c'' with
+        # c'' = phi(xi)/s; xi in annual vols misses by up to 2.6 relative
+        F, sigma = 0.02, 0.0095
+        for T in (0.25, 4.0, 30.0):
+            s = sigma * math.sqrt(T)
+            for k in F + s * np.linspace(0.0, 8.0, 81):
+                xi = (k - F) / s
+                c = bachelier_price(F, k, sigma, T)
+                row = 0.5 * T * sigma**2 * kappa(k, F, sigma, T) * norm_pdf(xi) / s
+                assert row == pytest.approx(c, rel=1e-12, abs=0.0), (T, xi)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             kappa(0.015, 0.02, 0.0, 1.0)
         with pytest.raises(ValueError):
-            kappa(0.015, 0.02, 0.01, 1.0, convention="both")
+            kappa(0.015, 0.02, math.nan, 1.0)
 
 
 class TestSolveOneStep:
@@ -306,7 +309,7 @@ class TestSolveOneStep:
         prices = []
         for count in (41, 81, 161):
             grid = build_uniform_grid(-0.02, 0.08, count, F)
-            slice_ = MarketSlice.from_vol(F, T, 0.0095)
+            slice_ = MarketSlice(T, 0.0095)
             surface = solve_one_step(grid, slice_, params)
             # the same physical strike on every refinement level
             j = int(np.argmin(np.abs(grid.strikes - 0.025)))
@@ -324,13 +327,13 @@ class TestSolveOneStep:
 
         monkeypatch.setattr(ah_engine, "thomas_solve", counting)
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
-        solve_one_step(grid, MarketSlice.from_vol(0.02, 5.0, 0.0095), make_params())
+        solve_one_step(grid, MarketSlice(5.0, 0.0095), make_params())
         assert solved == [2]
 
     @pytest.mark.filterwarnings("error")
     def test_coefficients_past_double_range_rejected(self):
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
-        slice_ = MarketSlice.from_vol(0.02, 5.0, 0.0095)
+        slice_ = MarketSlice(5.0, 0.0095)
         with pytest.raises(NumericalError, match="double range"):
             solve_one_step(grid, slice_, make_params(alpha=1e200))
 
@@ -339,13 +342,6 @@ class TestSolveOneStep:
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         with pytest.raises(NonpositiveShiftedStrike):
             price_self_consistent(grid, params, 5.0)
-
-    def test_forward_mismatch_rejected(self):
-        params = make_params()
-        grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
-        slice_ = MarketSlice.from_vol(0.025, 5.0, 0.0095)
-        with pytest.raises(ValueError):
-            solve_one_step(grid, slice_, params)
 
     def test_published_fixture_atm_quote(self, ed_surface):
         # ATM last 0.1350 in price points is 13.5 bp in rate units; the
@@ -369,15 +365,6 @@ class TestSelfConsistentSlice:
         n = grid.forward_index
         atm = 0.5 * (surface.calls[n] + surface.puts[n])
         assert atm == pytest.approx(slice_.atm_price, rel=1e-12)
-
-    def test_kappa_convention_changes_fixed_point(self):
-        params = make_params()
-        grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
-        total = self_consistent_slice(grid, params, 5.0, "total")
-        annualized = self_consistent_slice(grid, params, 5.0, "annualized")
-        assert total.atm_normal_vol != pytest.approx(
-            annualized.atm_normal_vol, rel=1e-6
-        )
 
 
 class TestImpliedVolCurve:

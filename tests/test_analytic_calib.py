@@ -32,6 +32,7 @@ from ahsabr.analytic_calib import (
 from ahsabr.errors import (
     DegenerateButterfly,
     DegenerateStraddle,
+    PriceOutOfBounds,
     UnstableDifferences,
 )
 from ahsabr.hagan_ref import hagan_price_fn
@@ -70,7 +71,8 @@ class TestQuoteSet:
 
     @pytest.mark.parametrize("field,value", [
         ("atm", 0.0), ("p_minus2", -0.001), ("h_plus_n", 0.0),
-        ("expiry", -1.0),
+        ("expiry", -1.0), ("atm", math.nan), ("h_plus_n", math.nan),
+        ("expiry", math.nan),
     ])
     def test_positivity(self, field, value):
         with pytest.raises(ValueError):
@@ -358,3 +360,17 @@ class TestRecalibrate:
         assert result.params.alpha == pytest.approx(0.0206, abs=0.001)
         assert result.params.rho == pytest.approx(-0.2684, abs=0.02)
         assert result.params.nu == pytest.approx(0.2754, abs=0.02)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-18, math.nan, math.inf])
+    def test_unusable_source_price_is_numerical(self, bad):
+        # a source model that prices the call at F + h at zero has broken
+        # down; that is a numerical error naming the strike, not bad input
+        src = SabrParams(**HAGAN_SOURCE)
+        hagan = hagan_price_fn(src, HAGAN_FORWARD, HAGAN_EXPIRY)
+        k_bad = HAGAN_FORWARD + HAGAN_STEP
+
+        def price(k, kind):
+            return bad if k == k_bad else hagan(k, kind)
+
+        with pytest.raises(PriceOutOfBounds, match=f"at strike {k_bad!r}"):
+            recalibrate(price, HAGAN_FORWARD, HAGAN_EXPIRY, 0.40, 0.03, HAGAN_STEP)

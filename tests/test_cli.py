@@ -4,6 +4,7 @@ the published fixtures, and the quote-file calibration workflow."""
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -85,14 +86,18 @@ class TestPrice:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("command", ["price", "density"])
+    @pytest.mark.parametrize("command", ["price", "density", "recalibrate"])
     def test_tiny_expiry_exit_3(self, tmp_path, capsys, command):
-        # the ATM fixed point collapses towards a zero vol: a numerical error
+        # the ATM fixed point collapses towards a zero vol, and the Hagan
+        # source prices its ATM call at zero: numerical errors, not input
         out = tmp_path / "surface.csv"
         cfg = ed_config(tmp_path, out, market={
             "forward_pct": pct(ED_FORWARD), "expiry_years": 1e-300})
         assert main([command, "--config", cfg]) == 3
-        assert_one_line_error(capsys, "ConvergenceError")
+        if command == "recalibrate":
+            assert_one_line_error(capsys, "PriceOutOfBounds", "at strike")
+        else:
+            assert_one_line_error(capsys, "ConvergenceError")
         assert not out.exists()
 
     def test_flag_overrides_config(self, tmp_path):
@@ -319,6 +324,16 @@ class TestInputFiles:
         assert main(["calibrate", "--config", cfg]) == 3
         assert_one_line_error(capsys, "ZeroDivisionError")
 
+    def test_zero_premium_exit_2(self, tmp_path, capsys):
+        # a zero premium is bad quote data, not a breakdown of the model
+        quotes = pathlib.Path(ed_quotes(tmp_path))
+        lines = quotes.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",0"
+        quotes.write_text("\n".join(lines) + "\n")
+        cfg = ed_config(tmp_path, tmp_path / "report.json", quotes=str(quotes))
+        assert main(["calibrate", "--config", cfg]) == 2
+        assert_one_line_error(capsys, "c_plus2 must be positive")
+
     def test_missing_required_strike_exit_2(self, tmp_path, capsys):
         cfg = ed_config(tmp_path, tmp_path / "report.json",
                         quotes=ed_quotes(tmp_path, drop=(2,)))
@@ -433,10 +448,15 @@ class TestConfigHandling:
         path.write_text("{not json")
         assert main(["price", "--config", str(path)]) == 2
 
-    def test_invalid_kappa_sigma_exit_2(self, tmp_path):
-        out = tmp_path / "surface.csv"
-        cfg = ed_config(tmp_path, out, kappa_sigma="weekly")
-        assert main(["price", "--config", cfg]) == 2
+    def test_invalid_kappa_sigma_exit_2(self, tmp_path, capsys):
+        # kappa has one convention; a config that still names one, even
+        # the one in use, must not run on silently
+        for value in ("total", "annualized", "weekly"):
+            out = tmp_path / "surface.csv"
+            cfg = ed_config(tmp_path, out, kappa_sigma=value)
+            assert main(["price", "--config", cfg]) == 2, value
+            assert_one_line_error(capsys, "kappa_sigma")
+            assert not out.exists()
 
     def test_missing_out_exit_2(self, tmp_path):
         cfg = write_config(

@@ -60,8 +60,9 @@ BASE = {
 def configs(draw):
     """The BASE config with up to three edits: a section replaced by a value
     that is not an object or dropped, a key dropped or set to a value from
-    its documented range or to anything else; then a kappa convention and a
-    recalibration source, each valid or not."""
+    its documented range or to anything else; then a retired kappa_sigma key
+    (an input error whatever its value) and a recalibration source, valid or
+    not."""
     doc = {name: dict(section) for name, section in BASE.items()}
     for _ in range(draw(st.integers(0, 3))):
         name = draw(st.sampled_from(sorted(SECTION_KEYS)))

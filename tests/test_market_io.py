@@ -2,6 +2,7 @@
 errors, the price/rate involution, quote-set assembly with parity completion,
 and lossless JSON report round trips."""
 
+import json
 import math
 import re
 
@@ -12,6 +13,7 @@ from ahsabr.ah_engine import build_uniform_grid, extract_quote_set, price_self_c
 from ahsabr.analytic_calib import calibrate
 from ahsabr.errors import MalformedRow, MissingStrike, SchemaMismatch
 from ahsabr.market_io import (
+    SCHEMA_VERSION,
     CalibrationReport,
     FuturesOptionQuote,
     RateQuote,
@@ -257,9 +259,21 @@ class TestReportRoundTrip:
         report = sample_report(solved)
         path = tmp_path / "report.json"
         write_report(report, path)
-        text = path.read_text().replace('"schema_version": 1', '"schema_version": 99')
+        text = path.read_text().replace(
+            f'"schema_version": {SCHEMA_VERSION}', '"schema_version": 99'
+        )
         path.write_text(text)
         with pytest.raises(SchemaMismatch):
+            read_report(path)
+
+    def test_version_1_report_refused(self, solved, tmp_path):
+        # version 1 carried the retired kappa_sigma in its quotes block
+        doc = report_to_dict(sample_report(solved))
+        doc["schema_version"] = 1
+        doc["quotes"]["kappa_sigma"] = "total"
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatch, match="schema_version 1"):
             read_report(path)
 
     def test_not_json(self, tmp_path):
