@@ -85,7 +85,6 @@ class TestPrice:
         assert main(["price", "--config", cfg, "--shift", "4.0"]) == 3
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["price", "density", "recalibrate"])
     def test_tiny_expiry_exit_3(self, tmp_path, capsys, command):
         # the ATM fixed point collapses towards a zero vol, and the Hagan

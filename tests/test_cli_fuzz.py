@@ -60,9 +60,8 @@ BASE = {
 def configs(draw):
     """The BASE config with up to three edits: a section replaced by a value
     that is not an object or dropped, a key dropped or set to a value from
-    its documented range or to anything else; then a retired kappa_sigma key
-    (an input error whatever its value) and a recalibration source, valid or
-    not."""
+    its documented range or to anything else; then a recalibration source,
+    valid or not."""
     doc = {name: dict(section) for name, section in BASE.items()}
     for _ in range(draw(st.integers(0, 3))):
         name = draw(st.sampled_from(sorted(SECTION_KEYS)))
@@ -78,13 +77,9 @@ def configs(draw):
                 doc[name].pop(key, None)
             else:
                 doc[name][key] = draw(PLAUSIBLE[key] if edit == "plausible" else WRONG)
-    for key, values in (
-        ("kappa_sigma", ["total", "annualized", "weekly", 3]),
-        ("source", ["hagan", "onestep", "other", None]),
-    ):
-        value = draw(st.sampled_from(["unset"] * 4 + values))
-        if value != "unset":
-            doc[key] = value
+    source = draw(st.sampled_from(["unset"] * 4 + ["hagan", "onestep", "other", None]))
+    if source != "unset":
+        doc["source"] = source
     return doc
 
 
