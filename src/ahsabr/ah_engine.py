@@ -132,7 +132,9 @@ def y_of_k(k, F, params: SabrParams):
     b = params.shift
     kb = np.asarray(k, dtype=float) + b
     if np.any(kb <= 0.0) or F + b <= 0.0:
-        raise NonpositiveShiftedStrike(f"strike plus shift must be positive")
+        raise NonpositiveShiftedStrike(
+            f"smallest k + shift {min(np.min(kb), F + b)} is not positive"
+        )
     # beta within 1e-12 of 1 is routed to the log branch to avoid cancellation
     if abs(1.0 - params.beta) < 1e-12:
         y = np.log((F + b) / kb) / params.alpha
@@ -333,7 +335,7 @@ def extract_quote_set(surface: PriceSurface):
     n = grid.forward_index
     atm = 0.5 * (surface.calls[n] + surface.puts[n])
     prices = [*surface.puts[n - 2:n], atm, *surface.calls[n + 1:n + 3]]
-    return QuoteSet.from_nodes(
-        [float(p) for p in prices], np.diff(grid.strikes[n - 2:n + 3]).tolist(),
+    return QuoteSet(
+        *[float(p) for p in prices], *np.diff(grid.strikes[n - 2:n + 3]).tolist(),
         grid.forward, surface.slice.expiry,
     )

@@ -31,9 +31,10 @@ TWO_PI = 2.0 * math.pi
 class QuoteSet:
     """The five near-ATM option prices plus their grid geometry.
 
-    Put prices below the forward, call prices above; steps are labelled per
-    node (h-_j, h+_j).  Consecutive-node steps coincide by construction:
-    h+_{n-1} == h-_n and h+_n == h-_{n+1}.
+    Put prices below the forward, call prices above.  The four gaps between
+    the nodes k_{n-2} .. k_{n+2} are stored once, left to right.  The
+    paper labels steps per node (h-_j, h+_j), which names each inner gap
+    twice: h+_{n-1} is `h_minus_n` and h-_{n+1} is `h_plus_n`.
     """
 
     p_minus2: float
@@ -42,10 +43,8 @@ class QuoteSet:
     c_plus1: float
     c_plus2: float
     h_minus_nm1: float
-    h_plus_nm1: float
     h_minus_n: float
     h_plus_n: float
-    h_minus_np1: float
     h_plus_np1: float
     forward: float
     expiry: float
@@ -53,30 +52,14 @@ class QuoteSet:
     def __post_init__(self):
         for name in (
             "p_minus2", "p_minus1", "atm", "c_plus1", "c_plus2",
-            "h_minus_nm1", "h_plus_nm1", "h_minus_n",
-            "h_plus_n", "h_minus_np1", "h_plus_np1",
+            "h_minus_nm1", "h_minus_n", "h_plus_n", "h_plus_np1",
         ):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        if not abs(self.forward) < math.inf:
+            raise ValueError(f"forward must be finite, got {self.forward}")
         if not self.expiry > 0.0:
             raise ValueError("expiry must be positive")
-        scale = self.h_minus_n + self.h_plus_n
-        if abs(self.h_plus_nm1 - self.h_minus_n) > 1e-12 * scale:
-            raise ValueError("h+_{n-1} and h-_n describe the same gap and must agree")
-        if abs(self.h_plus_n - self.h_minus_np1) > 1e-12 * scale:
-            raise ValueError("h+_n and h-_{n+1} describe the same gap and must agree")
-
-    @classmethod
-    def from_nodes(cls, prices, steps, forward, expiry):
-        """The prices (p_{n-2}, p_{n-1}, atm, c_{n+1}, c_{n+2}) at five nodes
-        and the four steps between them, left to right; each inner step is
-        h+ of the node on its left and h- of the node on its right."""
-        s0, s1, s2, s3 = steps
-        return cls(
-            *prices, h_minus_nm1=s0, h_plus_nm1=s1, h_minus_n=s1,
-            h_plus_n=s2, h_minus_np1=s2, h_plus_np1=s3,
-            forward=forward, expiry=expiry,
-        )
 
     @property
     def sigma_atm(self) -> float:
@@ -149,20 +132,20 @@ def alpha_from_straddle(q: QuoteSet, beta: float, b: float) -> float:
 def z_coefficients(q: QuoteSet) -> tuple[float, float]:
     """System coefficients z_{n-1}, z_{n+1} implied by the butterfly rows."""
     z_minus = _row_z(
-        q.p_minus2, q.p_minus1, q.atm, q.h_minus_nm1, q.h_plus_nm1, q.atm,
+        q.p_minus2, q.p_minus1, q.atm, q.h_minus_nm1, q.h_minus_n, q.atm,
         "put butterfly implies a non-positive density at k_{n-1}",
     )
     z_plus = _row_z(
-        q.atm, q.c_plus1, q.c_plus2, q.h_minus_np1, q.h_plus_np1, q.atm,
+        q.atm, q.c_plus1, q.c_plus2, q.h_plus_n, q.h_plus_np1, q.atm,
         "call butterfly implies a non-positive density at k_{n+1}",
     )
     return z_minus, z_plus
 
 
-def _neighbours(q: QuoteSet, alpha, beta, b, sigma_atm):
+def _neighbours(q: QuoteSet, alpha, beta, b):
     """Strike, y and kappa at k_{n-1} and k_{n+1}:
     (k_m, k_p, y_m, y_p, kappa_m, kappa_p)."""
-    F, T = q.forward, q.expiry
+    F, T, sigma_atm = q.forward, q.expiry, q.sigma_atm
     params0 = SabrParams(alpha=alpha, beta=beta, rho=0.0, nu=0.0, shift=b)
     k_m = F - q.h_minus_n
     k_p = F + q.h_plus_n
@@ -201,7 +184,6 @@ def nu_rho_from_z(
     q: QuoteSet,
     beta: float,
     b: float,
-    sigma_atm: float,
 ) -> tuple[float, float, CalibDiagnostics]:
     """Solve the linear 2x2 system in (nu^2, 2*rho*nu).
 
@@ -209,27 +191,26 @@ def nu_rho_from_z(
     neighbouring strike; subtracting the two relations isolates nu^2.
     """
     T = q.expiry
-    k_m, k_p, y_m, y_p, kap_m, kap_p = _neighbours(q, alpha, beta, b, sigma_atm)
+    k_m, k_p, y_m, y_p, kap_m, kap_p = _neighbours(q, alpha, beta, b)
 
     # J^2 at the two neighbours, read off the z definition
-    j2_m = z_minus * q.h_plus_nm1 * q.h_minus_nm1 / (
+    j2_m = z_minus * q.h_minus_n * q.h_minus_nm1 / (
         T * kap_m * alpha**2 * (k_m + b) ** (2.0 * beta)
     )
-    j2_p = z_plus * q.h_plus_np1 * q.h_minus_np1 / (
+    j2_p = z_plus * q.h_plus_np1 * q.h_plus_n / (
         T * kap_p * alpha**2 * (k_p + b) ** (2.0 * beta)
     )
     return _solve_nu_rho(
         j2_m, j2_p, y_m, y_p, z_minus=z_minus, z_plus=z_plus,
-        kappa_minus=kap_m, kappa_plus=kap_p, sigma_atm=sigma_atm,
+        kappa_minus=kap_m, kappa_plus=kap_p, sigma_atm=q.sigma_atm,
     )
 
 
 def calibrate(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
     """Analytic (alpha, nu, rho) from a five-quote set at given beta, shift."""
-    sigma_atm = q.sigma_atm
     alpha = alpha_from_straddle(q, beta, b)
     z_minus, z_plus = z_coefficients(q)
-    nu, rho, diag = nu_rho_from_z(z_minus, z_plus, alpha, q, beta, b, sigma_atm)
+    nu, rho, diag = nu_rho_from_z(z_minus, z_plus, alpha, q, beta, b)
     params = SabrParams(alpha=alpha, beta=beta, rho=rho, nu=nu, shift=b)
     return CalibrationResult(params=params, diagnostics=diag)
 
@@ -241,14 +222,13 @@ def calibrate_uniform(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
     ITM quotes eliminated through parity up front.  Halving is exact in
     floating point, so with the operations ordered as in the general-form
     kernels the result coincides with `calibrate` to the last bit whenever
-    the six steps are exactly equal.
+    the four steps are exactly equal.
     """
     h = q.h_plus_n
-    for name in ("h_minus_nm1", "h_plus_nm1", "h_minus_n", "h_minus_np1", "h_plus_np1"):
+    for name in ("h_minus_nm1", "h_minus_n", "h_plus_np1"):
         if abs(getattr(q, name) - h) > 1e-12 * h:
             raise ValueError("calibrate_uniform requires an equal-step quote set")
     F, T = q.forward, q.expiry
-    sigma_atm = q.sigma_atm
     p_plus1 = q.p_plus1  # c(F+h) + h by parity
 
     # half the ATM row coefficient: z_n/2 = ATM / (p_{n-1} + p_{n+1} - 2 ATM)
@@ -268,7 +248,7 @@ def calibrate_uniform(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
         raise DegenerateButterfly("call butterfly implies a non-positive density")
     zh_plus = q.c_plus1 * h / denom_p
 
-    k_m, k_p, y_m, y_p, kap_m, kap_p = _neighbours(q, alpha, beta, b, sigma_atm)
+    k_m, k_p, y_m, y_p, kap_m, kap_p = _neighbours(q, alpha, beta, b)
     kap_half_m = 0.5 * kap_m
     kap_half_p = 0.5 * kap_p
 
@@ -276,7 +256,7 @@ def calibrate_uniform(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
     j2_p = zh_plus * h * h / (T * kap_half_p * alpha**2 * (k_p + b) ** (2.0 * beta))
     nu, rho, diag = _solve_nu_rho(
         j2_m, j2_p, y_m, y_p, z_minus=2.0 * zh_minus, z_plus=2.0 * zh_plus,
-        kappa_minus=kap_m, kappa_plus=kap_p, sigma_atm=sigma_atm,
+        kappa_minus=kap_m, kappa_plus=kap_p, sigma_atm=q.sigma_atm,
     )
     params = SabrParams(alpha=alpha, beta=beta, rho=rho, nu=nu, shift=b)
     return CalibrationResult(params=params, diagnostics=diag)
@@ -411,7 +391,7 @@ def quote_set_from_curve(
     strikes = (F - 2.0 * h, F - h, F, F + h, F + 2.0 * h)
     kinds = ("put", "put", "call", "call", "call")
     prices = [price_fn(k, kind) for k, kind in zip(strikes, kinds)]
-    return QuoteSet.from_nodes(prices, (h, h, h, h), F, T)
+    return QuoteSet(*prices, h, h, h, h, F, T)
 
 
 def surface_price_fn(surface) -> Callable[[float, str], float]:

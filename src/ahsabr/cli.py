@@ -205,8 +205,9 @@ def cmd_calibrate(config: dict) -> int:
 
     grid = build_uniform_grid(lo, hi, count, F)
     surface = price_self_consistent(grid, result.params, T)
-    report = CalibrationReport.from_result(
-        result,
+    report = CalibrationReport(
+        params=result.params,
+        diagnostics=result.diagnostics,
         quotes=quote_set,
         grid={"lo": lo, "hi": hi, "count": count, "forward": F},
         vol_curve=[{"strike": k, "normal_vol_bp": v}

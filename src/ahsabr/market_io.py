@@ -12,19 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .ah_engine import SabrParams
-from .analytic_calib import (
-    CalibDiagnostics,
-    CalibrationResult,
-    QuoteSet,
-    quote_set_from_curve,
-)
+from .analytic_calib import CalibDiagnostics, QuoteSet, quote_set_from_curve
 from .errors import MalformedRow, MissingStrike, SchemaMismatch
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 QUOTE_HEADER = ["contract", "quote_date", "kind", "strike_price", "last"]
 
 
@@ -167,16 +162,6 @@ class CalibrationReport:
     quotes: QuoteSet
     grid: dict  # {lo, hi, count, forward}
     vol_curve: list  # [{strike, normal_vol_bp}]
-    metadata: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_result(cls, result: CalibrationResult, quotes, grid, vol_curve,
-                    metadata=None):
-        return cls(
-            params=result.params, diagnostics=result.diagnostics,
-            quotes=quotes, grid=dict(grid), vol_curve=list(vol_curve),
-            metadata=dict(metadata or {}),
-        )
 
 
 def fmt(x: float) -> str:
@@ -239,7 +224,7 @@ def write_json(doc: dict, path) -> None:
 
 
 def report_to_dict(report: CalibrationReport) -> dict:
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "params": asdict(report.params),
         "diagnostics": asdict(report.diagnostics),
@@ -247,9 +232,6 @@ def report_to_dict(report: CalibrationReport) -> dict:
         "grid": dict(report.grid),
         "vol_curve": [dict(v) for v in report.vol_curve],
     }
-    if report.metadata:
-        doc["metadata"] = dict(report.metadata)
-    return doc
 
 
 def write_report(report: CalibrationReport, path) -> None:
@@ -273,7 +255,6 @@ def read_report(path) -> CalibrationReport:
         return CalibrationReport(
             params=params, diagnostics=diagnostics, quotes=quotes,
             grid=doc["grid"], vol_curve=doc["vol_curve"],
-            metadata=doc.get("metadata", {}),
         )
     except (KeyError, TypeError) as exc:
         raise SchemaMismatch(f"malformed report document: {exc}") from None

@@ -2,6 +2,7 @@
 one-step rows, its uniform-grid specialization, the short-maturity limit,
 and the recalibration workflow."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from ahsabr.errors import (
     DegenerateButterfly,
     DegenerateStraddle,
     PriceOutOfBounds,
+    RhoOutOfRange,
     UnstableDifferences,
 )
 from ahsabr.hagan_ref import hagan_price_fn
@@ -50,8 +52,7 @@ def uniform_quote_set(**overrides):
     fields = dict(
         p_minus2=0.004, p_minus1=0.006, atm=0.009, c_plus1=0.0065,
         c_plus2=0.0045,
-        h_minus_nm1=0.005, h_plus_nm1=0.005, h_minus_n=0.005,
-        h_plus_n=0.005, h_minus_np1=0.005, h_plus_np1=0.005,
+        h_minus_nm1=0.005, h_minus_n=0.005, h_plus_n=0.005, h_plus_np1=0.005,
         forward=0.02, expiry=5.0,
     )
     fields.update(overrides)
@@ -72,17 +73,12 @@ class TestQuoteSet:
     @pytest.mark.parametrize("field,value", [
         ("atm", 0.0), ("p_minus2", -0.001), ("h_plus_n", 0.0),
         ("expiry", -1.0), ("atm", math.nan), ("h_plus_n", math.nan),
-        ("expiry", math.nan),
+        ("expiry", math.nan), ("forward", math.nan), ("forward", math.inf),
+        ("forward", -math.inf),
     ])
     def test_positivity(self, field, value):
         with pytest.raises(ValueError):
             uniform_quote_set(**{field: value})
-
-    def test_shared_gap_consistency(self):
-        with pytest.raises(ValueError):
-            uniform_quote_set(h_plus_nm1=0.006)
-        with pytest.raises(ValueError):
-            uniform_quote_set(h_minus_np1=0.004)
 
 
 class TestAlphaFromStraddle:
@@ -129,7 +125,7 @@ class TestNuRhoFromZ:
         alpha = alpha_from_straddle(q, params.beta, params.shift)
         z_minus, z_plus = z_coefficients(q)
         nu, rho, diag = nu_rho_from_z(
-            z_minus, z_plus, alpha, q, params.beta, params.shift, q.sigma_atm
+            z_minus, z_plus, alpha, q, params.beta, params.shift
         )
         assert nu == pytest.approx(0.30, abs=1e-8)
         assert rho == pytest.approx(-0.25, abs=1e-8)
@@ -207,6 +203,13 @@ class TestCalibrate:
         assert d.y_minus > 0.0 > d.y_plus
         assert 0.0 < d.kappa_minus < 2.0 and 0.0 < d.kappa_plus < 2.0
 
+    @pytest.mark.parametrize("calib", [calibrate, calibrate_uniform])
+    def test_rho_out_of_range(self, calib):
+        # a call wing as flat as this one tilts the smile past |rho| = 1
+        q = uniform_quote_set(c_plus1=0.0088, c_plus2=0.0088)
+        with pytest.raises(RhoOutOfRange, match=r"\|rho\| = 1\.020376 >= 1"):
+            calib(q, 0.4, 0.03)
+
 
 class TestLevelRange:
     @pytest.mark.parametrize("beta,b", [(1.5, 0.03), (0.4, -0.02), (0.4, -0.03)])
@@ -241,15 +244,7 @@ class TestCalibrateUniform:
         assert abs(uniform.residual_plus) < 1e-12
 
     def test_rejects_unequal_steps(self):
-        q = uniform_quote_set()
-        q = QuoteSet(**{
-            **{f: getattr(q, f) for f in (
-                "p_minus2", "p_minus1", "atm", "c_plus1", "c_plus2",
-                "h_minus_nm1", "h_plus_nm1", "h_minus_n", "h_plus_n",
-                "h_minus_np1", "h_plus_np1", "forward", "expiry",
-            )},
-            "h_minus_nm1": 0.004,
-        })
+        q = dataclasses.replace(uniform_quote_set(), h_minus_nm1=0.004)
         with pytest.raises(ValueError):
             calibrate_uniform(q, 0.4, 0.03)
 

@@ -229,9 +229,9 @@ def sample_report(solved):
         {"strike": 0.025, "normal_vol_bp": 96.5},
     ]
     grid = {"lo": -0.02, "hi": 0.08, "count": 81, "forward": 0.02}
-    return CalibrationReport.from_result(
-        result, q, grid, vol_curve,
-        metadata={"contract": "EDH3", "quote_date": "2021-01-04"},
+    return CalibrationReport(
+        params=result.params, diagnostics=result.diagnostics, quotes=q,
+        grid=grid, vol_curve=vol_curve,
     )
 
 
@@ -246,7 +246,6 @@ class TestReportRoundTrip:
         assert loaded.quotes == report.quotes
         assert loaded.grid == report.grid
         assert loaded.vol_curve == report.vol_curve
-        assert loaded.metadata == report.metadata
 
     def test_rewrite_is_bit_identical(self, solved, tmp_path):
         report = sample_report(solved)
@@ -267,14 +266,18 @@ class TestReportRoundTrip:
             read_report(path)
 
     def test_version_1_report_refused(self, solved, tmp_path):
-        # version 1 carried the retired kappa_sigma in its quotes block
-        doc = report_to_dict(sample_report(solved))
-        doc["schema_version"] = 1
-        doc["quotes"]["kappa_sigma"] = "total"
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaMismatch, match="schema_version 1"):
-            read_report(path)
+        # version 1 carried the retired kappa_sigma in its quotes block, and
+        # versions 1 and 2 named the two inner gaps twice
+        for version, extra in ((1, {"kappa_sigma": "total"}), (2, {})):
+            doc = report_to_dict(sample_report(solved))
+            quotes = doc["quotes"]
+            doc["schema_version"] = version
+            quotes.update(h_plus_nm1=quotes["h_minus_n"],
+                          h_minus_np1=quotes["h_plus_n"], **extra)
+            path = tmp_path / "report.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(SchemaMismatch, match=f"schema_version {version}"):
+                read_report(path)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "report.json"
@@ -300,7 +303,6 @@ class TestReportRoundTrip:
             params=report.params, diagnostics=report.diagnostics,
             quotes=report.quotes, grid=report.grid,
             vol_curve=[{"strike": 0.02, "normal_vol_bp": math.nan}],
-            metadata=report.metadata,
         )
         path = tmp_path / "broken.json"
         with pytest.raises(ValueError, match=re.escape(
