@@ -29,7 +29,7 @@ from .analytic_calib import (
     surface_price_fn,
     z_coefficients,
 )
-from .hagan_ref import HaganQuoteRequest, hagan_implied_vol, hagan_price, hagan_price_fn
+from .hagan_ref import hagan_implied_vol, hagan_price, hagan_price_fn
 from .market_io import (
     CalibrationReport,
     FuturesOptionQuote,

@@ -304,26 +304,31 @@ def price_self_consistent(grid, params, expiry) -> PriceSurface:
     return solve_one_step(grid, slice_, params)
 
 
-def implied_vol_curve(surface: PriceSurface) -> np.ndarray:
-    """Bachelier normal vol per strike, inverted from the OTM-side price.
+def otm_vol_curve(strikes, prices, F, T) -> np.ndarray:
+    """Bachelier normal vol per strike, inverted from out-of-the-money prices
+    (puts below the forward F, calls at and above it).
 
     Strikes whose price is at or below intrinsic within tolerance, or not
     finite, are marked absent (NaN).  All other strikes off the forward are
     inverted together in one call.
     """
-    grid = surface.grid
-    F = grid.forward
-    T = surface.slice.expiry
-    k = grid.strikes
-    prices = np.where(k < F, surface.puts, surface.calls)
+    k, prices = np.asarray(strikes, dtype=float), np.asarray(prices, dtype=float)
     priced = np.isfinite(prices) & (prices > 1e-16 * (1.0 + abs(F)))
-    out = np.full(grid.size, np.nan)
+    out = np.full(k.size, np.nan)
     wing = priced & (k != F)
     out[wing] = numerics.bachelier_otm_vols(prices[wing], np.abs(k[wing] - F), T)
-    n = grid.forward_index
-    if priced[n]:
+    for n in np.flatnonzero(priced & (k == F)):
         out[n] = numerics.bachelier_implied_vol(prices[n], F, F, T)
     return out
+
+
+def implied_vol_curve(surface: PriceSurface) -> np.ndarray:
+    """otm_vol_curve over the grid of a solved surface."""
+    k = surface.grid.strikes
+    F = surface.grid.forward
+    return otm_vol_curve(
+        k, np.where(k < F, surface.puts, surface.calls), F, surface.slice.expiry,
+    )
 
 
 def extract_quote_set(surface: PriceSurface):

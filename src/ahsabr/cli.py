@@ -23,11 +23,12 @@ from .ah_engine import (
     SabrParams,
     build_uniform_grid,
     implied_vol_curve,
+    otm_vol_curve,
     price_self_consistent,
 )
 from .analytic_calib import calibrate, recalibrate, surface_price_fn
 from .errors import AhSabrError, ConfigError
-from .hagan_ref import hagan_implied_vol, HaganQuoteRequest, hagan_price_fn
+from .hagan_ref import hagan_price_fn
 from .market_io import (
     CalibrationReport,
     assemble_quote_set,
@@ -113,9 +114,11 @@ def _parse_grid(config: dict):
         raise ConfigError(f"grid.count must be an integer, got {count!r}")
     if count > MAX_GRID_COUNT:
         raise ConfigError(f"grid.count must be at most {MAX_GRID_COUNT}")
-    h = (hi - lo) / (count - 1) if count > 1 else 0.0
+    if count < 5:  # the forward needs two nodes on each side
+        raise ConfigError(f"grid.count must be at least 5, got {count}")
+    h = (hi - lo) / (count - 1)
     if not h > 0.0:
-        raise ConfigError("grid needs count >= 2 and hi_pct above lo_pct")
+        raise ConfigError("grid needs hi_pct above lo_pct")
     return lo, hi, count, h
 
 
@@ -237,26 +240,24 @@ def cmd_recalibrate(config: dict) -> int:
 
     if source_kind == "hagan":
         price_fn = hagan_price_fn(source_params, F, T)
-
-        def source_vol_bp(k: float) -> float:
-            return hagan_implied_vol(HaganQuoteRequest(k, F, T, source_params)) / BP
     else:
-        source_surface = price_self_consistent(grid, source_params, T)
-        price_fn = surface_price_fn(source_surface)
-        source_vol_bp = _vols_bp(source_surface).get
+        price_fn = surface_price_fn(price_self_consistent(grid, source_params, T))
 
     result = recalibrate(
         price_fn, F, T, target_beta=target_beta, target_b=target_b, h=h,
     )
-    target_surface = price_self_consistent(grid, result.params, T)
-    smile = []
-    for k, tv in _vols_bp(target_surface).items():
-        sv = source_vol_bp(k)
-        if sv is not None:
-            smile.append({"strike": k, "source_vol_bp": sv, "target_vol_bp": tv})
+    target_vols = _vols_bp(price_self_consistent(grid, result.params, T))
+    # the source smile on the target's strikes, from its OTM prices
+    strikes = list(target_vols)
+    source_prices = [price_fn(k, "put" if k < F else "call") for k in strikes]
+    source_vols = otm_vol_curve(strikes, source_prices, F, T) / BP
+    smile = [
+        {"strike": k, "source_vol_bp": sv, "target_vol_bp": target_vols[k]}
+        for k, sv in zip(strikes, source_vols.tolist()) if not math.isnan(sv)
+    ]
 
     doc = {
-        "schema_version": 1,
+        "schema_version": 2,
         "source": {"kind": source_kind, **asdict(source_params)},
         "target": asdict(result.params),
         "smile": smile,

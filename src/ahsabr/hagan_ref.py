@@ -7,7 +7,6 @@ here are sampled near ATM and inverted into one-step parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .ah_engine import SabrParams
 from .numerics import norm_cdf
@@ -15,27 +14,15 @@ from .numerics import norm_cdf
 _ATM_LOG_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class HaganQuoteRequest:
-    strike: float
-    forward: float
-    expiry: float
-    params: SabrParams
-
-    def __post_init__(self):
-        b = self.params.shift
-        if self.strike + b <= 0.0 or self.forward + b <= 0.0:
-            raise ValueError("strike + shift and forward + shift must be positive")
-
-
-def hagan_implied_vol(req: HaganQuoteRequest) -> float:
+def hagan_implied_vol(strike: float, forward: float, expiry: float,
+                      params: SabrParams) -> float:
     """Lognormal implied vol of the shifted rate, standard SABR expansion
     applied in shifted coordinates (F+b, k+b)."""
-    p = req.params
-    alpha, beta, rho, nu = p.alpha, p.beta, p.rho, p.nu
-    f = req.forward + p.shift
-    K = req.strike + p.shift
-    T = req.expiry
+    alpha, beta, rho, nu = params.alpha, params.beta, params.rho, params.nu
+    f = forward + params.shift
+    K = strike + params.shift
+    if K <= 0.0 or f <= 0.0:
+        raise ValueError("strike + shift and forward + shift must be positive")
     one_m_beta = 1.0 - beta
 
     log_fk = math.log(f / K)
@@ -46,7 +33,7 @@ def hagan_implied_vol(req: HaganQuoteRequest) -> float:
         one_m_beta**2 * alpha**2 / (24.0 * fk_mid**2)
         + rho * beta * nu * alpha / (4.0 * fk_mid)
         + (2.0 - 3.0 * rho**2) * nu**2 / 24.0
-    ) * T
+    ) * expiry
 
     if abs(log_fk) < _ATM_LOG_TOL:
         return alpha / f**one_m_beta * corr
@@ -67,19 +54,20 @@ def hagan_implied_vol(req: HaganQuoteRequest) -> float:
     return alpha / denom * z_over_x * corr
 
 
-def hagan_price(req: HaganQuoteRequest, kind: str = "call") -> float:
+def hagan_price(strike: float, forward: float, expiry: float,
+                params: SabrParams, kind: str = "call") -> float:
     """Undiscounted Black price of the shifted rate at the Hagan vol."""
-    sigma = hagan_implied_vol(req)
-    f = req.forward + req.params.shift
-    K = req.strike + req.params.shift
-    s = sigma * math.sqrt(req.expiry)
+    sigma = hagan_implied_vol(strike, forward, expiry, params)
+    f = forward + params.shift
+    K = strike + params.shift
+    s = sigma * math.sqrt(expiry)
     d1 = math.log(f / K) / s + 0.5 * s
     d2 = d1 - s
     call = f * norm_cdf(d1) - K * norm_cdf(d2)
     if kind == "call":
         return call
     if kind == "put":
-        return call - (req.forward - req.strike)
+        return call - (forward - strike)
     raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
 
 
@@ -87,6 +75,6 @@ def hagan_price_fn(params: SabrParams, forward: float, expiry: float):
     """Price source (strike, kind) -> price for the recalibration workflow."""
 
     def price(k: float, kind: str) -> float:
-        return hagan_price(HaganQuoteRequest(k, forward, expiry, params), kind)
+        return hagan_price(k, forward, expiry, params, kind)
 
     return price

@@ -244,7 +244,9 @@ def read_report(path) -> CalibrationReport:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaMismatch(f"not a JSON document: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
+    if not isinstance(doc, dict):
+        raise SchemaMismatch(f"a report is a JSON object, got {type(doc).__name__}")
+    if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaMismatch(
             f"unsupported schema_version {doc.get('schema_version')!r}"
         )

@@ -115,6 +115,9 @@ class TestBuildUniformGrid:
             Grid(strikes=np.array([0.0, 0.01, 0.01, 0.02, 0.03]), forward_index=2)
         with pytest.raises(ValueError):
             Grid(strikes=np.array([0.0, 0.01]), forward_index=1)
+        for n in (1, 3):  # the forward needs two nodes on each side
+            with pytest.raises(ForwardTooCloseToBoundary):
+                Grid(strikes=np.linspace(0.0, 0.04, 5), forward_index=n)
 
 
 class TestYofK:

@@ -405,9 +405,22 @@ class TestRecalibrate:
                 doc["source"][key], abs=1e-8
             )
 
+    def test_source_and_target_vols_share_units(self, tmp_path):
+        # both smiles are Bachelier normal vols in bp: at the forward the
+        # source and the recalibrated target sit close together
+        out = tmp_path / "recal.json"
+        cfg = recal_config(tmp_path, out, pct(0.60), pct(0.03))
+        assert main(["recalibrate", "--config", cfg]) == 0
+        doc = json.loads(out.read_text())
+        (row,) = [r for r in doc["smile"] if r["strike"] == HAGAN_FORWARD]
+        assert row["source_vol_bp"] == pytest.approx(row["target_vol_bp"], rel=0.1)
+
     def test_nan_source_vol_rejected_at_write(self, tmp_path, capsys,
                                               monkeypatch):
-        monkeypatch.setattr(cli, "hagan_implied_vol", lambda req: math.nan)
+        # a NaN source vol drops its row; any other non-finite one must
+        # stop the write
+        monkeypatch.setattr(cli, "otm_vol_curve",
+                            lambda strikes, *_: np.full(len(strikes), math.inf))
         out = tmp_path / "recal.json"
         cfg = recal_config(tmp_path, out, pct(0.40), pct(0.03))
         assert main(["recalibrate", "--config", cfg]) == 2
@@ -443,9 +456,11 @@ class TestRecalibrate:
 
 class TestConfigHandling:
     def test_invalid_json_exit_2(self, tmp_path):
+        # not JSON, or JSON that is not an object
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert main(["price", "--config", str(path)]) == 2
+        for text in ("{not json", "[]"):
+            path.write_text(text)
+            assert main(["price", "--config", str(path)]) == 2, text
 
     def test_invalid_kappa_sigma_exit_2(self, tmp_path, capsys):
         # kappa has one convention; a config that still names one, even
@@ -489,6 +504,16 @@ class TestConfigHandling:
             "lo_pct": pct(ED_GRID[0]), "hi_pct": pct(ED_GRID[1]), "count": count})
         assert main(["price", "--config", cfg]) == 2
         assert_one_line_error(capsys, "grid.count must be at most 100001")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_grid_count_below_five_exit_2(self, tmp_path, capsys, count):
+        # no grid of fewer than five nodes holds the forward two nodes in
+        out = tmp_path / "surface.csv"
+        cfg = ed_config(tmp_path, out, grid={
+            "lo_pct": pct(ED_GRID[0]), "hi_pct": pct(ED_GRID[1]), "count": count})
+        assert main(["price", "--config", cfg]) == 2
+        assert_one_line_error(capsys, "grid.count must be at least 5")
         assert not out.exists()
 
     def test_non_integer_grid_count_exit_2(self, tmp_path):

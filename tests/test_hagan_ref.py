@@ -6,51 +6,52 @@ import math
 import pytest
 
 from ahsabr.ah_engine import SabrParams
-from ahsabr.hagan_ref import HaganQuoteRequest, hagan_implied_vol, hagan_price
+from ahsabr.hagan_ref import hagan_implied_vol, hagan_price
 from ahsabr.numerics import bachelier_implied_vol
 
 from conftest import HAGAN_SOURCE
 
 
-def req(strike, forward=0.02, expiry=10.0, **params):
+def quote(strike, forward=0.02, expiry=10.0, **params):
+    """(strike, forward, expiry, params) of a quote on the Hagan source."""
     base = dict(HAGAN_SOURCE)
     base.update(params)
-    return HaganQuoteRequest(strike, forward, expiry, SabrParams(**base))
-
-
-class TestHaganQuoteRequest:
-    def test_shifted_positivity(self):
-        with pytest.raises(ValueError):
-            req(-0.031)
-        with pytest.raises(ValueError):
-            req(0.02, forward=-0.04)
+    return strike, forward, expiry, SabrParams(**base)
 
 
 class TestHaganImpliedVol:
+    def test_shifted_positivity(self):
+        with pytest.raises(ValueError):
+            hagan_implied_vol(*quote(-0.031))
+        with pytest.raises(ValueError):
+            hagan_implied_vol(*quote(0.02, forward=-0.04))
+        with pytest.raises(ValueError):
+            hagan_price(*quote(-0.031), "put")
+
     def test_black_limit(self):
         # beta = 1, nu = 0: the shifted rate is exactly lognormal at vol alpha
-        r = req(0.015, expiry=5.0, beta=1.0, nu=0.0, rho=0.0, alpha=0.25)
-        assert hagan_implied_vol(r) == pytest.approx(0.25, rel=1e-15)
+        q = quote(0.015, expiry=5.0, beta=1.0, nu=0.0, rho=0.0, alpha=0.25)
+        assert hagan_implied_vol(*q) == pytest.approx(0.25, rel=1e-15)
 
     def test_atm_leading_order(self):
         # short maturity: the T-correction vanishes and the ATM vol tends to
         # alpha / (F+b)^(1-beta)
-        r = req(0.02, expiry=1e-6)
-        p = r.params
+        q = quote(0.02, expiry=1e-6)
+        p = q[-1]
         lead = p.alpha / (0.02 + p.shift) ** (1.0 - p.beta)
-        assert hagan_implied_vol(r) == pytest.approx(lead, rel=1e-5)
+        assert hagan_implied_vol(*q) == pytest.approx(lead, rel=1e-5)
 
     def test_atm_series_branch_is_continuous(self):
         # strikes straddling the ATM switch must produce nearby vols
         eps = 0.02 * 5e-8
-        v_atm = hagan_implied_vol(req(0.02))
-        v_near = hagan_implied_vol(req(0.02 + 5.0 * eps))
+        v_atm = hagan_implied_vol(*quote(0.02))
+        v_near = hagan_implied_vol(*quote(0.02 + 5.0 * eps))
         assert v_near == pytest.approx(v_atm, rel=1e-5)
 
     def test_smile_is_smooth(self):
         h = 0.0005
         strikes = [0.005 + h * j for j in range(60)]
-        vols = [hagan_implied_vol(req(k)) for k in strikes]
+        vols = [hagan_implied_vol(*quote(k)) for k in strikes]
         second = [
             abs(vols[j - 1] - 2.0 * vols[j] + vols[j + 1]) / (h * h)
             for j in range(1, len(vols) - 1)
@@ -59,19 +60,19 @@ class TestHaganImpliedVol:
 
     def test_positive_across_strikes(self):
         for k in (-0.02, 0.0, 0.02, 0.10, 0.20):
-            assert hagan_implied_vol(req(k)) > 0.0
+            assert hagan_implied_vol(*quote(k)) > 0.0
 
 
 class TestHaganPrice:
     def test_parity(self):
         for k in (0.005, 0.02, 0.035):
-            call = hagan_price(req(k), "call")
-            put = hagan_price(req(k), "put")
+            call = hagan_price(*quote(k), "call")
+            put = hagan_price(*quote(k), "put")
             assert call - put == pytest.approx(0.02 - k, abs=1e-14)
 
     def test_deep_itm_near_intrinsic(self):
         k = -0.025
-        call = hagan_price(req(k, expiry=0.25), "call")
+        call = hagan_price(*quote(k, expiry=0.25), "call")
         intrinsic = 0.02 - k
         assert call > intrinsic
         assert call == pytest.approx(intrinsic, rel=1e-3)
@@ -81,13 +82,13 @@ class TestHaganPrice:
         # price: invert the Hagan ATM price as a Bachelier price and compare
         # with sigma_LN * (F+b)
         F, T = 0.02, 0.05
-        r = req(F, expiry=T)
-        sigma_ln = hagan_implied_vol(r)
-        price = hagan_price(r, "call")
+        q = quote(F, expiry=T)
+        sigma_ln = hagan_implied_vol(*q)
+        price = hagan_price(*q, "call")
         sigma_n = bachelier_implied_vol(price, F, F, T, "call")
-        approx = sigma_ln * (F + r.params.shift)
+        approx = sigma_ln * (F + q[-1].shift)
         assert sigma_n == pytest.approx(approx, abs=1e-5)  # within 0.1 bp
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
-            hagan_price(req(0.02), "straddle")
+            hagan_price(*quote(0.02), "straddle")

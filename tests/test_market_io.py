@@ -189,6 +189,23 @@ class TestAssembleQuoteSet:
         direct = extract_quote_set(surface)
         assert q.p_minus1 == pytest.approx(direct.p_minus1, rel=1e-10)
 
+    def test_parity_completion_call_side(self, solved):
+        # drop the OTM call at F+h and supply the ITM put instead; parity
+        # must rebuild the call side
+        _, surface = solved
+        grid = surface.grid
+        n = grid.forward_index
+        h = float(grid.strikes[1] - grid.strikes[0])
+        quotes = [
+            q for q in surface_rate_quotes(surface)
+            if not (q.kind_rate == "call" and abs(q.strike_rate - (0.02 + h)) < h / 10)
+        ]
+        quotes.append(RateQuote("T", "2021-01-04", "put", 0.02 + h,
+                                float(surface.puts[n + 1])))
+        q = assemble_quote_set(quotes, 0.02, 5.0, h)
+        direct = extract_quote_set(surface)
+        assert q.c_plus1 == pytest.approx(direct.c_plus1, rel=1e-10)
+
     def test_missing_strike(self, solved):
         _, surface = solved
         h = float(surface.grid.strikes[1] - surface.grid.strikes[0])
@@ -280,10 +297,12 @@ class TestReportRoundTrip:
                 read_report(path)
 
     def test_not_json(self, tmp_path):
+        # not JSON, or JSON that is not an object
         path = tmp_path / "report.json"
-        path.write_text("not json at all")
-        with pytest.raises(SchemaMismatch):
-            read_report(path)
+        for text in ("not json at all", "[1, 2]", "3"):
+            path.write_text(text)
+            with pytest.raises(SchemaMismatch):
+                read_report(path)
 
     def test_missing_section(self, solved, tmp_path):
         report = sample_report(solved)
