@@ -19,7 +19,7 @@ from .errors import (
     NonpositiveShiftedStrike,
     NumericalError,
 )
-from .numerics import mills_ratio, thomas_solve
+from .numerics import is_scalar, mills_ratio, thomas_solve
 
 FIXED_POINT_TOL = 1e-13  # relative change of sigma that ends the ATM fixed point
 FIXED_POINT_MAX_ITER = 200
@@ -127,31 +127,47 @@ def y_of_k(k, F, params: SabrParams):
     """Local-volatility diffusion distance from forward to strike:
     y(k) = (1/alpha) * integral_k^F (u+b)^(-beta) du.
 
-    Strictly decreasing in k with y(F) = 0.  Accepts scalars or arrays.
+    Strictly decreasing in k with y(F) = 0.  Accepts scalars or arrays; a
+    scalar runs on Python floats and returns a float.
     """
     b = params.shift
+    if is_scalar(k):
+        kb, Fb = float(k) + b, float(F) + b
+        if kb <= 0.0 or Fb <= 0.0:
+            raise NonpositiveShiftedStrike(
+                f"smallest k + shift {min(kb, Fb)} is not positive"
+            )
+        # beta within 1e-12 of 1 is routed to the log branch to avoid cancellation
+        if abs(1.0 - params.beta) < 1e-12:
+            ratio = Fb / kb  # 0.0 only by underflow, where numpy's log is -inf
+            return (math.log(ratio) if ratio > 0.0 else -math.inf) / params.alpha
+        om = 1.0 - params.beta
+        num, den = Fb**om - kb**om, params.alpha * om
+        # alpha * om can underflow to 0.0; numpy then divides to inf or NaN
+        return num / den if den > 0.0 else num * math.inf
     kb = np.asarray(k, dtype=float) + b
     if np.any(kb <= 0.0) or F + b <= 0.0:
         raise NonpositiveShiftedStrike(
             f"smallest k + shift {min(np.min(kb), F + b)} is not positive"
         )
-    # beta within 1e-12 of 1 is routed to the log branch to avoid cancellation
     if abs(1.0 - params.beta) < 1e-12:
-        y = np.log((F + b) / kb) / params.alpha
-    else:
-        om = 1.0 - params.beta
-        y = ((F + b) ** om - kb**om) / (params.alpha * om)
-    return float(y) if np.ndim(k) == 0 else y
+        return np.log((F + b) / kb) / params.alpha
+    om = 1.0 - params.beta
+    return ((F + b) ** om - kb**om) / (params.alpha * om)
 
 
 def local_vol(k, F, params: SabrParams):
     """Shifted-SABR local volatility alpha * J(y(k)) * (k+b)^beta with
     J(y) = sqrt(1 - 2*rho*nu*y + nu^2*y^2)."""
     y = y_of_k(k, F, params)
-    j2 = 1.0 - 2.0 * params.rho * params.nu * y + (params.nu * y) ** 2
+    ny = params.nu * y
+    j2 = 1.0 - 2.0 * params.rho * params.nu * y + ny * ny
+    if is_scalar(k):
+        # math.sqrt passes NaN through; J^2 >= 1 - rho^2 > 0 keeps it from
+        # the negative numbers on which it would raise
+        return params.alpha * math.sqrt(j2) * (float(k) + params.shift) ** params.beta
     kb = np.asarray(k, dtype=float) + params.shift
-    out = params.alpha * np.sqrt(j2) * kb**params.beta
-    return float(out) if np.ndim(k) == 0 else out
+    return params.alpha * np.sqrt(j2) * kb**params.beta
 
 
 def kappa(k, F, sigma, T):
@@ -165,6 +181,13 @@ def kappa(k, F, sigma, T):
     if not sigma > 0.0:
         raise ValueError("kappa requires sigma > 0")
     s = sigma * math.sqrt(T)
+    if is_scalar(k) and s > 0.0:
+        xi = abs(float(k) - float(F)) / s
+        # from xi = 50 on (and for inf or NaN) the array code below runs: the
+        # series' powers of xi^2 can overflow, and ** on a float then raises
+        # OverflowError where numpy gives inf
+        if xi < 50.0:
+            return 2.0 * (1.0 - xi * mills_ratio(xi))
     xi = np.abs(np.asarray(k, dtype=float) - F) / s
     core = 1.0 - xi * mills_ratio(xi)
     # direct evaluation cancels catastrophically for large xi; switch to the
@@ -177,7 +200,7 @@ def kappa(k, F, sigma, T):
             series = (1.0 / x2) * (1.0 - 3.0 / x2 + 15.0 / x2**2 - 105.0 / x2**3 + 945.0 / x2**4)
         core = np.where(big, series, core)
     out = 2.0 * core
-    return float(out) if np.ndim(k) == 0 else out
+    return float(out) if is_scalar(k) else out
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ the model-to-model recalibration workflow.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -397,13 +398,18 @@ def quote_set_from_curve(
 def surface_price_fn(surface) -> Callable[[float, str], float]:
     """Price source backed by a solved surface; strikes must hit grid nodes
     (the nearest node, so the grid may be non-uniform)."""
-    grid = surface.grid
+    nodes = surface.grid.strikes.tolist()
+    calls, puts = surface.calls.tolist(), surface.puts.tolist()
 
     def price(k: float, kind: str) -> float:
-        idx = int(abs(grid.strikes - k).argmin())
-        if abs(grid.strikes[idx] - k) > 1e-9 * (1.0 + abs(k)):
+        # the nearest node is one of the two around the insertion point; on a
+        # tie the lower index wins, as it does for an argmin over the grid
+        idx = min(bisect.bisect_left(nodes, k), len(nodes) - 1)
+        while idx > 0 and abs(nodes[idx - 1] - k) <= abs(nodes[idx] - k):
+            idx -= 1
+        if not abs(nodes[idx] - k) <= 1e-9 * (1.0 + abs(k)):
             raise ValueError(f"strike {k} is not a node of the surface grid")
-        return float(surface.calls[idx] if kind == "call" else surface.puts[idx])
+        return calls[idx] if kind == "call" else puts[idx]
 
     return price
 

@@ -8,6 +8,7 @@ other modules build on this one.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -19,6 +20,14 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _LOG_SQRT_2PI = math.log(SQRT_2PI)
 _LOG_PDF_ONE = -0.5 - _LOG_SQRT_2PI  # log phi(1)
+_LOG_MAX = math.log(sys.float_info.max)  # math.exp raises OverflowError past it
+
+
+def is_scalar(x) -> bool:
+    """True for a float (np.float64 is one), an int or a 0-d array: the
+    kernels run these on Python floats and the math module.  The isinstance
+    test comes first, as np.ndim costs about a microsecond."""
+    return isinstance(x, float) or np.ndim(x) == 0
 
 
 def norm_pdf(x):
@@ -30,7 +39,7 @@ def norm_pdf(x):
 
 def norm_cdf(x):
     """Standard normal CDF via the complementary error function."""
-    if np.ndim(x) == 0:
+    if is_scalar(x):
         return 0.5 * math.erfc(-float(x) * _INV_SQRT2)
     x = np.asarray(x, dtype=float)
     # element by element through the scalar branch, so both agree bit for bit
@@ -81,7 +90,10 @@ def _erfcx(y: float) -> float:
     """exp(y^2) erfc(y) for a float y >= 0, Cody's three ranges."""
     if y <= 0.46875:
         t = y * y
-        return math.exp(t) * (1.0 - y * _cody_ratio(_CODY[0], t))
+        # only a negative y past -26.6, outside mills_ratio's domain, takes
+        # exp past the double range; numpy's exp gives inf there
+        scale = math.exp(t) if t <= _LOG_MAX else math.inf
+        return scale * (1.0 - y * _cody_ratio(_CODY[0], t))
     if y <= 4.0:
         return _cody_ratio(_CODY[1], y)
     inv = 1.0 / y
@@ -113,9 +125,9 @@ def mills_ratio(x):
 
     Uses the scaled complementary error function, so neither the tail CDF nor
     the density is ever formed on its own (both underflow past x ~ 38).  A
-    0-d input stays on floats and the math module.
+    scalar stays on floats and the math module.
     """
-    if np.ndim(x) == 0:
+    if is_scalar(x):
         return _SQRT_HALF_PI * _erfcx(float(x) * _INV_SQRT2)
     x = np.asarray(x, dtype=float)
     return _SQRT_HALF_PI * _erfcx_array(x.ravel() * _INV_SQRT2).reshape(x.shape)

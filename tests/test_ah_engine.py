@@ -256,6 +256,126 @@ class TestKappa:
             kappa(0.015, 0.02, math.nan, 1.0)
 
 
+# the forms of one scalar strike that the kernels run on Python floats
+SCALAR_FORMS = (float, np.float64, np.asarray)
+
+
+class TestScalarPath:
+    """A scalar strike runs y_of_k, local_vol and kappa on Python floats and
+    the math module, an array runs them on numpy.  Both evaluate the same
+    formulas, and libm's pow and log differ from numpy's by at most an ulp."""
+
+    F = 0.02
+
+    def test_kappa_bit_for_bit(self):
+        # below xi = 50 the float path forms xi and kappa as numpy does, with
+        # the Mills ratio numpy's code takes for a 0-d xi; from 50 on it runs
+        # the array code itself
+        F, sigma, T = self.F, 0.01, 2.0
+        s = sigma * math.sqrt(T)
+        xis = np.concatenate([
+            [0.0], np.geomspace(1e-12, 1e300, 3001),
+            50.0 + np.spacing(50.0) * np.arange(-3, 4),
+        ])
+        ks = F + xis * s
+        xi = np.abs(ks - F) / s
+        assert np.sum(xi >= 50.0) > 100 and np.sum(xi < 50.0) > 100
+        direct = [2.0 * (1.0 - x * mills_ratio(x)) for x in xi.tolist()]
+        want = np.where(xi >= 50.0, kappa(ks, F, sigma, T), direct)
+        for form in SCALAR_FORMS:
+            got = [kappa(form(k), F, sigma, T) for k in ks]
+            assert np.array_equal(got, want), form
+
+    @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0])
+    def test_y_of_k_within_ulps_of_array(self, beta):
+        p = make_params(beta=beta)
+        F, b = self.F, p.shift
+        ks = np.concatenate([np.linspace(-0.0299, 0.3, 2001),
+                             F + 1e-6 * np.linspace(-1.0, 1.0, 201)])
+        array = y_of_k(ks, F, p)
+        scalar = np.array([y_of_k(k, F, p) for k in ks.tolist()])
+        if beta == 0.0:  # (k + b)^1 is exact on both paths
+            assert np.array_equal(scalar, array)
+        elif beta == 1.0:  # one log, one division
+            assert np.all(np.abs(scalar - array) <= 2.0 * np.spacing(np.abs(array)))
+        else:
+            # one pow differs by an ulp, and near the forward the difference
+            # of the two powers cancels: the ulps are those of the terms
+            om = 1.0 - beta
+            terms = np.maximum((F + b) ** om, (ks + b) ** om)
+            ulp = np.spacing(terms) / (p.alpha * om)
+            assert np.all(np.abs(scalar - array) <= 4.0 * ulp)
+            assert np.max(np.abs(scalar - array)) > 0.0  # the pows do differ
+
+    @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0])
+    def test_local_vol_within_two_ulps_at_the_same_y(self, beta):
+        # the y drift is the previous test's; given y, only (k + b)^beta
+        # differs, by at most an ulp before the last product rounds
+        p = make_params(beta=beta)
+        ks = np.linspace(-0.0299, 0.3, 2001)
+        y = np.array([y_of_k(k, self.F, p) for k in ks.tolist()])
+        ny = p.nu * y
+        want = p.alpha * np.sqrt(1.0 - 2.0 * p.rho * p.nu * y + ny * ny) * (
+            (ks + p.shift) ** p.beta
+        )
+        got = np.array([local_vol(k, self.F, p) for k in ks.tolist()])
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+
+    @pytest.mark.parametrize("near, far", [
+        *((form(0.019), form(1e6)) for form in SCALAR_FORMS), (0, 10**6),
+    ])
+    def test_every_scalar_form_returns_a_float(self, near, far):
+        p = make_params()
+        # the far strike takes kappa past xi = 50, into the array code
+        for value in (y_of_k(near, self.F, p), local_vol(near, self.F, p),
+                      kappa(near, self.F, 0.01, 1.0), kappa(far, self.F, 0.01, 1.0)):
+            assert type(value) is float
+
+    @pytest.mark.parametrize("form", SCALAR_FORMS)
+    def test_typed_errors(self, form):
+        p = make_params()
+        for f in (y_of_k, local_vol):
+            with pytest.raises(NonpositiveShiftedStrike,
+                               match=r"smallest k \+ shift 0\.0 is not positive"):
+                f(form(-0.03), self.F, p)
+            with pytest.raises(NonpositiveShiftedStrike,
+                               match=r"smallest k \+ shift 0\.0 is not positive"):
+                f(form(0.01), -0.03, p)
+        for sigma in (0.0, -0.01, math.nan):
+            with pytest.raises(ValueError, match="kappa requires sigma > 0"):
+                kappa(form(0.019), self.F, sigma, 1.0)
+
+    @pytest.mark.parametrize("k, F, params, args", [
+        # (nu y)^2 past the double range: J and the local vol are inf
+        (0.0, 0.003, dict(alpha=1e-300, beta=0.5, nu=1e10), ()),
+        # alpha (1 - beta) underflows to 0.0: y is +-inf, or NaN at the forward
+        (0.0, 0.003, dict(alpha=5e-324, beta=0.5, nu=0.0), ()),
+        (0.01, 0.003, dict(alpha=5e-324, beta=0.5, nu=0.0), ()),
+        (0.003, 0.003, dict(alpha=5e-324, beta=0.5, nu=0.0), ()),
+        # (F + b) / (k + b) underflows to 0.0 on the log branch: y is -inf
+        (1e300, 1e-300, dict(alpha=0.02, beta=1.0, nu=0.0, shift=0.0), ()),
+        # sigma sqrt(T) underflows to 0.0: xi is inf, or NaN at the forward
+        # (the array code runs, and kappa is 0.0 or NaN)
+        (0.01, 0.003, None, (1e-200, 1e-300)),
+        (0.003, 0.003, None, (1e-200, 1e-300)),
+    ])
+    def test_scalar_edges_match_the_array_path(self, k, F, params, args):
+        # where a float operation would raise OverflowError or
+        # ZeroDivisionError, the float path returns numpy's inf or NaN; the
+        # array code warns there, and the warnings are not what is compared
+        if params is None:
+            calls = [lambda x: kappa(x, F, *args)]
+        else:
+            p = SabrParams(**{"rho": 0.0, "shift": 0.03, **params})
+            calls = [lambda x: y_of_k(x, F, p), lambda x: local_vol(x, F, p)]
+        with np.errstate(all="ignore"):
+            for call in calls:
+                want = call(np.array([k]))[0]
+                for form in SCALAR_FORMS:
+                    got = call(form(k))
+                    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 class TestSolveOneStep:
     def test_bachelier_limit(self):
         # beta = 0, nu = 0: the model is a normal model; on a fine wide grid

@@ -4,6 +4,7 @@ and the recalibration workflow."""
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -320,6 +321,22 @@ class TestQuoteSetFromCurve:
             assert price(k, "call") == surface.calls[j]
             assert price(k, "put") == surface.puts[j]
         for k in (strikes[0] - h, 0.5 * (strikes[19] + strikes[20]), F + 0.0201):
+            with pytest.raises(ValueError, match="not a node"):
+                price(k, "call")
+
+    def test_surface_price_fn_nearest_node_and_ties(self):
+        # nodes 2^-40 apart both pass the 1e-9 node check: the nearer one
+        # wins, and midway the lower one, as for an argmin over the grid
+        strikes = np.array([0.25, 0.5, 0.5 + 2.0**-40, 0.75])
+        surface = SimpleNamespace(grid=SimpleNamespace(strikes=strikes),
+                                  calls=np.arange(4.0), puts=-np.arange(4.0))
+        price = surface_price_fn(surface)
+        assert price(0.5 + 2.0**-41, "call") == 1.0
+        assert price(0.5 + 2.0**-41 + 2.0**-45, "put") == -2.0
+        assert price(0.5 - 2.0**-41, "call") == 1.0
+        assert price(0.25 - 1e-12, "call") == 0.0
+        assert price(0.75 + 1e-12, "put") == -3.0
+        for k in (0.375, math.nan, 0.75 + 1e-6):
             with pytest.raises(ValueError, match="not a node"):
                 price(k, "call")
 

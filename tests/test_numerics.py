@@ -88,6 +88,21 @@ class TestMillsRatio:
             direct = norm_cdf(-x) / norm_pdf(x)
             assert float(mills_ratio(x)) == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("form", [float, int, np.float64, np.asarray])
+    def test_scalar_forms_return_the_same_float(self, form):
+        # every scalar form runs on Python floats and the math module
+        for f in (norm_cdf, mills_ratio):
+            got = f(form(3))
+            assert type(got) is float and got == f(3.0)
+
+    def test_negative_argument_past_exp_range(self):
+        # outside the domain x >= 0, erfcx's exp(x^2/2) overflows: the float
+        # path gives numpy's inf, not OverflowError
+        with np.errstate(all="ignore"):  # the array path warns there
+            want = mills_ratio(np.array([-40.0, -1e200]))
+        assert want[0] == math.inf and mills_ratio(-40.0) == math.inf
+        assert np.isnan(want[1]) and math.isnan(mills_ratio(-1e200))
+
 
 def exact_erfcx(y):
     """exp(y^2) erfc(y) at 30 digits, rounded to the nearest double."""
