@@ -1,8 +1,9 @@
 """One-step arbitrage-free pricing of the shifted-SABR smile.
 
-Builds the strike grid, assembles the single-step finite-difference systems
-for calls and puts, solves them through the tridiagonal solver and extracts
-the discrete density and the implied normal-vol curve.
+Builds the strike grid, assembles the single-step finite-difference system,
+solves it for the time value shared by calls and puts through the
+tridiagonal solver, and reads off the discrete density and the implied
+normal-vol curve.
 """
 
 from __future__ import annotations
@@ -189,10 +190,12 @@ def kappa(k, F, sigma, T):
         if xi < 50.0:
             return 2.0 * (1.0 - xi * mills_ratio(xi))
     xi = np.abs(np.asarray(k, dtype=float) - F) / s
-    core = 1.0 - xi * mills_ratio(xi)
     # direct evaluation cancels catastrophically for large xi; switch to the
     # Mills-ratio asymptotic series there (both branches ~1e-13 relative at 50)
+    # and keep the direct form off it, where an infinite xi would form inf * 0
     big = xi >= 50.0
+    near = np.where(big, 0.0, xi)
+    core = 1.0 - near * mills_ratio(near)
     if np.any(big):
         # powers of x2 past the double range go to inf, their terms to 0
         with np.errstate(over="ignore"):
@@ -207,8 +210,9 @@ def kappa(k, F, sigma, T):
 class PriceSurface:
     """One-step call/put prices on a grid plus the implied discrete density.
 
-    density covers interior nodes 1..N-1 only; the second difference is not
-    defined at the boundary nodes.
+    Calls and puts share one time value, so at the forward they are the same
+    float.  density covers interior nodes 1..N-1 only, read off the one-step
+    rows there; the boundary nodes have no row.
     """
 
     grid: Grid
@@ -226,7 +230,8 @@ class PriceSurface:
 def _assemble_z(grid: Grid, slice_: MarketSlice, params: SabrParams) -> np.ndarray:
     """z_j = T * theta(k_j)^2 / (h+_j h-_j) over interior nodes, with
     theta^2 = local_vol^2 * kappa.  Values past the double range come out as
-    inf or NaN, without warnings; solve_one_step rejects them."""
+    inf or NaN, and values under it as 0.0, without warnings; solve_one_step
+    rejects all three."""
     k = grid.strikes[1:-1]
     F = grid.forward
     h_minus, h_plus = grid.steps()
@@ -238,14 +243,17 @@ def _assemble_z(grid: Grid, slice_: MarketSlice, params: SabrParams) -> np.ndarr
 
 
 def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> PriceSurface:
-    """Price calls and puts on the grid with the one-step method and extract
-    the discrete density from the second differences of the out-of-the-money
-    side: puts below the forward, calls at and above it.
+    """Price calls and puts on the grid with the one-step method
+    c - (T/2) theta^2 c'' = (F - k)^+ and read the density off its rows.
 
-    Calls and puts share one matrix.  Its boundary conditions c_kk = 0 are
-    imposed as linear extrapolation through the two adjacent nodes and
-    folded into the first and last interior rows, keeping the solve strictly
-    tridiagonal.
+    Calls and puts are their intrinsic plus one time value tv.  The intrinsic
+    is linear on the grid except at its kink at the forward, so tv solves the
+    one-step matrix with a single source, at the forward's row, and every
+    row gives the density exactly: c''_j = 2 tv_j / (z_j h+_j h-_j).  The
+    boundary conditions c_kk = 0 are imposed as linear extrapolation through
+    the two adjacent nodes and folded into the first and last interior rows,
+    keeping the solve strictly tridiagonal; the intrinsic meets them exactly,
+    so they apply to tv alone.
     """
     if grid.strikes[0] + params.shift <= 0.0:
         raise NonpositiveShiftedStrike(
@@ -253,7 +261,8 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
         )
     F = grid.forward
     z = _assemble_z(grid, slice_, params)
-    if not np.all(np.isfinite(z)):
+    # the density divides by z, so an underflow to 0 fails as an overflow does
+    if not np.all((z > 0.0) & (z < np.inf)):
         raise NumericalError("one-step coefficients left the double range")
     k = grid.strikes
     h_minus, h_plus = grid.steps()
@@ -270,26 +279,23 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
     diag[-1] += upper[-1] * (1.0 + r_hi)
     lower[-1] -= upper[-1] * r_hi
 
-    values = np.empty((2, grid.size))  # one row per payoff: calls, then puts
-    values[:, 1:-1] = thomas_solve(
-        lower[1:], diag, upper[:-1],
-        np.maximum(F - k[1:-1], 0.0), np.maximum(k[1:-1] - F, 0.0),
-    )
-    values[:, 0] = (1.0 + r_lo) * values[:, 1] - r_lo * values[:, 2]
-    values[:, -1] = (1.0 + r_hi) * values[:, -2] - r_hi * values[:, -3]
-    calls, puts = values
+    # the row operator applied to the intrinsic's kink at the forward
+    n = grid.forward_index - 1
+    source = np.zeros(grid.size - 2)
+    source[n] = w[n] * h_plus[n] * h_minus[n]
+    tv = np.empty(grid.size)
+    tv[1:-1] = thomas_solve(lower[1:], diag, upper[:-1], source)
+    tv[0] = (1.0 + r_lo) * tv[1] - r_lo * tv[2]
+    tv[-1] = (1.0 + r_hi) * tv[-2] - r_hi * tv[-3]
 
-    # below the forward the calls are deep in the money and their second
-    # difference is cancellation noise on a fine grid; the puts there are not
-    slopes = np.diff(values) / np.diff(k)
-    second = np.diff(slopes) * 2.0 / (h_plus + h_minus)
-    density = np.where(k[1:-1] < F, second[1], second[0])
+    density = 2.0 * tv[1:-1] / (z * (h_plus * h_minus))
     # the boundary rows force a zero second difference at the first and last
     # interior nodes; write the exact value rather than its roundoff residue
     density[0] = 0.0
     density[-1] = 0.0
     return PriceSurface(
-        grid=grid, slice=slice_, calls=calls, puts=puts, density=density,
+        grid=grid, slice=slice_, calls=tv + np.maximum(F - k, 0.0),
+        puts=tv + np.maximum(k - F, 0.0), density=density,
     )
 
 
@@ -305,8 +311,7 @@ def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> Mark
     for it in range(FIXED_POINT_MAX_ITER):
         slice_ = MarketSlice(expiry, sigma)
         surface = solve_one_step(grid, slice_, params)
-        atm = 0.5 * (surface.calls[grid.forward_index] + surface.puts[grid.forward_index])
-        new_sigma = atm * math.sqrt(2.0 * math.pi / expiry)
+        new_sigma = surface.calls[grid.forward_index] * math.sqrt(2.0 * math.pi / expiry)
         if new_sigma <= 0.0 or not math.isfinite(new_sigma):
             raise ConvergenceError("ATM fixed point left the positive domain")
         if abs(new_sigma - sigma) <= FIXED_POINT_TOL * sigma:
@@ -361,8 +366,7 @@ def extract_quote_set(surface: PriceSurface):
 
     grid = surface.grid
     n = grid.forward_index
-    atm = 0.5 * (surface.calls[n] + surface.puts[n])
-    prices = [*surface.puts[n - 2:n], atm, *surface.calls[n + 1:n + 3]]
+    prices = [*surface.puts[n - 2:n], *surface.calls[n:n + 3]]
     return QuoteSet(
         *[float(p) for p in prices], *np.diff(grid.strikes[n - 2:n + 3]).tolist(),
         grid.forward, surface.slice.expiry,

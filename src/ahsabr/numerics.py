@@ -221,41 +221,35 @@ def bachelier_implied_vol(price, F, k, T, kind="call"):
     return float(bachelier_otm_vols([time_value], [abs(F - k)], T)[0])
 
 
-def thomas_solve(lower, diag, upper, *rhs) -> list:
+def thomas_solve(lower, diag, upper, rhs) -> np.ndarray:
     """Solve the tridiagonal system with sub-diagonal `lower` and
     super-diagonal `upper` (length N-1) and diagonal `diag` (length N) for
-    each right-hand side (length N) by the Thomas algorithm (no pivoting).
-    Returns one solution array per right-hand side.
+    the right-hand side `rhs` (length N) by the Thomas algorithm (no
+    pivoting).
 
-    The elimination (pivots and the scaled super-diagonal) runs once for all
-    right-hand sides.  Its loops run on Python floats, which round exactly as
-    float64 numpy scalars do at a fraction of their per-operation cost.
-    Assembled pricing systems are strictly diagonally dominant so pivoting is
-    unnecessary; a SingularPivot guard remains as defense in depth.
+    The forward sweep runs inside the elimination loop, on Python floats,
+    which round exactly as float64 numpy scalars do at a fraction of their
+    per-operation cost.  Assembled pricing systems are strictly diagonally
+    dominant so pivoting is unnecessary; a SingularPivot guard remains as
+    defense in depth.
     """
     n = len(diag)
-    if len(lower) != n - 1 or len(upper) != n - 1 or any(len(r) != n for r in rhs):
+    if len(lower) != n - 1 or len(upper) != n - 1 or len(rhs) != n:
         raise ValueError("inconsistent tridiagonal system dimensions")
     # row 0 has no sub-diagonal and row N-1 no super-diagonal entry
     lower = [0.0] + np.asarray(lower, dtype=float).tolist()
     diag = np.asarray(diag, dtype=float).tolist()
     upper = np.asarray(upper, dtype=float).tolist() + [0.0]
-    pivots, c, c_prev = [], [], 0.0
-    for i, (a, b, u) in enumerate(zip(lower, diag, upper)):
+    rhs = np.asarray(rhs, dtype=float).tolist()
+    c, d, c_prev, d_prev = [], [], 0.0, 0.0
+    for i, (a, b, u, v) in enumerate(zip(lower, diag, upper, rhs)):
         piv = b - a * c_prev
         if abs(piv) < 1e-300:
             raise SingularPivot(f"zero pivot at row {i}")
         c_prev = u / piv
-        pivots.append(piv)
+        d_prev = (v - a * d_prev) / piv
         c.append(c_prev)
-
-    out = []
-    for r in rhs:
-        d, prev = [], 0.0
-        for a, piv, v in zip(lower, pivots, np.asarray(r, dtype=float).tolist()):
-            prev = (v - a * prev) / piv
-            d.append(prev)
-        for i in range(n - 2, -1, -1):
-            d[i] -= c[i] * d[i + 1]
-        out.append(np.array(d))
-    return out
+        d.append(d_prev)
+    for i in range(n - 2, -1, -1):
+        d[i] -= c[i] * d[i + 1]
+    return np.array(d)

@@ -256,7 +256,7 @@ def test_a7_numerics_oracles():
         diag = 2.5 + rng.uniform(0.0, 1.0, n)
         rhs = rng.uniform(-1.0, 1.0, n)
         dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        (got,) = thomas_solve(lower, diag, upper, rhs)
+        got = thomas_solve(lower, diag, upper, rhs)
         err = np.max(np.abs(got - np.linalg.solve(dense, rhs)))
         if err > 1e-12:
             failures.append(f"tridiagonal n={n}: {err:.2e}")

@@ -39,7 +39,15 @@ from ahsabr.numerics import (
     thomas_solve,
 )
 
-from conftest import ED_ATM_PRICE_POINTS, ED_EXPIRY, ED_FORWARD, ED_GRID, ED_PARAMS
+from conftest import (
+    ED_ATM_PRICE_POINTS,
+    ED_EXPIRY,
+    ED_FORWARD,
+    ED_GRID,
+    ED_PARAMS,
+    draw_parameters,
+    inversion_setup,
+)
 
 
 def make_params(**kw):
@@ -155,9 +163,11 @@ class TestYofK:
         assert np.all(np.diff(ys) < 0.0)
 
     def test_nonpositive_shifted_strike(self):
-        with pytest.raises(NonpositiveShiftedStrike,
-                           match=r"smallest k \+ shift 0\.0 is not positive"):
-            y_of_k(-0.03, 0.02, make_params())
+        # a scalar and an array strike, each on its own path
+        for k in (-0.03, np.array([0.01, -0.03])):
+            with pytest.raises(NonpositiveShiftedStrike,
+                               match=r"smallest k \+ shift 0\.0 is not positive"):
+                y_of_k(k, 0.02, make_params())
 
 
 class TestLocalVol:
@@ -202,6 +212,14 @@ class TestKappa:
 
     def test_far_tail_decays_to_zero(self):
         assert kappa(5.0, 0.02, 0.0095, 2.0) < 1e-4
+        # an infinite strike gives 0.0 on the scalar and the array path,
+        # with no warning
+        for k in (math.inf, -math.inf):
+            assert kappa(k, 0.02, 0.0095, 2.0) == 0.0
+        assert np.array_equal(
+            kappa(np.array([-math.inf, 5.0, math.inf]), 0.02, 0.0095, 2.0),
+            [0.0, kappa(5.0, 0.02, 0.0095, 2.0), 0.0],
+        )
 
     def test_series_branch_matches_direct_formula(self):
         # the asymptotic series takes over at xi = 50; just past the switch
@@ -442,16 +460,73 @@ class TestSolveOneStep:
         assert 3.5 < d1 / d2 < 4.5
 
     def test_one_elimination_for_calls_and_puts(self, monkeypatch):
-        solved = []
+        # one solve, for the time value that calls and puts share: one
+        # right-hand side, nonzero only at the forward's interior row
+        sources = []
 
-        def counting(lower, diag, upper, *rhs):
-            solved.append(len(rhs))
-            return thomas_solve(lower, diag, upper, *rhs)
+        def counting(lower, diag, upper, rhs):
+            sources.append(np.flatnonzero(rhs).tolist())
+            return thomas_solve(lower, diag, upper, rhs)
 
         monkeypatch.setattr(ah_engine, "thomas_solve", counting)
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         solve_one_step(grid, MarketSlice(5.0, 0.0095), make_params())
-        assert solved == [2]
+        assert sources == [[grid.forward_index - 1]]
+
+    def test_density_against_extended_precision_solve(self):
+        # the same assembled system solved in 50 digits; on this beta = 1
+        # grid a second difference of the solved prices misses by 2.3e-13
+        # of the largest density, the row equation by 1.1e-14
+        import mpmath
+
+        params = make_params(alpha=0.4, beta=1.0)
+        grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
+        slice_ = self_consistent_slice(grid, params, 5.0)
+        z = _assemble_z(grid, slice_, params)
+        with mpmath.workdps(50):
+            k = [mpmath.mpf(v) for v in grid.strikes.tolist()]
+            z = [mpmath.mpf(v) for v in z.tolist()]
+            h_minus, h_plus = np.diff(k[:-1]), np.diff(k[1:])
+            w = [zj / (hp + hm) for zj, hp, hm in zip(z, h_plus, h_minus)]
+            lower = [-wj * hp for wj, hp in zip(w, h_plus)]
+            diag = [1 + zj for zj in z]
+            upper = [-wj * hm for wj, hm in zip(w, h_minus)]
+            r_lo, r_hi = h_minus[0] / h_plus[0], h_plus[-1] / h_minus[-1]
+            diag[0] += lower[0] * (1 + r_lo)
+            upper[0] -= lower[0] * r_lo
+            diag[-1] += upper[-1] * (1 + r_hi)
+            lower[-1] -= upper[-1] * r_hi
+            # Thomas, with the single source at the forward's interior row
+            n = grid.forward_index - 1
+            c, d = [mpmath.mpf(0)], [mpmath.mpf(0)]
+            for i in range(len(z)):
+                a = lower[i] if i else 0
+                piv = diag[i] - a * c[-1]
+                c.append((upper[i] if i + 1 < len(z) else 0) / piv)
+                d.append(((w[n] * h_plus[n] * h_minus[n] if i == n else 0)
+                          - a * d[-1]) / piv)
+            tv = d[1:]
+            for i in range(len(z) - 2, -1, -1):
+                tv[i] -= c[i + 1] * tv[i + 1]
+            exact = np.array([float(2 * tv[i] / (z[i] * h_plus[i] * h_minus[i]))
+                              for i in range(len(z))])
+        exact[0] = exact[-1] = 0.0
+        density = solve_one_step(grid, slice_, params).density
+        assert np.max(np.abs(density - exact)) <= 5e-14 * np.max(exact)
+
+    def test_atm_call_and_put_are_one_float(self, ed_surface):
+        # the first grids of the A1 draws (seed 20260825) and the ED fixture
+        rng = np.random.default_rng(20260825)
+        surfaces = [ed_surface]
+        for _ in range(10):
+            d = draw_parameters(rng)
+            params, grid = inversion_setup(
+                0.02, d["alpha"], d["beta"], d["rho"], d["nu"], d["T"]
+            )
+            surfaces.append(price_self_consistent(grid, params, d["T"]))
+        for surface in surfaces:
+            n = surface.grid.forward_index
+            assert surface.calls[n] == surface.puts[n]
 
     def test_coefficients_past_double_range_rejected(self):
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)

@@ -249,26 +249,42 @@ class TestCalibrateUniform:
         with pytest.raises(ValueError):
             calibrate_uniform(q, 0.4, 0.03)
 
+    @pytest.mark.parametrize("overrides, error, message", [
+        # p_{n-1} + p_{n+1} < 2 ATM
+        ({}, DegenerateStraddle, "straddle quotes admit no positive ATM density"),
+        (dict(c_plus1=0.0075, c_plus2=0.0061, p_minus2=0.0029),
+         DegenerateButterfly, "put butterfly implies a non-positive density"),
+        (dict(c_plus1=0.0075, c_plus2=0.0059),
+         DegenerateButterfly, "call butterfly implies a non-positive density"),
+    ])
+    @pytest.mark.parametrize("calib", [calibrate, calibrate_uniform])
+    def test_degenerate_quotes_rejected(self, calib, overrides, error, message):
+        # both forms check the straddle, then the put and the call butterfly
+        with pytest.raises(error, match=message):
+            calib(uniform_quote_set(**overrides), 0.4, 0.03)
+
 
 class TestLimitingParams:
     def test_matches_small_step_calibration(self):
         # on a smooth price curve the h -> 0 limit and the discrete
-        # calibration at small h must agree
+        # calibration at small h must agree; a target beta of 1 takes the
+        # log branch of k(y)
         params = SabrParams(**HAGAN_SOURCE)
         F, T = 0.02, 0.5
         price = hagan_price_fn(params, F, T)
         h = 2e-4
-        discrete = calibrate(
-            quote_set_from_curve(price, F, T, h), params.beta, params.shift
-        ).params
-        limit = limiting_params(
-            lambda k: price(k, "call"), F, T, params.beta, params.shift, h
-        ).params
-        # both carry O(h^2) bias with different constants, so the gap is
-        # itself O(h^2)
-        assert limit.alpha == pytest.approx(discrete.alpha, rel=3e-4)
-        assert limit.nu == pytest.approx(discrete.nu, abs=1e-3)
-        assert limit.rho == pytest.approx(discrete.rho, abs=1e-3)
+        for beta in (params.beta, 1.0):
+            discrete = calibrate(
+                quote_set_from_curve(price, F, T, h), beta, params.shift
+            ).params
+            limit = limiting_params(
+                lambda k: price(k, "call"), F, T, beta, params.shift, h
+            ).params
+            # both carry O(h^2) bias with different constants, so the gap
+            # is itself O(h^2)
+            assert limit.alpha == pytest.approx(discrete.alpha, rel=3e-4), beta
+            assert limit.nu == pytest.approx(discrete.nu, abs=1e-3), beta
+            assert limit.rho == pytest.approx(discrete.rho, abs=1e-3), beta
 
     def test_reports_one_sided_derivatives(self):
         params = SabrParams(**HAGAN_SOURCE)

@@ -87,8 +87,9 @@ class TestPrice:
 
     @pytest.mark.parametrize("command", ["price", "density", "recalibrate"])
     def test_tiny_expiry_exit_3(self, tmp_path, capsys, command):
-        # the ATM fixed point collapses towards a zero vol, and the Hagan
-        # source prices its ATM call at zero: numerical errors, not input
+        # the one-step coefficients off the forward underflow to zero, and
+        # the Hagan source prices its ATM call at zero: numerical errors,
+        # not input
         out = tmp_path / "surface.csv"
         cfg = ed_config(tmp_path, out, market={
             "forward_pct": pct(ED_FORWARD), "expiry_years": 1e-300})
@@ -96,7 +97,7 @@ class TestPrice:
         if command == "recalibrate":
             assert_one_line_error(capsys, "PriceOutOfBounds", "at strike")
         else:
-            assert_one_line_error(capsys, "ConvergenceError")
+            assert_one_line_error(capsys, "NumericalError", "double range")
         assert not out.exists()
 
     def test_flag_overrides_config(self, tmp_path):

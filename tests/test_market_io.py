@@ -88,6 +88,14 @@ class TestParseQuotes:
         quotes = parse_quotes(path)
         assert quotes == [make_quote()]
 
+    def test_blank_rows_skipped(self, tmp_path):
+        # an empty line and a line of spaces are skipped; line numbers
+        # still count them
+        body = "\nEDH3,2021-01-04,C,99.50,0.135\n   \n"
+        assert parse_quotes(self.write(tmp_path, body)) == [make_quote()]
+        with pytest.raises(MalformedRow, match="line 5:"):
+            parse_quotes(self.write(tmp_path, body + "EDH3,2021-01-04,C,99.50\n"))
+
     def test_uniform_25_strike_file(self, tmp_path):
         rows = "".join(
             f"EDH3,2021-01-04,P,{99.0 + 0.125 * j},{0.01 * (j + 1)}\n"

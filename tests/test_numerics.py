@@ -295,7 +295,7 @@ class TestBachelierImpliedVol:
 class TestThomasSolve:
     def test_three_by_three_hand_case(self):
         # diag [2,2,2], off-diagonals [1,1], rhs [1,2,3]: solution by hand
-        (got,) = thomas_solve(
+        got = thomas_solve(
             np.array([1.0, 1.0]),
             np.array([2.0, 2.0, 2.0]),
             np.array([1.0, 1.0]),
@@ -313,23 +313,8 @@ class TestThomasSolve:
         rhs = rng.uniform(-1.0, 1.0, n)
         dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
         expected = np.linalg.solve(dense, rhs)
-        (got,) = thomas_solve(lower, diag, upper, rhs)
+        got = thomas_solve(lower, diag, upper, rhs)
         assert np.max(np.abs(got - expected)) < 1e-12
-
-    @pytest.mark.parametrize("n", [2, 25, 241])
-    def test_right_hand_sides_share_one_elimination(self, n):
-        # two right-hand sides in one call give what two calls give, bit for bit
-        rng = np.random.default_rng(4321 + n)
-        lower = rng.uniform(-1.0, 1.0, n - 1)
-        upper = rng.uniform(-1.0, 1.0, n - 1)
-        diag = 2.5 + rng.uniform(0.0, 1.0, n)
-        first, second = rng.uniform(-1.0, 1.0, (2, n))
-        both = thomas_solve(lower, diag, upper, first, second)
-        (alone_first,) = thomas_solve(lower, diag, upper, first)
-        (alone_second,) = thomas_solve(lower, diag, upper, second)
-        assert len(both) == 2
-        assert np.array_equal(both[0], alone_first)
-        assert np.array_equal(both[1], alone_second)
 
     def test_singular_pivot(self):
         with pytest.raises(SingularPivot):
