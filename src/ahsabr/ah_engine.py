@@ -3,7 +3,9 @@
 Builds the strike grid, assembles the single-step finite-difference system,
 solves it for the time value shared by calls and puts through the
 tridiagonal solver, and reads off the discrete density and the implied
-normal-vol curve.
+normal-vol curve.  The self-consistent ATM vol is a secant iteration whose
+every evaluation eliminates towards the forward's row for the time value
+there alone; the full solve runs once, at the converged vol.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from .errors import (
     ForwardTooCloseToBoundary,
     NonpositiveShiftedStrike,
     NumericalError,
+    SingularPivot,
 )
 from .numerics import is_scalar, mills_ratio, thomas_solve
 
 FIXED_POINT_TOL = 1e-13  # relative change of sigma that ends the ATM fixed point
-FIXED_POINT_MAX_ITER = 200
+FIXED_POINT_MAX_ITER = 50  # evaluations; the secant takes 6 or 7 on ED and A1 grids
 
 
 @dataclass(frozen=True)
@@ -227,19 +230,77 @@ class PriceSurface:
         return float(np.sum(self.density * 0.5 * (h_minus + h_plus)))
 
 
-def _assemble_z(grid: Grid, slice_: MarketSlice, params: SabrParams) -> np.ndarray:
-    """z_j = T * theta(k_j)^2 / (h+_j h-_j) over interior nodes, with
-    theta^2 = local_vol^2 * kappa.  Values past the double range come out as
-    inf or NaN, and values under it as 0.0, without warnings; solve_one_step
-    rejects all three."""
-    k = grid.strikes[1:-1]
-    F = grid.forward
-    h_minus, h_plus = grid.steps()
-    with np.errstate(all="ignore"):
-        theta2 = local_vol(k, F, params) ** 2 * kappa(
-            k, F, slice_.atm_normal_vol, slice_.expiry
-        )
-        return slice_.expiry * theta2 / (h_plus * h_minus)
+class _OneStepRows:
+    """The one-step rows of a slice over interior nodes 1..N-1.  Only kappa
+    depends on the ATM vol, so local_vol^2, the step products and sums, the
+    boundary ratios and the forward's row n are computed once per slice."""
+
+    def __init__(self, grid: Grid, params: SabrParams, expiry: float):
+        k = grid.strikes
+        if k[0] + params.shift <= 0.0:
+            raise NonpositiveShiftedStrike(
+                f"lowest strike {k[0]} violates k + shift > 0"
+            )
+        self.k, self.F, self.expiry = k[1:-1], grid.forward, expiry
+        self.h_minus, self.h_plus = grid.steps()
+        self.hh, self.hs = self.h_plus * self.h_minus, self.h_plus + self.h_minus
+        with np.errstate(all="ignore"):
+            self.lv2 = local_vol(self.k, self.F, params) ** 2
+        self.r_lo = (k[1] - k[0]) / (k[2] - k[1])
+        self.r_hi = (k[-1] - k[-2]) / (k[-2] - k[-3])
+        self.n = grid.forward_index - 1
+
+    def at(self, sigma: float):
+        """(z, lower, diag, upper, source) at ATM vol sigma, with
+        z_j = T theta(k_j)^2 / (h+_j h-_j) and theta^2 = local_vol^2 * kappa.
+        The boundary conditions c_kk = 0, linear extrapolation through the two
+        adjacent nodes, are folded into the first and last rows.  The source,
+        at row n, is the row operator applied to the intrinsic's kink."""
+        with np.errstate(all="ignore"):
+            theta2 = self.lv2 * kappa(self.k, self.F, sigma, self.expiry)
+            z = self.expiry * theta2 / self.hh
+        # the density divides by z, so an underflow to 0 fails as an overflow does
+        if not np.all((z > 0.0) & (z < np.inf)):
+            raise NumericalError("one-step coefficients left the double range")
+        w = z / self.hs
+        lower = -w * self.h_plus  # multiplies value at node j-1
+        diag = 1.0 + z
+        upper = -w * self.h_minus  # multiplies value at node j+1
+        # v_0 = (1+r_lo) v_1 - r_lo v_2 folded into the first interior row
+        diag[0] += lower[0] * (1.0 + self.r_lo)
+        upper[0] -= lower[0] * self.r_lo
+        # v_N = (1+r_hi) v_{N-1} - r_hi v_{N-2} folded into the last interior row
+        diag[-1] += upper[-1] * (1.0 + self.r_hi)
+        lower[-1] -= upper[-1] * self.r_hi
+        n = self.n
+        return z, lower, diag, upper, w[n] * self.h_plus[n] * self.h_minus[n]
+
+    def atm_time_value(self, sigma: float) -> float:
+        """tv_n alone.  Eliminating towards row n from each end leaves
+        tv_{n-1} = f tv_n and tv_{n+1} = g tv_n, so tv_n = s / (d_n + l_n f +
+        u_n g), with no back substitution."""
+        _, lower, diag, upper, source = self.at(sigma)
+        n = self.n
+        lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
+        f = _eliminate_towards(diag[:n], lower[:n], upper[:n])
+        g = _eliminate_towards(diag[:n:-1], upper[:n:-1], lower[:n:-1])
+        piv = diag[n] + lower[n] * f + upper[n] * g
+        if abs(piv) < 1e-300:
+            raise SingularPivot("zero pivot at the forward's row")
+        return source / piv
+
+
+def _eliminate_towards(diag, outer, inner) -> float:
+    """Eliminate rows without a source in turn, on Python floats as
+    numerics.thomas_solve does; `outer` couples a row to the one before it
+    and `inner` to the one after.  Returns f with v_last = f v_next."""
+    f = 0.0
+    for b, a, u in zip(diag, outer, inner):
+        piv = b + a * f
+        if -1e-300 < piv < 1e-300:  # abs(piv) < 1e-300 without a call, per row
+            raise SingularPivot("zero pivot eliminating towards the forward's row")
+        f = -u / piv
+    return f
 
 
 def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> PriceSurface:
@@ -250,49 +311,24 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
     is linear on the grid except at its kink at the forward, so tv solves the
     one-step matrix with a single source, at the forward's row, and every
     row gives the density exactly: c''_j = 2 tv_j / (z_j h+_j h-_j).  The
-    boundary conditions c_kk = 0 are imposed as linear extrapolation through
-    the two adjacent nodes and folded into the first and last interior rows,
-    keeping the solve strictly tridiagonal; the intrinsic meets them exactly,
-    so they apply to tv alone.
+    intrinsic meets the linear-extrapolation boundary rows exactly, so they
+    apply to tv alone.
     """
-    if grid.strikes[0] + params.shift <= 0.0:
-        raise NonpositiveShiftedStrike(
-            f"lowest strike {grid.strikes[0]} violates k + shift > 0"
-        )
-    F = grid.forward
-    z = _assemble_z(grid, slice_, params)
-    # the density divides by z, so an underflow to 0 fails as an overflow does
-    if not np.all((z > 0.0) & (z < np.inf)):
-        raise NumericalError("one-step coefficients left the double range")
-    k = grid.strikes
-    h_minus, h_plus = grid.steps()
-    w = z / (h_plus + h_minus)
-    lower = -w * h_plus  # multiplies value at node j-1
-    diag = 1.0 + z
-    upper = -w * h_minus  # multiplies value at node j+1
-    r_lo = (k[1] - k[0]) / (k[2] - k[1])
-    r_hi = (k[-1] - k[-2]) / (k[-2] - k[-3])
-    # v_0 = (1+r_lo) v_1 - r_lo v_2 folded into the first interior row
-    diag[0] += lower[0] * (1.0 + r_lo)
-    upper[0] -= lower[0] * r_lo
-    # v_N = (1+r_hi) v_{N-1} - r_hi v_{N-2} folded into the last interior row
-    diag[-1] += upper[-1] * (1.0 + r_hi)
-    lower[-1] -= upper[-1] * r_hi
-
-    # the row operator applied to the intrinsic's kink at the forward
-    n = grid.forward_index - 1
-    source = np.zeros(grid.size - 2)
-    source[n] = w[n] * h_plus[n] * h_minus[n]
+    rows = _OneStepRows(grid, params, slice_.expiry)
+    z, lower, diag, upper, source = rows.at(slice_.atm_normal_vol)
+    rhs = np.zeros(grid.size - 2)
+    rhs[rows.n] = source
     tv = np.empty(grid.size)
-    tv[1:-1] = thomas_solve(lower[1:], diag, upper[:-1], source)
-    tv[0] = (1.0 + r_lo) * tv[1] - r_lo * tv[2]
-    tv[-1] = (1.0 + r_hi) * tv[-2] - r_hi * tv[-3]
+    tv[1:-1] = thomas_solve(lower[1:], diag, upper[:-1], rhs)
+    tv[0] = (1.0 + rows.r_lo) * tv[1] - rows.r_lo * tv[2]
+    tv[-1] = (1.0 + rows.r_hi) * tv[-2] - rows.r_hi * tv[-3]
 
-    density = 2.0 * tv[1:-1] / (z * (h_plus * h_minus))
+    density = 2.0 * tv[1:-1] / (z * rows.hh)
     # the boundary rows force a zero second difference at the first and last
     # interior nodes; write the exact value rather than its roundoff residue
     density[0] = 0.0
     density[-1] = 0.0
+    k, F = grid.strikes, grid.forward
     return PriceSurface(
         grid=grid, slice=slice_, calls=tv + np.maximum(F - k, 0.0),
         puts=tv + np.maximum(k - F, 0.0), density=density,
@@ -300,34 +336,36 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
 
 
 def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> MarketSlice:
-    """Fixed point of sigma -> implied ATM normal vol of the solved surface.
-
-    At the fixed point the solved ATM price satisfies the ATM identity with
-    the slice vol, which is what the analytic calibration assumes.
-    """
-    F = grid.forward
-    sigma = params.alpha * (F + params.shift) ** params.beta
-    damping = 1.0
-    for it in range(FIXED_POINT_MAX_ITER):
-        slice_ = MarketSlice(expiry, sigma)
-        surface = solve_one_step(grid, slice_, params)
-        new_sigma = surface.calls[grid.forward_index] * math.sqrt(2.0 * math.pi / expiry)
-        if new_sigma <= 0.0 or not math.isfinite(new_sigma):
+    """Fixed point of sigma -> implied ATM normal vol of the one-step surface,
+    where the ATM price satisfies the ATM identity that the analytic
+    calibration assumes.  After the local-vol guess and one plain fixed-point
+    step come secant steps on g(sigma) = ATM vol - sigma, or the plain step
+    where a secant one is not positive and finite.  Each evaluation reads
+    tv at the forward alone (_OneStepRows.atm_time_value)."""
+    sigma = params.alpha * (grid.forward + params.shift) ** params.beta
+    MarketSlice(expiry, sigma)  # rejects an expiry that is not positive
+    rows = _OneStepRows(grid, params, expiry)
+    to_vol = math.sqrt(2.0 * math.pi / expiry)
+    last = None  # (sigma, g) of the evaluation before
+    for _ in range(FIXED_POINT_MAX_ITER):
+        vol = rows.atm_time_value(sigma) * to_vol
+        if not 0.0 < vol < math.inf:
             raise ConvergenceError("ATM fixed point left the positive domain")
-        if abs(new_sigma - sigma) <= FIXED_POINT_TOL * sigma:
-            return MarketSlice(expiry, new_sigma)
-        if it > 50:
-            damping = 0.5
-        sigma = sigma + damping * (new_sigma - sigma)
-        if not sigma > 0.0:  # a new_sigma far below sigma cancels the update
-            raise ConvergenceError("ATM fixed point left the positive domain")
+        g = vol - sigma
+        if abs(g) <= FIXED_POINT_TOL * sigma:
+            return MarketSlice(expiry, vol)
+        step = vol  # the plain step, unless a secant step is positive and finite
+        if last is not None and g != last[1]:
+            step = sigma - g * (sigma - last[0]) / (g - last[1])
+        last, sigma = (sigma, g), step if 0.0 < step < math.inf else vol
     raise ConvergenceError(
-        f"ATM vol fixed point did not converge in {FIXED_POINT_MAX_ITER} iterations"
+        f"ATM vol fixed point did not converge in {FIXED_POINT_MAX_ITER} evaluations"
     )
 
 
 def price_self_consistent(grid, params, expiry) -> PriceSurface:
-    """solve_one_step at the self-consistent ATM volatility."""
+    """solve_one_step at the self-consistent ATM volatility: the fixed point
+    solves nothing in full, so this is the surface's one full solve."""
     slice_ = self_consistent_slice(grid, params, expiry)
     return solve_one_step(grid, slice_, params)
 

@@ -14,7 +14,7 @@ from ahsabr.ah_engine import (
     Grid,
     MarketSlice,
     SabrParams,
-    _assemble_z,
+    _OneStepRows,
     build_uniform_grid,
     extract_quote_set,
     implied_vol_curve,
@@ -26,10 +26,12 @@ from ahsabr.ah_engine import (
     y_of_k,
 )
 from ahsabr.errors import (
+    ConvergenceError,
     ForwardTooCloseToBoundary,
     NonpositiveShiftedStrike,
     NumericalError,
     PriceOutOfBounds,
+    SingularPivot,
 )
 from ahsabr.numerics import (
     bachelier_implied_vol,
@@ -47,6 +49,7 @@ from conftest import (
     ED_PARAMS,
     draw_parameters,
     inversion_setup,
+    stretched_grid,
 )
 
 
@@ -394,6 +397,39 @@ class TestScalarPath:
                     assert got == want or (math.isnan(got) and math.isnan(want))
 
 
+def extended_precision_time_value(grid, z):
+    """tv over interior nodes from the assembled z, solved at mpmath's
+    working precision: the rows of solve_one_step and a Thomas solve with the
+    single source at the forward's interior row.  Returns tv, z, h+ and h-
+    as mpmath numbers."""
+    import mpmath
+
+    k = [mpmath.mpf(v) for v in grid.strikes.tolist()]
+    z = [mpmath.mpf(v) for v in z.tolist()]
+    h_minus, h_plus = np.diff(k[:-1]), np.diff(k[1:])
+    w = [zj / (hp + hm) for zj, hp, hm in zip(z, h_plus, h_minus)]
+    lower = [-wj * hp for wj, hp in zip(w, h_plus)]
+    diag = [1 + zj for zj in z]
+    upper = [-wj * hm for wj, hm in zip(w, h_minus)]
+    r_lo, r_hi = h_minus[0] / h_plus[0], h_plus[-1] / h_minus[-1]
+    diag[0] += lower[0] * (1 + r_lo)
+    upper[0] -= lower[0] * r_lo
+    diag[-1] += upper[-1] * (1 + r_hi)
+    lower[-1] -= upper[-1] * r_hi
+    n = grid.forward_index - 1
+    c, d = [mpmath.mpf(0)], [mpmath.mpf(0)]
+    for i in range(len(z)):
+        a = lower[i] if i else 0
+        piv = diag[i] - a * c[-1]
+        c.append((upper[i] if i + 1 < len(z) else 0) / piv)
+        d.append(((w[n] * h_plus[n] * h_minus[n] if i == n else 0)
+                  - a * d[-1]) / piv)
+    tv = d[1:]
+    for i in range(len(z) - 2, -1, -1):
+        tv[i] -= c[i + 1] * tv[i + 1]
+    return tv, z, h_plus, h_minus
+
+
 class TestSolveOneStep:
     def test_bachelier_limit(self):
         # beta = 0, nu = 0: the model is a normal model; on a fine wide grid
@@ -436,7 +472,7 @@ class TestSolveOneStep:
         params = make_params()
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         slice_ = self_consistent_slice(grid, params, 5.0)
-        z = _assemble_z(grid, slice_, params)
+        z = _OneStepRows(grid, params, 5.0).at(slice_.atm_normal_vol)[0]
         assert np.all(z >= 0.0)
         h_minus, h_plus = grid.steps()
         w = z / (h_plus + h_minus)
@@ -482,32 +518,9 @@ class TestSolveOneStep:
         params = make_params(alpha=0.4, beta=1.0)
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         slice_ = self_consistent_slice(grid, params, 5.0)
-        z = _assemble_z(grid, slice_, params)
+        z = _OneStepRows(grid, params, 5.0).at(slice_.atm_normal_vol)[0]
         with mpmath.workdps(50):
-            k = [mpmath.mpf(v) for v in grid.strikes.tolist()]
-            z = [mpmath.mpf(v) for v in z.tolist()]
-            h_minus, h_plus = np.diff(k[:-1]), np.diff(k[1:])
-            w = [zj / (hp + hm) for zj, hp, hm in zip(z, h_plus, h_minus)]
-            lower = [-wj * hp for wj, hp in zip(w, h_plus)]
-            diag = [1 + zj for zj in z]
-            upper = [-wj * hm for wj, hm in zip(w, h_minus)]
-            r_lo, r_hi = h_minus[0] / h_plus[0], h_plus[-1] / h_minus[-1]
-            diag[0] += lower[0] * (1 + r_lo)
-            upper[0] -= lower[0] * r_lo
-            diag[-1] += upper[-1] * (1 + r_hi)
-            lower[-1] -= upper[-1] * r_hi
-            # Thomas, with the single source at the forward's interior row
-            n = grid.forward_index - 1
-            c, d = [mpmath.mpf(0)], [mpmath.mpf(0)]
-            for i in range(len(z)):
-                a = lower[i] if i else 0
-                piv = diag[i] - a * c[-1]
-                c.append((upper[i] if i + 1 < len(z) else 0) / piv)
-                d.append(((w[n] * h_plus[n] * h_minus[n] if i == n else 0)
-                          - a * d[-1]) / piv)
-            tv = d[1:]
-            for i in range(len(z) - 2, -1, -1):
-                tv[i] -= c[i + 1] * tv[i + 1]
+            tv, z, h_plus, h_minus = extended_precision_time_value(grid, z)
             exact = np.array([float(2 * tv[i] / (z[i] * h_plus[i] * h_minus[i]))
                               for i in range(len(z))])
         exact[0] = exact[-1] = 0.0
@@ -562,6 +575,131 @@ class TestSelfConsistentSlice:
         n = grid.forward_index
         atm = 0.5 * (surface.calls[n] + surface.puts[n])
         assert atm == pytest.approx(slice_.atm_price, rel=1e-12)
+
+    @staticmethod
+    def a1_grids(count):
+        """(grid, params, T) of the first `count` A1 draws (seed 20260825)."""
+        rng = np.random.default_rng(20260825)
+        for _ in range(count):
+            d = draw_parameters(rng)
+            params, grid = inversion_setup(
+                0.02, d["alpha"], d["beta"], d["rho"], d["nu"], d["T"]
+            )
+            yield grid, params, d["T"]
+
+    def test_atm_time_value_matches_full_solve(self):
+        # the ED fixture, the first 10 A1 grids and a graded beta = 1 grid
+        ed = build_uniform_grid(*ED_GRID, ED_FORWARD)
+        beta1 = make_params(alpha=0.4, beta=1.0)
+        cases = [(ed, SabrParams(**ED_PARAMS), ED_EXPIRY), *self.a1_grids(10),
+                 (stretched_grid(0.02, beta1, 5.0)[0], beta1, 5.0)]
+        for grid, params, T in cases:
+            sigma = self_consistent_slice(grid, params, T).atm_normal_vol
+            surface = solve_one_step(grid, MarketSlice(T, sigma), params)
+            atm = _OneStepRows(grid, params, T).atm_time_value(sigma)
+            assert atm == pytest.approx(surface.calls[grid.forward_index], rel=1e-14)
+
+    def test_one_full_solve_per_surface(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(ah_engine, name, wrapper)
+
+        counted("solve_one_step", solve_one_step)
+        counted("thomas_solve", thomas_solve)
+        grid = build_uniform_grid(*ED_GRID, ED_FORWARD)
+        price_self_consistent(grid, SabrParams(**ED_PARAMS), ED_EXPIRY)
+        assert sorted(calls) == ["solve_one_step", "thomas_solve"]
+
+    def test_secant_evaluation_count(self, monkeypatch):
+        # one kappa call per evaluation; the damped iteration took 19 on ED
+        evaluations = []
+
+        def counting(*args):
+            evaluations[-1] += 1
+            return kappa(*args)
+
+        monkeypatch.setattr(ah_engine, "kappa", counting)
+        ed = build_uniform_grid(*ED_GRID, ED_FORWARD)
+        for grid, params, T in [(ed, SabrParams(**ED_PARAMS), ED_EXPIRY),
+                                *self.a1_grids(200)]:
+            evaluations.append(0)
+            self_consistent_slice(grid, params, T)
+        assert evaluations[0] == 6
+        assert max(evaluations) <= 8
+
+    # at T = 2 pi the ATM vol is the time value, and at beta = 0 the start
+    # is alpha; each map sends the vols the iteration asks for to ATM vols
+    @pytest.mark.parametrize("atm, path", [
+        ({8.0: 10.0, 10.0: 12.1, 12.1: 12.1}, [8.0, 10.0, 12.1]),  # secant < 0
+        ({8.0: 10.0, 10.0: 12.0, 12.0: 12.0}, [8.0, 10.0, 12.0]),  # flat g
+    ])
+    def test_plain_step_replaces_a_failed_secant(self, monkeypatch, atm, path):
+        asked = []
+
+        def scripted(self, sigma):
+            asked.append(sigma)
+            return atm[sigma]
+
+        monkeypatch.setattr(_OneStepRows, "atm_time_value", scripted)
+        grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
+        params = make_params(alpha=8.0, beta=0.0)
+        slice_ = self_consistent_slice(grid, params, 2.0 * math.pi)
+        assert asked == path and slice_.atm_normal_vol == path[-1]
+
+    @pytest.mark.parametrize("vol", [-1.0, 0.0, math.inf, math.nan])
+    def test_atm_vol_off_the_positive_domain(self, monkeypatch, vol):
+        monkeypatch.setattr(_OneStepRows, "atm_time_value", lambda self, sigma: vol)
+        grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
+        with pytest.raises(ConvergenceError, match="positive domain"):
+            self_consistent_slice(grid, make_params(), 5.0)
+
+    def test_evaluation_cap(self, monkeypatch):
+        # g grows with sigma: every secant step is negative, every plain one up
+        monkeypatch.setattr(_OneStepRows, "atm_time_value",
+                            lambda self, sigma: 2.0 * sigma + 1.0)
+        grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
+        with pytest.raises(ConvergenceError, match="in 50 evaluations"):
+            self_consistent_slice(grid, make_params(), 5.0)
+
+    def test_zero_pivot(self, monkeypatch):
+        # decoupled rows, one with a zero diagonal: above, below and at the
+        # forward's row
+        grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
+        rows = _OneStepRows(grid, make_params(), 5.0)
+        m = grid.size - 2
+        for row in (0, m - 1, rows.n):
+            diag = np.ones(m)
+            diag[row] = 0.0
+            decoupled = (None, np.zeros(m), diag, np.zeros(m), 1.0)
+            monkeypatch.setattr(rows, "at", lambda sigma: decoupled)
+            with pytest.raises(SingularPivot):
+                rows.atm_time_value(0.01)
+
+    @pytest.mark.parametrize("expiry", [0.0, -1.0, math.nan])
+    def test_expiry_not_positive(self, expiry):
+        grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
+        with pytest.raises(ValueError, match="expiry must be positive"):
+            self_consistent_slice(grid, make_params(), expiry)
+
+    def test_tiny_expiry_against_extended_precision_solve(self):
+        # at T = 1e-60 the ATM vol (6.6e-33) lies below an ulp of the
+        # local-vol guess, where a damped update sigma + (vol - sigma) gave
+        # zero; the vol must reproduce itself through a 50-digit solve
+        import mpmath
+
+        params = SabrParams(**ED_PARAMS)
+        grid = build_uniform_grid(*ED_GRID, ED_FORWARD)
+        T = 1e-60
+        vol = self_consistent_slice(grid, params, T).atm_normal_vol
+        z = _OneStepRows(grid, params, T).at(vol)[0]
+        with mpmath.workdps(50):
+            tv = extended_precision_time_value(grid, z)[0][grid.forward_index - 1]
+            exact = float(tv * mpmath.sqrt(2 * mpmath.pi / mpmath.mpf(T)))
+        assert vol == pytest.approx(exact, rel=1e-13)
 
 
 class TestImpliedVolCurve:

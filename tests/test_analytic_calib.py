@@ -13,7 +13,7 @@ import ahsabr as ah
 from ahsabr.ah_engine import (
     Grid,
     SabrParams,
-    _assemble_z,
+    _OneStepRows,
     build_uniform_grid,
     extract_quote_set,
     price_self_consistent,
@@ -103,7 +103,7 @@ class TestZCoefficients:
         slice_ = self_consistent_slice(grid, params, 5.0)
         surface = price_self_consistent(grid, params, 5.0)
         q = extract_quote_set(surface)
-        z = _assemble_z(grid, slice_, params)
+        z = _OneStepRows(grid, params, 5.0).at(slice_.atm_normal_vol)[0]
         n = grid.forward_index
         z_minus, z_plus = z_coefficients(q)
         # z is indexed over interior nodes
