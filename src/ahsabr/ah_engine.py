@@ -1,11 +1,11 @@
 """One-step arbitrage-free pricing of the shifted-SABR smile.
 
 Builds the strike grid, assembles the single-step finite-difference system,
-solves it for the time value shared by calls and puts through the
-tridiagonal solver, and reads off the discrete density and the implied
-normal-vol curve.  The self-consistent ATM vol is a secant iteration whose
-every evaluation eliminates towards the forward's row for the time value
-there alone; the full solve runs once, at the converged vol.
+solves it for the time value shared by calls and puts, and reads off the
+discrete density and the implied normal-vol curve.  Only the forward's row
+has a source, so one elimination towards it from each end gives the time
+value there: the self-consistent ATM vol is a secant iteration on it, and
+the surface carries it outward with the same elimination's ratios.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     NumericalError,
     SingularPivot,
 )
-from .numerics import is_scalar, mills_ratio, thomas_solve
+from .numerics import is_scalar, mills_ratio
 
 FIXED_POINT_TOL = 1e-13  # relative change of sigma that ends the ATM fixed point
 FIXED_POINT_MAX_ITER = 50  # evaluations; the secant takes 6 or 7 on ED and A1 grids
@@ -211,18 +211,26 @@ def kappa(k, F, sigma, T):
 
 @dataclass(frozen=True)
 class PriceSurface:
-    """One-step call/put prices on a grid plus the implied discrete density.
+    """One-step time value on a grid plus the implied discrete density.
 
-    Calls and puts share one time value, so at the forward they are the same
-    float.  density covers interior nodes 1..N-1 only, read off the one-step
-    rows there; the boundary nodes have no row.
+    The time value is the out-of-the-money price (the put below the forward,
+    the call at and above it); calls and puts add their intrinsic to it.
+    density covers interior nodes 1..N-1 only, read off the one-step rows
+    there; the boundary nodes have no row.
     """
 
     grid: Grid
     slice: MarketSlice
-    calls: np.ndarray
-    puts: np.ndarray
+    time_value: np.ndarray
     density: np.ndarray
+
+    @property
+    def calls(self) -> np.ndarray:
+        return self.time_value + np.maximum(self.grid.forward - self.grid.strikes, 0.0)
+
+    @property
+    def puts(self) -> np.ndarray:
+        return self.time_value + np.maximum(self.grid.strikes - self.grid.forward, 0.0)
 
     def density_mass(self) -> float:
         """Midpoint-rule mass of the interior density."""
@@ -238,9 +246,7 @@ class _OneStepRows:
     def __init__(self, grid: Grid, params: SabrParams, expiry: float):
         k = grid.strikes
         if k[0] + params.shift <= 0.0:
-            raise NonpositiveShiftedStrike(
-                f"lowest strike {k[0]} violates k + shift > 0"
-            )
+            raise NonpositiveShiftedStrike(f"lowest strike {k[0]} violates k + shift > 0")
         self.k, self.F, self.expiry = k[1:-1], grid.forward, expiry
         self.h_minus, self.h_plus = grid.steps()
         self.hh, self.hs = self.h_plus * self.h_minus, self.h_plus + self.h_minus
@@ -275,32 +281,38 @@ class _OneStepRows:
         n = self.n
         return z, lower, diag, upper, w[n] * self.h_plus[n] * self.h_minus[n]
 
-    def atm_time_value(self, sigma: float) -> float:
-        """tv_n alone.  Eliminating towards row n from each end leaves
-        tv_{n-1} = f tv_n and tv_{n+1} = g tv_n, so tv_n = s / (d_n + l_n f +
-        u_n g), with no back substitution."""
-        _, lower, diag, upper, source = self.at(sigma)
+    def eliminate(self, sigma: float):
+        """(z, tv_n, f, g) at ATM vol sigma.  Eliminating towards row n from
+        each end leaves tv_j = f_j tv_{j+1} below it (f from row 0 up) and
+        tv_j = g_j tv_{j-1} above it (g from the last row down), so
+        tv_n = s / (d_n + l_n f_{n-1} + u_n g_{n+1})."""
+        z, lower, diag, upper, source = self.at(sigma)
         n = self.n
         lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
         f = _eliminate_towards(diag[:n], lower[:n], upper[:n])
         g = _eliminate_towards(diag[:n:-1], upper[:n:-1], lower[:n:-1])
-        piv = diag[n] + lower[n] * f + upper[n] * g
+        piv = diag[n] + lower[n] * f[-1] + upper[n] * g[-1]
         if abs(piv) < 1e-300:
             raise SingularPivot("zero pivot at the forward's row")
-        return source / piv
+        return z, source / piv, f, g
+
+    def atm_time_value(self, sigma: float) -> float:
+        """tv_n alone, with no back substitution."""
+        return self.eliminate(sigma)[1]
 
 
-def _eliminate_towards(diag, outer, inner) -> float:
-    """Eliminate rows without a source in turn, on Python floats as
-    numerics.thomas_solve does; `outer` couples a row to the one before it
-    and `inner` to the one after.  Returns f with v_last = f v_next."""
-    f = 0.0
+def _eliminate_towards(diag, outer, inner) -> list:
+    """Eliminate rows without a source in turn, on Python floats;
+    `outer` couples a row to the one before it and `inner` to the one after.
+    Returns the ratio f of each row, in order, with v_row = f v_next."""
+    ratios, f = [], 0.0
     for b, a, u in zip(diag, outer, inner):
         piv = b + a * f
         if -1e-300 < piv < 1e-300:  # abs(piv) < 1e-300 without a call, per row
             raise SingularPivot("zero pivot eliminating towards the forward's row")
         f = -u / piv
-    return f
+        ratios.append(f)
+    return ratios
 
 
 def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> PriceSurface:
@@ -312,27 +324,23 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
     one-step matrix with a single source, at the forward's row, and every
     row gives the density exactly: c''_j = 2 tv_j / (z_j h+_j h-_j).  The
     intrinsic meets the linear-extrapolation boundary rows exactly, so they
-    apply to tv alone.
+    apply to tv alone.  The elimination of the fixed point gives tv at the
+    forward, and its ratios carry it outward to every other node.
     """
     rows = _OneStepRows(grid, params, slice_.expiry)
-    z, lower, diag, upper, source = rows.at(slice_.atm_normal_vol)
-    rhs = np.zeros(grid.size - 2)
-    rhs[rows.n] = source
+    z, tv_n, f, g = rows.eliminate(slice_.atm_normal_vol)
+    m = rows.n + 1  # the forward's node
     tv = np.empty(grid.size)
-    tv[1:-1] = thomas_solve(lower[1:], diag, upper[:-1], rhs)
+    tv[1:m + 1] = np.cumprod([tv_n, *f[::-1]])[::-1]
+    tv[m + 1:-1] = np.cumprod([tv_n, *g[::-1]])[1:]
     tv[0] = (1.0 + rows.r_lo) * tv[1] - rows.r_lo * tv[2]
     tv[-1] = (1.0 + rows.r_hi) * tv[-2] - rows.r_hi * tv[-3]
 
     density = 2.0 * tv[1:-1] / (z * rows.hh)
     # the boundary rows force a zero second difference at the first and last
     # interior nodes; write the exact value rather than its roundoff residue
-    density[0] = 0.0
-    density[-1] = 0.0
-    k, F = grid.strikes, grid.forward
-    return PriceSurface(
-        grid=grid, slice=slice_, calls=tv + np.maximum(F - k, 0.0),
-        puts=tv + np.maximum(k - F, 0.0), density=density,
-    )
+    density[0] = density[-1] = 0.0
+    return PriceSurface(grid=grid, slice=slice_, time_value=tv, density=density)
 
 
 def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> MarketSlice:
@@ -342,9 +350,10 @@ def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> Mark
     step come secant steps on g(sigma) = ATM vol - sigma, or the plain step
     where a secant one is not positive and finite.  Each evaluation reads
     tv at the forward alone (_OneStepRows.atm_time_value)."""
+    # the rows reject k_0 + b <= 0 first, and k_0 < F, so the guess is real
+    rows = _OneStepRows(grid, params, expiry)
     sigma = params.alpha * (grid.forward + params.shift) ** params.beta
     MarketSlice(expiry, sigma)  # rejects an expiry that is not positive
-    rows = _OneStepRows(grid, params, expiry)
     to_vol = math.sqrt(2.0 * math.pi / expiry)
     last = None  # (sigma, g) of the evaluation before
     for _ in range(FIXED_POINT_MAX_ITER):
@@ -390,22 +399,19 @@ def otm_vol_curve(strikes, prices, F, T) -> np.ndarray:
 
 def implied_vol_curve(surface: PriceSurface) -> np.ndarray:
     """otm_vol_curve over the grid of a solved surface."""
-    k = surface.grid.strikes
-    F = surface.grid.forward
-    return otm_vol_curve(
-        k, np.where(k < F, surface.puts, surface.calls), F, surface.slice.expiry,
-    )
+    grid, T = surface.grid, surface.slice.expiry
+    return otm_vol_curve(grid.strikes, surface.time_value, grid.forward, T)
 
 
 def extract_quote_set(surface: PriceSurface):
-    """Project the five near-ATM prices and their step geometry out of a
-    solved surface (put side below the forward, call side above)."""
+    """Project the five near-ATM time values and their step geometry out of
+    a solved surface."""
     from .analytic_calib import QuoteSet
 
     grid = surface.grid
     n = grid.forward_index
-    prices = [*surface.puts[n - 2:n], *surface.calls[n:n + 3]]
     return QuoteSet(
-        *[float(p) for p in prices], *np.diff(grid.strikes[n - 2:n + 3]).tolist(),
+        *surface.time_value[n - 2:n + 3].tolist(),
+        *np.diff(grid.strikes[n - 2:n + 3]).tolist(),
         grid.forward, surface.slice.expiry,
     )

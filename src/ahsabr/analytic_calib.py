@@ -380,28 +380,26 @@ def limiting_params(
 
 
 def quote_set_from_curve(
-    price_fn: Callable[[float, str], float],
+    price_fn: Callable[[float], float],
     F: float,
     T: float,
     h: float,
 ) -> QuoteSet:
     """Sample the five calibration quotes at spacing h from a price source.
 
-    price_fn(strike, kind) must return undiscounted option prices.
+    price_fn(strike) must return the undiscounted out-of-the-money price: the
+    put below F, the call at and above it.
     """
     strikes = (F - 2.0 * h, F - h, F, F + h, F + 2.0 * h)
-    kinds = ("put", "put", "call", "call", "call")
-    prices = [price_fn(k, kind) for k, kind in zip(strikes, kinds)]
-    return QuoteSet(*prices, h, h, h, h, F, T)
+    return QuoteSet(*[price_fn(k) for k in strikes], h, h, h, h, F, T)
 
 
-def surface_price_fn(surface) -> Callable[[float, str], float]:
-    """Price source backed by a solved surface; strikes must hit grid nodes
-    (the nearest node, so the grid may be non-uniform)."""
-    nodes = surface.grid.strikes.tolist()
-    calls, puts = surface.calls.tolist(), surface.puts.tolist()
+def surface_price_fn(surface) -> Callable[[float], float]:
+    """Price source backed by a solved surface's time value; strikes must hit
+    grid nodes (the nearest node, so the grid may be non-uniform)."""
+    nodes, time_value = surface.grid.strikes.tolist(), surface.time_value.tolist()
 
-    def price(k: float, kind: str) -> float:
+    def price(k: float) -> float:
         # the nearest node is one of the two around the insertion point; on a
         # tie the lower index wins, as it does for an argmin over the grid
         idx = min(bisect.bisect_left(nodes, k), len(nodes) - 1)
@@ -409,13 +407,13 @@ def surface_price_fn(surface) -> Callable[[float, str], float]:
             idx -= 1
         if not abs(nodes[idx] - k) <= 1e-9 * (1.0 + abs(k)):
             raise ValueError(f"strike {k} is not a node of the surface grid")
-        return calls[idx] if kind == "call" else puts[idx]
+        return time_value[idx]
 
     return price
 
 
 def recalibrate(
-    price_fn: Callable[[float, str], float],
+    price_fn: Callable[[float], float],
     F: float,
     T: float,
     target_beta: float,
@@ -425,10 +423,10 @@ def recalibrate(
     """Sample five quotes at spacing h from a source model and calibrate the
     one-step parameters at the target beta and shift."""
 
-    def sampled(k: float, kind: str) -> float:
-        price = price_fn(k, kind)
+    def sampled(k: float) -> float:
+        price = price_fn(k)
         if not 0.0 < price < math.inf:  # the source model broke down, not the input
-            raise PriceOutOfBounds(f"source {kind} price {price!r} at strike {k!r}")
+            raise PriceOutOfBounds(f"source price {price!r} at strike {k!r}")
         return price
 
     q = quote_set_from_curve(sampled, F, T, h)

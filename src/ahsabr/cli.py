@@ -249,8 +249,7 @@ def cmd_recalibrate(config: dict) -> int:
     target_vols = _vols_bp(price_self_consistent(grid, result.params, T))
     # the source smile on the target's strikes, from its OTM prices
     strikes = list(target_vols)
-    source_prices = [price_fn(k, "put" if k < F else "call") for k in strikes]
-    source_vols = otm_vol_curve(strikes, source_prices, F, T) / BP
+    source_vols = otm_vol_curve(strikes, [price_fn(k) for k in strikes], F, T) / BP
     smile = [
         {"strike": k, "source_vol_bp": sv, "target_vol_bp": target_vols[k]}
         for k, sv in zip(strikes, source_vols.tolist()) if not math.isnan(sv)

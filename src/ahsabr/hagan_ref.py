@@ -72,9 +72,9 @@ def hagan_price(strike: float, forward: float, expiry: float,
 
 
 def hagan_price_fn(params: SabrParams, forward: float, expiry: float):
-    """Price source (strike, kind) -> price for the recalibration workflow."""
+    """Price source strike -> out-of-the-money price, for recalibration."""
 
-    def price(k: float, kind: str) -> float:
-        return hagan_price(k, forward, expiry, params, kind)
+    def price(k: float) -> float:
+        return hagan_price(k, forward, expiry, params, "put" if k < forward else "call")
 
     return price

@@ -128,18 +128,6 @@ def assemble_quote_set(
                 return q
         return None
 
-    def otm_price(target: float, kind: str) -> float:
-        q = find(target, kind)
-        if q is not None:
-            return q.premium_rate
-        other = find(target, "put" if kind == "call" else "call")
-        if other is not None:
-            intrinsic_gap = F - target  # call - put at this strike
-            if kind == "call":
-                return other.premium_rate + intrinsic_gap
-            return other.premium_rate - intrinsic_gap
-        raise MissingStrike(target)
-
     # half the straddle where both kinds are quoted at the forward
     found = (find(F, "put"), find(F, "call"))
     at_forward = [q.premium_rate for q in found if q is not None]
@@ -147,10 +135,20 @@ def assemble_quote_set(
         raise MissingStrike(F)
     atm = sum(at_forward) / len(at_forward)
 
-    def price(target: float, kind: str) -> float:
-        return atm if target == F else otm_price(target, kind)
+    def otm_price(target: float) -> float:
+        if target == F:
+            return atm
+        below = target < F
+        q = find(target, "put" if below else "call")
+        if q is not None:
+            return q.premium_rate
+        other = find(target, "call" if below else "put")
+        if other is None:
+            raise MissingStrike(target)
+        gap = F - target  # call - put at this strike
+        return other.premium_rate - gap if below else other.premium_rate + gap
 
-    return quote_set_from_curve(price, F, T, h)
+    return quote_set_from_curve(otm_price, F, T, h)
 
 
 @dataclass(frozen=True)

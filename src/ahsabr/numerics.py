@@ -224,14 +224,12 @@ def bachelier_implied_vol(price, F, k, T, kind="call"):
 def thomas_solve(lower, diag, upper, rhs) -> np.ndarray:
     """Solve the tridiagonal system with sub-diagonal `lower` and
     super-diagonal `upper` (length N-1) and diagonal `diag` (length N) for
-    the right-hand side `rhs` (length N) by the Thomas algorithm (no
-    pivoting).
+    the right-hand side `rhs` (length N) by the Thomas algorithm.
 
-    The forward sweep runs inside the elimination loop, on Python floats,
-    which round exactly as float64 numpy scalars do at a fraction of their
-    per-operation cost.  Assembled pricing systems are strictly diagonally
-    dominant so pivoting is unnecessary; a SingularPivot guard remains as
-    defense in depth.
+    The general solver, without pivoting; a zero pivot raises SingularPivot.
+    The one-step rows have a single source and are eliminated towards it
+    instead (ah_engine).  The loops run on Python floats, which round
+    exactly as float64 numpy scalars do at a fraction of their cost.
     """
     n = len(diag)
     if len(lower) != n - 1 or len(upper) != n - 1 or len(rhs) != n:

@@ -25,7 +25,7 @@ from ahsabr.analytic_calib import (
     quote_set_from_curve,
     recalibrate,
 )
-from ahsabr.hagan_ref import hagan_price_fn
+from ahsabr.hagan_ref import hagan_price, hagan_price_fn
 from ahsabr.numerics import (
     bachelier_implied_vol,
     bachelier_price,
@@ -171,7 +171,7 @@ def test_a5_limiting_convergence():
     price = hagan_price_fn(src, F, T)
     h0 = 1.25e-3
 
-    curve = lambda k: price(k, "call")
+    curve = lambda k: hagan_price(k, F, T, src)
     limit = limiting_params(curve, F, T, beta, b, h0 / 8.0).params
 
     levels = []

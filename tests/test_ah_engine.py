@@ -38,7 +38,6 @@ from ahsabr.numerics import (
     bachelier_price,
     mills_ratio,
     norm_pdf,
-    thomas_solve,
 )
 
 from conftest import (
@@ -496,36 +495,51 @@ class TestSolveOneStep:
         assert 3.5 < d1 / d2 < 4.5
 
     def test_one_elimination_for_calls_and_puts(self, monkeypatch):
-        # one solve, for the time value that calls and puts share: one
-        # right-hand side, nonzero only at the forward's interior row
-        sources = []
+        # one elimination, for the time value that calls and puts share: the
+        # interior rows from each end towards the forward's row, once each
+        eliminate = ah_engine._eliminate_towards
+        eliminated = []
 
-        def counting(lower, diag, upper, rhs):
-            sources.append(np.flatnonzero(rhs).tolist())
-            return thomas_solve(lower, diag, upper, rhs)
+        def counting(diag, outer, inner):
+            eliminated.append(len(diag))
+            return eliminate(diag, outer, inner)
 
-        monkeypatch.setattr(ah_engine, "thomas_solve", counting)
+        monkeypatch.setattr(ah_engine, "_eliminate_towards", counting)
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         solve_one_step(grid, MarketSlice(5.0, 0.0095), make_params())
-        assert sources == [[grid.forward_index - 1]]
+        n = grid.forward_index - 1
+        assert eliminated == [n, grid.size - 3 - n]
+        assert not hasattr(ah_engine, "thomas_solve")
 
     def test_density_against_extended_precision_solve(self):
-        # the same assembled system solved in 50 digits; on this beta = 1
-        # grid a second difference of the solved prices misses by 2.3e-13
-        # of the largest density, the row equation by 1.1e-14
+        # the same assembled system solved in 50 digits.  On the beta = 1
+        # grid a second difference of the solved prices missed by 2.3e-13 of
+        # the largest density; the row equation misses by 4.7e-15 (ED 3.0e-16)
+        # and the time value by 7.9e-15 per node (ED 2.3e-15).  The exact tv
+        # at the first and last interior nodes is zero up to roundoff, so
+        # there it is held against the largest tv
         import mpmath
 
-        params = make_params(alpha=0.4, beta=1.0)
-        grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
-        slice_ = self_consistent_slice(grid, params, 5.0)
-        z = _OneStepRows(grid, params, 5.0).at(slice_.atm_normal_vol)[0]
-        with mpmath.workdps(50):
-            tv, z, h_plus, h_minus = extended_precision_time_value(grid, z)
-            exact = np.array([float(2 * tv[i] / (z[i] * h_plus[i] * h_minus[i]))
-                              for i in range(len(z))])
-        exact[0] = exact[-1] = 0.0
-        density = solve_one_step(grid, slice_, params).density
-        assert np.max(np.abs(density - exact)) <= 5e-14 * np.max(exact)
+        cases = [
+            (make_params(alpha=0.4, beta=1.0),
+             build_uniform_grid(-0.02, 0.08, 81, 0.02), 5.0),
+            (SabrParams(**ED_PARAMS), build_uniform_grid(*ED_GRID, ED_FORWARD),
+             ED_EXPIRY),
+        ]
+        for params, grid, T in cases:
+            slice_ = self_consistent_slice(grid, params, T)
+            z = _OneStepRows(grid, params, T).at(slice_.atm_normal_vol)[0]
+            with mpmath.workdps(50):
+                tv, z, h_plus, h_minus = extended_precision_time_value(grid, z)
+                exact = np.array([float(2 * tv[i] / (z[i] * h_plus[i] * h_minus[i]))
+                                  for i in range(len(z))])
+                exact_tv = np.array([float(v) for v in tv])
+            exact[0] = exact[-1] = 0.0
+            surface = solve_one_step(grid, slice_, params)
+            assert np.max(np.abs(surface.density - exact)) <= 5e-14 * np.max(exact)
+            miss = np.abs(surface.time_value[1:-1] - exact_tv)
+            assert np.all(miss[1:-1] <= 3e-14 * exact_tv[1:-1])
+            assert np.max(miss) <= 3e-14 * np.max(exact_tv)
 
     def test_atm_call_and_put_are_one_float(self, ed_surface):
         # the first grids of the A1 draws (seed 20260825) and the ED fixture
@@ -553,12 +567,21 @@ class TestSolveOneStep:
         with pytest.raises(NonpositiveShiftedStrike):
             price_self_consistent(grid, params, 5.0)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("forward, shift", [(-0.01, 0.0), (-0.03, 0.03)])
+    def test_nonpositive_shifted_strike_at_every_beta(self, beta, forward, shift):
+        # the rows check k_0 + b before the local-vol guess at the forward,
+        # which is complex (beta = 0.5) or zero (beta = 1, or F + b = 0) here
+        params = make_params(beta=beta, shift=shift)
+        grid = build_uniform_grid(*ED_GRID[:2], 241, forward)
+        with pytest.raises(NonpositiveShiftedStrike):
+            price_self_consistent(grid, params, ED_EXPIRY)
+
     def test_published_fixture_atm_quote(self, ed_surface):
         # ATM last 0.1350 in price points is 13.5 bp in rate units; the
         # published parameters are rounded to four digits, so the repriced
         # ATM only has to land near the quote
-        n = ed_surface.grid.forward_index
-        atm = 0.5 * (ed_surface.calls[n] + ed_surface.puts[n])
+        atm = ed_surface.time_value[ed_surface.grid.forward_index]
         assert atm * 100.0 == pytest.approx(ED_ATM_PRICE_POINTS, rel=2e-2)
 
     def test_published_fixture_density(self, ed_surface):
@@ -572,8 +595,7 @@ class TestSelfConsistentSlice:
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         slice_ = self_consistent_slice(grid, params, 5.0)
         surface = solve_one_step(grid, slice_, params)
-        n = grid.forward_index
-        atm = 0.5 * (surface.calls[n] + surface.puts[n])
+        atm = surface.time_value[grid.forward_index]
         assert atm == pytest.approx(slice_.atm_price, rel=1e-12)
 
     @staticmethod
@@ -597,9 +619,12 @@ class TestSelfConsistentSlice:
             sigma = self_consistent_slice(grid, params, T).atm_normal_vol
             surface = solve_one_step(grid, MarketSlice(T, sigma), params)
             atm = _OneStepRows(grid, params, T).atm_time_value(sigma)
-            assert atm == pytest.approx(surface.calls[grid.forward_index], rel=1e-14)
+            assert atm == surface.time_value[grid.forward_index]
 
     def test_one_full_solve_per_surface(self, monkeypatch):
+        # each evaluation, the fixed point's six and the surface's, builds
+        # the rows once (one kappa call) and eliminates them once from each
+        # end; only solve_one_step carries the ratios outward
         calls = []
 
         def counted(name, fn):
@@ -609,10 +634,12 @@ class TestSelfConsistentSlice:
             monkeypatch.setattr(ah_engine, name, wrapper)
 
         counted("solve_one_step", solve_one_step)
-        counted("thomas_solve", thomas_solve)
+        counted("kappa", kappa)
+        counted("_eliminate_towards", ah_engine._eliminate_towards)
         grid = build_uniform_grid(*ED_GRID, ED_FORWARD)
         price_self_consistent(grid, SabrParams(**ED_PARAMS), ED_EXPIRY)
-        assert sorted(calls) == ["solve_one_step", "thomas_solve"]
+        evaluation = ["kappa", "_eliminate_towards", "_eliminate_towards"]
+        assert calls == 6 * evaluation + ["solve_one_step", *evaluation]
 
     def test_secant_evaluation_count(self, monkeypatch):
         # one kappa call per evaluation; the damped iteration took 19 on ED
@@ -765,13 +792,12 @@ class TestImpliedVolCurveAgainstLoop:
 
     def test_unpriceable_strikes_are_absent(self, ed_surface):
         n = ed_surface.grid.forward_index
-        puts = ed_surface.puts.copy()
-        calls = ed_surface.calls.copy()
-        puts[n - 5] = np.nan
-        calls[n + 5] = np.inf
-        calls[n + 6] = -1e-20
-        calls[n] = 0.0
-        broken = dataclasses.replace(ed_surface, puts=puts, calls=calls)
+        tv = ed_surface.time_value.copy()
+        tv[n - 5] = np.nan
+        tv[n + 5] = np.inf
+        tv[n + 6] = -1e-20
+        tv[n] = 0.0
+        broken = dataclasses.replace(ed_surface, time_value=tv)
         vols = implied_vol_curve(broken)
         for j in (n - 5, n + 5, n + 6, n):
             assert math.isnan(vols[j])

@@ -38,7 +38,7 @@ from ahsabr.errors import (
     RhoOutOfRange,
     UnstableDifferences,
 )
-from ahsabr.hagan_ref import hagan_price_fn
+from ahsabr.hagan_ref import hagan_price, hagan_price_fn
 
 from conftest import HAGAN_EXPIRY, HAGAN_FORWARD, HAGAN_SOURCE, HAGAN_STEP
 
@@ -278,7 +278,7 @@ class TestLimitingParams:
                 quote_set_from_curve(price, F, T, h), beta, params.shift
             ).params
             limit = limiting_params(
-                lambda k: price(k, "call"), F, T, beta, params.shift, h
+                lambda k: hagan_price(k, F, T, params), F, T, beta, params.shift, h
             ).params
             # both carry O(h^2) bias with different constants, so the gap
             # is itself O(h^2)
@@ -289,9 +289,8 @@ class TestLimitingParams:
     def test_reports_one_sided_derivatives(self):
         params = SabrParams(**HAGAN_SOURCE)
         F, T = 0.02, 0.5
-        price = hagan_price_fn(params, F, T)
         res = limiting_params(
-            lambda k: price(k, "call"), F, T, params.beta, params.shift, 2e-4
+            lambda k: hagan_price(k, F, T, params), F, T, params.beta, params.shift, 2e-4
         )
         assert res.pdf_atm > 0.0
         # both sides approximate the same smooth derivatives
@@ -302,10 +301,9 @@ class TestLimitingParams:
     def test_unstable_differences(self):
         params = SabrParams(**HAGAN_SOURCE)
         F, T = 0.02, 0.5
-        price = hagan_price_fn(params, F, T)
 
         def noisy(k):
-            return price(k, "call") * (1.0 + 2e-4 * math.sin(k * 3.1e5))
+            return hagan_price(k, F, T, params) * (1.0 + 2e-4 * math.sin(k * 3.1e5))
 
         with pytest.raises(UnstableDifferences):
             limiting_params(noisy, F, T, params.beta, params.shift, 2e-4)
@@ -334,34 +332,33 @@ class TestQuoteSetFromCurve:
         surface = price_self_consistent(grid, params, 2.0)
         price = surface_price_fn(surface)
         for j, k in enumerate(strikes):
-            assert price(k, "call") == surface.calls[j]
-            assert price(k, "put") == surface.puts[j]
+            assert price(k) == surface.time_value[j]
         for k in (strikes[0] - h, 0.5 * (strikes[19] + strikes[20]), F + 0.0201):
             with pytest.raises(ValueError, match="not a node"):
-                price(k, "call")
+                price(k)
 
     def test_surface_price_fn_nearest_node_and_ties(self):
         # nodes 2^-40 apart both pass the 1e-9 node check: the nearer one
         # wins, and midway the lower one, as for an argmin over the grid
         strikes = np.array([0.25, 0.5, 0.5 + 2.0**-40, 0.75])
         surface = SimpleNamespace(grid=SimpleNamespace(strikes=strikes),
-                                  calls=np.arange(4.0), puts=-np.arange(4.0))
+                                  time_value=np.arange(4.0))
         price = surface_price_fn(surface)
-        assert price(0.5 + 2.0**-41, "call") == 1.0
-        assert price(0.5 + 2.0**-41 + 2.0**-45, "put") == -2.0
-        assert price(0.5 - 2.0**-41, "call") == 1.0
-        assert price(0.25 - 1e-12, "call") == 0.0
-        assert price(0.75 + 1e-12, "put") == -3.0
+        assert price(0.5 + 2.0**-41) == 1.0
+        assert price(0.5 + 2.0**-41 + 2.0**-45) == 2.0
+        assert price(0.5 - 2.0**-41) == 1.0
+        assert price(0.25 - 1e-12) == 0.0
+        assert price(0.75 + 1e-12) == 3.0
         for k in (0.375, math.nan, 0.75 + 1e-6):
             with pytest.raises(ValueError, match="not a node"):
-                price(k, "call")
+                price(k)
 
     def test_surface_price_fn_rejects_off_node_strike(self):
         params = SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.30, shift=0.03)
         _, surface = solved_quotes(params)
         price = surface_price_fn(surface)
         with pytest.raises(ValueError):
-            price(0.0203, "call")
+            price(0.0203)
 
 
 class TestRecalibrate:
@@ -397,8 +394,8 @@ class TestRecalibrate:
         hagan = hagan_price_fn(src, HAGAN_FORWARD, HAGAN_EXPIRY)
         k_bad = HAGAN_FORWARD + HAGAN_STEP
 
-        def price(k, kind):
-            return bad if k == k_bad else hagan(k, kind)
+        def price(k):
+            return bad if k == k_bad else hagan(k)
 
         with pytest.raises(PriceOutOfBounds, match=f"at strike {k_bad!r}"):
             recalibrate(price, HAGAN_FORWARD, HAGAN_EXPIRY, 0.40, 0.03, HAGAN_STEP)

@@ -100,6 +100,23 @@ class TestPrice:
             assert_one_line_error(capsys, "NumericalError", "double range")
         assert not out.exists()
 
+    @pytest.mark.parametrize("beta_pct", [0.0, 50.0, 100.0])
+    @pytest.mark.parametrize("command", ["price", "density", "recalibrate"])
+    def test_nonpositive_shifted_strike_exit_3(self, tmp_path, capsys,
+                                               command, beta_pct):
+        # forward -1% with no shift puts the lowest strikes and the forward
+        # below -shift; every beta fails on the strikes, not on the guess
+        out = tmp_path / "surface.csv"
+        cfg = ed_config(
+            tmp_path, out, source="onestep",
+            market={"forward_pct": -1.0, "expiry_years": ED_EXPIRY},
+            model={**{f"{k}_pct": pct(v) for k, v in ED_PARAMS.items()},
+                   "beta_pct": beta_pct, "shift_pct": 0.0},
+        )
+        assert main([command, "--config", cfg]) == 3
+        assert_one_line_error(capsys, "NonpositiveShiftedStrike", "k + shift > 0")
+        assert not out.exists()
+
     def test_flag_overrides_config(self, tmp_path):
         out = tmp_path / "surface.csv"
         cfg = ed_config(tmp_path, out)
