@@ -23,7 +23,7 @@ from .errors import (
     NumericalError,
     SingularPivot,
 )
-from .numerics import is_scalar, mills_ratio
+from .numerics import is_scalar, one_minus_x_mills
 
 FIXED_POINT_TOL = 1e-13  # relative change of sigma that ends the ATM fixed point
 FIXED_POINT_MAX_ITER = 50  # evaluations; the secant takes 6 or 7 on ED and A1 grids
@@ -181,32 +181,17 @@ def kappa(k, F, sigma, T):
     satisfy the one-step row c - (F-k)^+ = (T/2) sigma^2 kappa c'' exactly, at
     every strike and expiry; xi in annual vols would break it for T != 1.
     Value lies in (0, 2] with kappa(F) = 2, strictly decreasing in |F-k|.
+    numerics.one_minus_x_mills forms 1 - xi*M(xi) without cancellation in the
+    wings; a scalar strike stays on floats at every xi.
     """
     if not sigma > 0.0:
         raise ValueError("kappa requires sigma > 0")
     s = sigma * math.sqrt(T)
-    if is_scalar(k) and s > 0.0:
-        xi = abs(float(k) - float(F)) / s
-        # from xi = 50 on (and for inf or NaN) the array code below runs: the
-        # series' powers of xi^2 can overflow, and ** on a float then raises
-        # OverflowError where numpy gives inf
-        if xi < 50.0:
-            return 2.0 * (1.0 - xi * mills_ratio(xi))
-    xi = np.abs(np.asarray(k, dtype=float) - F) / s
-    # direct evaluation cancels catastrophically for large xi; switch to the
-    # Mills-ratio asymptotic series there (both branches ~1e-13 relative at 50)
-    # and keep the direct form off it, where an infinite xi would form inf * 0
-    big = xi >= 50.0
-    near = np.where(big, 0.0, xi)
-    core = 1.0 - near * mills_ratio(near)
-    if np.any(big):
-        # powers of x2 past the double range go to inf, their terms to 0
-        with np.errstate(over="ignore"):
-            x2 = np.square(np.where(big, xi, 1.0))
-            series = (1.0 / x2) * (1.0 - 3.0 / x2 + 15.0 / x2**2 - 105.0 / x2**3 + 945.0 / x2**4)
-        core = np.where(big, series, core)
-    out = 2.0 * core
-    return float(out) if is_scalar(k) else out
+    if is_scalar(k):
+        d = abs(float(k) - float(F))
+        # sigma sqrt(T) can underflow to 0.0; numpy then divides to inf or NaN
+        return 2.0 * one_minus_x_mills(d / s if s > 0.0 else d * math.inf)
+    return 2.0 * one_minus_x_mills(np.abs(np.asarray(k, dtype=float) - F) / s)
 
 
 @dataclass(frozen=True)
@@ -252,34 +237,37 @@ class _OneStepRows:
         self.hh, self.hs = self.h_plus * self.h_minus, self.h_plus + self.h_minus
         with np.errstate(all="ignore"):
             self.lv2 = local_vol(self.k, self.F, params) ** 2
-        self.r_lo = (k[1] - k[0]) / (k[2] - k[1])
-        self.r_hi = (k[-1] - k[-2]) / (k[-2] - k[-3])
+        self.r_lo = float((k[1] - k[0]) / (k[2] - k[1]))
+        self.r_hi = float((k[-1] - k[-2]) / (k[-2] - k[-3]))
         self.n = grid.forward_index - 1
+        self.hp_n, self.hm_n = self.h_plus.item(self.n), self.h_minus.item(self.n)
 
     def at(self, sigma: float):
         """(z, lower, diag, upper, source) at ATM vol sigma, with
         z_j = T theta(k_j)^2 / (h+_j h-_j) and theta^2 = local_vol^2 * kappa.
         The boundary conditions c_kk = 0, linear extrapolation through the two
         adjacent nodes, are folded into the first and last rows.  The source,
-        at row n, is the row operator applied to the intrinsic's kink."""
+        at row n, is the row operator applied to the intrinsic's kink.  z is
+        an array; the rows are lists and the source a float, which the
+        elimination and the folds run on at a fraction of numpy scalars' cost."""
         with np.errstate(all="ignore"):
             theta2 = self.lv2 * kappa(self.k, self.F, sigma, self.expiry)
             z = self.expiry * theta2 / self.hh
-        # the density divides by z, so an underflow to 0 fails as an overflow does
-        if not np.all((z > 0.0) & (z < np.inf)):
+        # the density divides by z, so an underflow to 0 fails as an overflow
+        # does; a NaN fails both comparisons
+        if not (z.min() > 0.0 and z.max() < math.inf):
             raise NumericalError("one-step coefficients left the double range")
         w = z / self.hs
-        lower = -w * self.h_plus  # multiplies value at node j-1
-        diag = 1.0 + z
-        upper = -w * self.h_minus  # multiplies value at node j+1
+        lower = (-w * self.h_plus).tolist()  # multiplies value at node j-1
+        diag = (1.0 + z).tolist()
+        upper = (-w * self.h_minus).tolist()  # multiplies value at node j+1
         # v_0 = (1+r_lo) v_1 - r_lo v_2 folded into the first interior row
         diag[0] += lower[0] * (1.0 + self.r_lo)
         upper[0] -= lower[0] * self.r_lo
         # v_N = (1+r_hi) v_{N-1} - r_hi v_{N-2} folded into the last interior row
         diag[-1] += upper[-1] * (1.0 + self.r_hi)
         lower[-1] -= upper[-1] * self.r_hi
-        n = self.n
-        return z, lower, diag, upper, w[n] * self.h_plus[n] * self.h_minus[n]
+        return z, lower, diag, upper, w.item(self.n) * self.hp_n * self.hm_n
 
     def eliminate(self, sigma: float):
         """(z, tv_n, f, g) at ATM vol sigma.  Eliminating towards row n from
@@ -288,7 +276,6 @@ class _OneStepRows:
         tv_n = s / (d_n + l_n f_{n-1} + u_n g_{n+1})."""
         z, lower, diag, upper, source = self.at(sigma)
         n = self.n
-        lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
         f = _eliminate_towards(diag[:n], lower[:n], upper[:n])
         g = _eliminate_towards(diag[:n:-1], upper[:n:-1], lower[:n:-1])
         piv = diag[n] + lower[n] * f[-1] + upper[n] * g[-1]

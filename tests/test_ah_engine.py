@@ -3,6 +3,7 @@ and its arbitrage properties, and the self-consistent ATM fixed point."""
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -223,37 +224,48 @@ class TestKappa:
             [0.0, kappa(5.0, 0.02, 0.0095, 2.0), 0.0],
         )
 
-    def test_series_branch_matches_direct_formula(self):
-        # the asymptotic series takes over at xi = 50; just past the switch
-        # it must agree with the scaled-erfc evaluation at the same point
+    def test_wing_matches_direct_formula(self):
+        # past y = xi/sqrt(2) = 4 kappa reads Cody's third range, with no
+        # subtraction; it must agree with the scaled-erfc evaluation at the
+        # same point, which gives up log10(xi^2) digits to the cancellation
         sigma, T = 0.01, 1.0
         for xi in (50.001, 55.0, 80.0):
             k = 0.02 + xi * sigma
             direct = 2.0 * (1.0 - xi * float(mills_ratio(xi)))
             assert kappa(k, 0.02, sigma, T) == pytest.approx(direct, rel=1e-10)
 
-    def test_series_switch_against_exact(self):
-        # strikes 1e-12 apart straddle xi = 50, scalar and array, against
-        # 40-digit values; the direct branch gives up log10(xi^2) ~ 3.4
-        # digits to the cancellation in 1 - xi*M(xi)
+    def test_against_exact_from_zero_to_1e300(self):
+        # both paths against 40-digit values, on both sides of Cody's joins
+        # y = 0.46875 and y = 4; sigma = T = 1 and F = 0 make xi the strike
+        # itself.  Below y = 4, 1 - xi M(xi) gives up log10(1/q) digits to
+        # the cancellation (about 1.5 at the join); past it, none.  Where
+        # kappa is subnormal (xi past ~1e154) the relative bound is taken at
+        # the smallest normal double.  Measured: 8.2e-15 array, 1.0e-14 scalar
         import mpmath
 
-        F, sigma, T = 0.02, 0.01, 1.0
-        ks = 0.52 + 1e-12 * np.arange(-5, 6)
-        xis = np.abs(ks - F) / sigma
-        assert xis.min() < 50.0 <= xis.max()
+        joins = [c * math.sqrt(2.0) for c in (0.46875, 4.0)]
+        xis = np.sort(np.concatenate([
+            [0.0], np.geomspace(1e-12, 1e300, 1201),
+            *(j + np.spacing(j) * np.arange(-3, 4) for j in joins),
+        ]))
+
+        def exact(x):
+            if x > 1e4:  # mpmath's erfc overflows; eight terms give 40 digits
+                return 2 * sum((-1) ** (i + 1) * mpmath.fac2(2 * i - 1) / x ** (2 * i)
+                               for i in range(1, 9))
+            return 2 * (1 - x * mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(x * x / 2)
+                        * mpmath.erfc(x / mpmath.sqrt(2)))
+
         with mpmath.workdps(40):
-            exact = [
-                float(2 * (1 - x * mpmath.sqrt(mpmath.pi / 2)
-                           * mpmath.exp(x * x / 2) * mpmath.erfc(x / mpmath.sqrt(2))))
-                for x in map(mpmath.mpf, xis)
-            ]
-        scalar = [kappa(float(k), F, sigma, T) for k in ks]
-        assert scalar == pytest.approx(exact, rel=1e-11)
-        assert np.array_equal(kappa(ks, F, sigma, T), scalar)
+            want = np.array([float(exact(mpmath.mpf(x))) for x in xis.tolist()])
+        scale = np.maximum(want, sys.float_info.min)
+        array = kappa(xis, 0.0, 1.0, 1.0)
+        scalar = np.array([kappa(x, 0.0, 1.0, 1.0) for x in xis.tolist()])
+        for got in (array, scalar):
+            assert np.max(np.abs(got - want) / scale) <= 2e-14
 
     def test_series_past_double_range(self):
-        # at xi = 1e80 the powers of xi^2 overflow; their terms vanish quietly
+        # at xi = 1e80, xi^2 is past the double range; t = 2/xi/xi is not
         assert kappa(1e-60, 0.0, 1e-140, 1.0) == pytest.approx(2e-160, rel=1e-14)
 
     def test_one_step_row_exact_for_bachelier(self):
@@ -288,23 +300,33 @@ class TestScalarPath:
     F = 0.02
 
     def test_kappa_bit_for_bit(self):
-        # below xi = 50 the float path forms xi and kappa as numpy does, with
-        # the Mills ratio numpy's code takes for a 0-d xi; from 50 on it runs
-        # the array code itself
+        # every scalar form runs the float path at every xi, bit for bit, and
+        # up to y = xi/sqrt(2) = 4 each path forms 1 - xi*M(xi) as
+        # mills_ratio does on that path.  The array path rounds its powers
+        # and matrix product differently from Horner on floats; where
+        # 1 - xi*M(xi) cancels that gap grows, to 1.5e-14 relative measured
+        # at y = 4, and past it both read Cody's third range
         F, sigma, T = self.F, 0.01, 2.0
         s = sigma * math.sqrt(T)
+        join = 4.0 * math.sqrt(2.0)
         xis = np.concatenate([
             [0.0], np.geomspace(1e-12, 1e300, 3001),
-            50.0 + np.spacing(50.0) * np.arange(-3, 4),
+            join + np.spacing(join) * np.arange(-3, 4),
         ])
         ks = F + xis * s
         xi = np.abs(ks - F) / s
-        assert np.sum(xi >= 50.0) > 100 and np.sum(xi < 50.0) > 100
-        direct = [2.0 * (1.0 - x * mills_ratio(x)) for x in xi.tolist()]
-        want = np.where(xi >= 50.0, kappa(ks, F, sigma, T), direct)
-        for form in SCALAR_FORMS:
+        below = xi * (1.0 / math.sqrt(2.0)) <= 4.0
+        assert np.sum(below) > 100 and np.sum(~below) > 100
+        want = [kappa(float(k), F, sigma, T) for k in ks.tolist()]
+        for form in SCALAR_FORMS[1:]:
             got = [kappa(form(k), F, sigma, T) for k in ks]
-            assert np.array_equal(got, want), form
+            assert got == want, form
+        direct = [2.0 * (1.0 - x * mills_ratio(x)) for x in xi[below].tolist()]
+        assert np.array_equal(np.array(want)[below], direct)
+        array = kappa(ks, F, sigma, T)
+        assert np.array_equal(array[below], 2.0 * (1.0 - xi * mills_ratio(xi))[below])
+        scale = np.maximum(array, sys.float_info.min)
+        assert np.max(np.abs(array - want) / scale) <= 2e-14
 
     @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0])
     def test_y_of_k_within_ulps_of_array(self, beta):
@@ -346,7 +368,7 @@ class TestScalarPath:
     ])
     def test_every_scalar_form_returns_a_float(self, near, far):
         p = make_params()
-        # the far strike takes kappa past xi = 50, into the array code
+        # the far strike takes kappa past y = 4, into Cody's third range
         for value in (y_of_k(near, self.F, p), local_vol(near, self.F, p),
                       kappa(near, self.F, 0.01, 1.0), kappa(far, self.F, 0.01, 1.0)):
             assert type(value) is float
@@ -375,7 +397,7 @@ class TestScalarPath:
         # (F + b) / (k + b) underflows to 0.0 on the log branch: y is -inf
         (1e300, 1e-300, dict(alpha=0.02, beta=1.0, nu=0.0, shift=0.0), ()),
         # sigma sqrt(T) underflows to 0.0: xi is inf, or NaN at the forward
-        # (the array code runs, and kappa is 0.0 or NaN)
+        # (kappa is 0.0 or NaN)
         (0.01, 0.003, None, (1e-200, 1e-300)),
         (0.003, 0.003, None, (1e-200, 1e-300)),
     ])

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ahsabr as ah
+from ahsabr import numerics
 from ahsabr.errors import PriceOutOfBounds, SingularPivot
 from ahsabr.numerics import (
     _erfcx,
@@ -22,8 +24,11 @@ from ahsabr.numerics import (
     mills_ratio,
     norm_cdf,
     norm_pdf,
+    one_minus_x_mills,
     thomas_solve,
 )
+
+from conftest import ED_EXPIRY, ED_FORWARD, ED_GRID, ED_PARAMS
 
 # 40-digit mpmath values, frozen
 CDF_CASES = [
@@ -166,6 +171,20 @@ class TestErfcx:
         assert mills_ratio(x.reshape(20, 25)).shape == (20, 25)
 
 
+class TestOneMinusXMills:
+    def test_extremes(self):
+        # 1 at 0, 0 at inf, NaN through, 1/x^2 far out, with no warning
+        # (powers of a tiny t underflow, as numpy allows by default)
+        assert one_minus_x_mills(0.0) == 1.0 and one_minus_x_mills(math.inf) == 0.0
+        assert math.isnan(one_minus_x_mills(math.nan))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = one_minus_x_mills(np.array([0.0, math.inf, math.nan, 1e150]))
+        assert out[0] == 1.0 and out[1] == 0.0 and math.isnan(out[2])
+        assert out[3] == pytest.approx(1e-300, rel=1e-15)
+        assert one_minus_x_mills(1e150) == pytest.approx(1e-300, rel=1e-15)
+        assert one_minus_x_mills(np.ones((2, 3))).shape == (2, 3)
+
+
 class TestBachelierOtmVols:
     def test_seeded_round_trip(self):
         # up to 8 ATM standard deviations from the forward (the value is the
@@ -204,6 +223,30 @@ class TestBachelierOtmVols:
 
     def test_empty_input(self):
         assert bachelier_otm_vols(np.empty(0), np.empty(0), 1.0).size == 0
+
+    def test_kernel_evaluations(self, monkeypatch):
+        # each Halley step reads q = 1 - u M(u) once, at every element: at
+        # most 4 evaluations (3 measured) on the ED smile and on a sweep of u
+        # from 1e-12 to 37, which round-trips
+        grid = ah.build_uniform_grid(*ED_GRID, ED_FORWARD)
+        surface = ah.price_self_consistent(grid, ah.SabrParams(**ED_PARAMS), ED_EXPIRY)
+        calls = []
+
+        def counting(x):
+            calls.append(np.size(x))
+            return one_minus_x_mills(x)
+
+        monkeypatch.setattr(numerics, "one_minus_x_mills", counting)
+        vols = ah.implied_vol_curve(surface)
+        assert np.sum(np.isfinite(vols)) > 100 and 0 < len(calls) <= 4
+        u = np.geomspace(1e-12, 37.0, 401)
+        for T in (0.01, 1.0, 30.0):
+            price = np.array([bachelier_price(0.0, 0.01, 0.01 / (x * math.sqrt(T)), T)
+                              for x in u])
+            calls.clear()
+            got = bachelier_otm_vols(price, np.full(u.size, 0.01), T)
+            assert calls == [u.size] * len(calls) and len(calls) <= 4
+            assert np.max(np.abs(got * u * math.sqrt(T) / 0.01 - 1.0)) < 1e-12
 
 
 class TestBachelierPrice:
