@@ -201,7 +201,10 @@ class PriceSurface:
     The time value is the out-of-the-money price (the put below the forward,
     the call at and above it); calls and puts add their intrinsic to it.
     density covers interior nodes 1..N-1 only, read off the one-step rows
-    there; the boundary nodes have no row.
+    there; the boundary nodes have no row.  The boundary rows absorb: tv is
+    zero at the first and last two nodes, so the mass beyond each edge is the
+    slope of tv over the second cell, tv_2 / (k_2 - k_1) below and
+    tv_{N-3} / (k_{N-2} - k_{N-3}) above.
     """
 
     grid: Grid
@@ -225,8 +228,8 @@ class PriceSurface:
 
 class _OneStepRows:
     """The one-step rows of a slice over interior nodes 1..N-1.  Only kappa
-    depends on the ATM vol, so local_vol^2, the step products and sums, the
-    boundary ratios and the forward's row n are computed once per slice."""
+    depends on the ATM vol, so local_vol^2, the step products and sums and
+    the forward's row n are computed once per slice."""
 
     def __init__(self, grid: Grid, params: SabrParams, expiry: float):
         k = grid.strikes
@@ -237,19 +240,18 @@ class _OneStepRows:
         self.hh, self.hs = self.h_plus * self.h_minus, self.h_plus + self.h_minus
         with np.errstate(all="ignore"):
             self.lv2 = local_vol(self.k, self.F, params) ** 2
-        self.r_lo = float((k[1] - k[0]) / (k[2] - k[1]))
-        self.r_hi = float((k[-1] - k[-2]) / (k[-2] - k[-3]))
         self.n = grid.forward_index - 1
         self.hp_n, self.hm_n = self.h_plus.item(self.n), self.h_minus.item(self.n)
 
     def at(self, sigma: float):
         """(z, lower, diag, upper, source) at ATM vol sigma, with
         z_j = T theta(k_j)^2 / (h+_j h-_j) and theta^2 = local_vol^2 * kappa.
-        The boundary conditions c_kk = 0, linear extrapolation through the two
-        adjacent nodes, are folded into the first and last rows.  The source,
-        at row n, is the row operator applied to the intrinsic's kink.  z is
-        an array; the rows are lists and the source a float, which the
-        elimination and the folds run on at a fraction of numpy scalars' cost."""
+        The first and last rows state the boundary condition c_kk = 0, which
+        in the row c - (T/2) theta^2 c'' = (F - k)^+ is tv = 0: an absorbing
+        boundary.  The source, at row n, is the row operator applied to the
+        intrinsic's kink.  z is an array; the rows are lists and the source a
+        float, which the elimination runs on at a fraction of numpy scalars'
+        cost."""
         with np.errstate(all="ignore"):
             theta2 = self.lv2 * kappa(self.k, self.F, sigma, self.expiry)
             z = self.expiry * theta2 / self.hh
@@ -261,12 +263,8 @@ class _OneStepRows:
         lower = (-w * self.h_plus).tolist()  # multiplies value at node j-1
         diag = (1.0 + z).tolist()
         upper = (-w * self.h_minus).tolist()  # multiplies value at node j+1
-        # v_0 = (1+r_lo) v_1 - r_lo v_2 folded into the first interior row
-        diag[0] += lower[0] * (1.0 + self.r_lo)
-        upper[0] -= lower[0] * self.r_lo
-        # v_N = (1+r_hi) v_{N-1} - r_hi v_{N-2} folded into the last interior row
-        diag[-1] += upper[-1] * (1.0 + self.r_hi)
-        lower[-1] -= upper[-1] * self.r_hi
+        diag[0] = diag[-1] = 1.0
+        upper[0] = lower[-1] = 0.0
         return z, lower, diag, upper, w.item(self.n) * self.hp_n * self.hm_n
 
     def eliminate(self, sigma: float):
@@ -310,22 +308,21 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
     is linear on the grid except at its kink at the forward, so tv solves the
     one-step matrix with a single source, at the forward's row, and every
     row gives the density exactly: c''_j = 2 tv_j / (z_j h+_j h-_j).  The
-    intrinsic meets the linear-extrapolation boundary rows exactly, so they
-    apply to tv alone.  The elimination of the fixed point gives tv at the
-    forward, and its ratios carry it outward to every other node.
+    boundary rows give tv = 0 at the first and last interior nodes, and the
+    end nodes, which have no row, stay at intrinsic too.  The elimination of
+    the fixed point gives tv at the forward, and its ratios carry it outward
+    to every other interior node.
     """
     rows = _OneStepRows(grid, params, slice_.expiry)
     z, tv_n, f, g = rows.eliminate(slice_.atm_normal_vol)
     m = rows.n + 1  # the forward's node
-    tv = np.empty(grid.size)
+    tv = np.zeros(grid.size)
     tv[1:m + 1] = np.cumprod([tv_n, *f[::-1]])[::-1]
     tv[m + 1:-1] = np.cumprod([tv_n, *g[::-1]])[1:]
-    tv[0] = (1.0 + rows.r_lo) * tv[1] - rows.r_lo * tv[2]
-    tv[-1] = (1.0 + rows.r_hi) * tv[-2] - rows.r_hi * tv[-3]
 
     density = 2.0 * tv[1:-1] / (z * rows.hh)
-    # the boundary rows force a zero second difference at the first and last
-    # interior nodes; write the exact value rather than its roundoff residue
+    # tv is zero at the first and last interior nodes, where the elimination
+    # leaves it as -0.0; write +0.0 so that no density reads as -0
     density[0] = density[-1] = 0.0
     return PriceSurface(grid=grid, slice=slice_, time_value=tv, density=density)
 

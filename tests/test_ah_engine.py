@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from mpmath import quad
 
 import ahsabr as ah
 from ahsabr import ah_engine
@@ -49,6 +49,7 @@ from conftest import (
     ED_PARAMS,
     draw_parameters,
     inversion_setup,
+    mass_setup,
     stretched_grid,
 )
 
@@ -142,15 +143,15 @@ class TestYofK:
     def test_quadrature_oracle(self):
         p = make_params(alpha=0.0206, beta=0.4, shift=0.03)
         F, k = 0.02, 0.01875
-        oracle, err = quad(lambda u: (u + p.shift) ** (-p.beta), k, F)
+        oracle, err = quad(lambda u: (u + p.shift) ** (-p.beta), [k, F], error=True)
         assert err < 1e-14
-        assert y_of_k(k, F, p) == pytest.approx(oracle / p.alpha, rel=1e-12)
+        assert y_of_k(k, F, p) == pytest.approx(float(oracle) / p.alpha, rel=1e-12)
 
     def test_log_branch_quadrature_oracle(self):
         p = make_params(beta=1.0)
         F, k = 0.02, 0.031
-        oracle, _ = quad(lambda u: 1.0 / (u + p.shift), k, F)
-        assert y_of_k(k, F, p) == pytest.approx(oracle / p.alpha, rel=1e-12)
+        oracle = quad(lambda u: 1.0 / (u + p.shift), [k, F])
+        assert y_of_k(k, F, p) == pytest.approx(float(oracle) / p.alpha, rel=1e-12)
 
     def test_near_one_beta_routed_to_log_branch(self):
         p_log = make_params(beta=1.0)
@@ -432,11 +433,8 @@ def extended_precision_time_value(grid, z):
     lower = [-wj * hp for wj, hp in zip(w, h_plus)]
     diag = [1 + zj for zj in z]
     upper = [-wj * hm for wj, hm in zip(w, h_minus)]
-    r_lo, r_hi = h_minus[0] / h_plus[0], h_plus[-1] / h_minus[-1]
-    diag[0] += lower[0] * (1 + r_lo)
-    upper[0] -= lower[0] * r_lo
-    diag[-1] += upper[-1] * (1 + r_hi)
-    lower[-1] -= upper[-1] * r_hi
+    diag[0] = diag[-1] = 1
+    upper[0] = lower[-1] = 0
     n = grid.forward_index - 1
     c, d = [mpmath.mpf(0)], [mpmath.mpf(0)]
     for i in range(len(z)):
@@ -537,9 +535,9 @@ class TestSolveOneStep:
         # the same assembled system solved in 50 digits.  On the beta = 1
         # grid a second difference of the solved prices missed by 2.3e-13 of
         # the largest density; the row equation misses by 4.7e-15 (ED 3.0e-16)
-        # and the time value by 7.9e-15 per node (ED 2.3e-15).  The exact tv
-        # at the first and last interior nodes is zero up to roundoff, so
-        # there it is held against the largest tv
+        # and the time value by 7.9e-15 per node (ED 2.3e-15).  The boundary
+        # rows make tv exactly zero at the first and last interior nodes, in
+        # both solves, so there it is held against the largest tv
         import mpmath
 
         cases = [
@@ -576,6 +574,35 @@ class TestSolveOneStep:
         for surface in surfaces:
             n = surface.grid.forward_index
             assert surface.calls[n] == surface.puts[n]
+
+    def test_prices_at_or_above_intrinsic_and_mass_balance(self):
+        # the inversion and mass grids of the A1 draws (seed 20260825), as A6
+        # builds them.  tv is zero at the first and last two nodes, so the
+        # mass beyond each edge is the slope of tv over the second cell, and
+        # with the interior mass it adds up to 1 (measured within 2.0e-15)
+        rng = np.random.default_rng(20260825)
+        for _ in range(200):
+            d = draw_parameters(rng)
+            for setup in (inversion_setup, mass_setup):
+                params, grid = setup(
+                    0.02, d["alpha"], d["beta"], d["rho"], d["nu"], d["T"]
+                )[:2]
+                surface = price_self_consistent(grid, params, d["T"])
+                tv, k = surface.time_value, grid.strikes
+                assert tv.min() >= 0.0
+                edges = tv[2] / (k[2] - k[1]) + tv[-3] / (k[-2] - k[-3])
+                assert abs(surface.density_mass() + edges - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("expiry", [1e10, 1e12, 1e14])
+    def test_large_expiry_absorbs_at_the_edges(self, expiry):
+        # at T = 1e12 the last row's z is about 1.25e16, where 1 + z rounds
+        # to z, so no boundary row may be built on 1 + z
+        grid = build_uniform_grid(*ED_GRID, ED_FORWARD)
+        surface = price_self_consistent(grid, SabrParams(**ED_PARAMS), expiry)
+        tv = surface.time_value
+        assert np.all(tv[[0, 1, -2, -1]] == 0.0)
+        assert tv.min() >= 0.0
+        assert surface.density.min() >= 0.0
 
     def test_coefficients_past_double_range_rejected(self):
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
