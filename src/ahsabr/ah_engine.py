@@ -3,9 +3,9 @@
 Builds the strike grid, assembles the single-step finite-difference system,
 solves it for the time value shared by calls and puts, and reads off the
 discrete density and the implied normal-vol curve.  Only the forward's row
-has a source, so one elimination towards it from each end gives the time
+has a source, so one pivot sweep towards it from each end gives the time
 value there: the self-consistent ATM vol is a secant iteration on it, and
-the surface carries it outward with the same elimination's ratios.
+the surface carries it outward with the ratios of the same pivots.
 """
 
 from __future__ import annotations
@@ -202,9 +202,7 @@ class PriceSurface:
     the call at and above it); calls and puts add their intrinsic to it.
     density covers interior nodes 1..N-1 only, read off the one-step rows
     there; the boundary nodes have no row.  The boundary rows absorb: tv is
-    zero at the first and last two nodes, so the mass beyond each edge is the
-    slope of tv over the second cell, tv_2 / (k_2 - k_1) below and
-    tv_{N-3} / (k_{N-2} - k_{N-3}) above.
+    zero at the first and last two nodes.
     """
 
     grid: Grid
@@ -225,79 +223,82 @@ class PriceSurface:
         h_minus, h_plus = self.grid.steps()
         return float(np.sum(self.density * 0.5 * (h_minus + h_plus)))
 
+    def edge_masses(self) -> tuple:
+        """(below, above): the mass beyond each edge, the slope of tv over
+        the second cell, tv_2 / (k_2 - k_1) and tv_{N-3} / (k_{N-2} - k_{N-3})."""
+        tv, k = self.time_value, self.grid.strikes
+        return float(tv[2] / (k[2] - k[1])), float(tv[-3] / (k[-2] - k[-3]))
+
 
 class _OneStepRows:
-    """The one-step rows of a slice over interior nodes 1..N-1.  Only kappa
-    depends on the ATM vol, so local_vol^2, the step products and sums and
-    the forward's row n are computed once per slice."""
+    """The one-step rows of a slice over interior nodes 1..N-1, each divided
+    by its z_j = T theta(k_j)^2 / (h+_j h-_j), with theta^2 = local_vol^2 kappa.
+    Row j reads (1 + r_j) tv_j - lo_j tv_{j-1} - up_j tv_{j+1} = s_j, with
+    r = 1/z, lo_j = h+_j / (h+_j + h-_j), up_j = h-_j / (h+_j + h-_j) and the
+    source s = h+_n h-_n / (h+_n + h-_n) at the forward's row n alone.  The
+    first and last rows state the boundary condition c_kk = 0, which in the
+    row c - (T/2) theta^2 c'' = (F - k)^+ is tv = 0 (an absorbing boundary):
+    their outer couplings are zero.  Only r depends on the ATM vol, as
+    a / kappa with a = h+ h- / (T local_vol^2), so a, the couplings and the
+    source are computed once per slice."""
 
     def __init__(self, grid: Grid, params: SabrParams, expiry: float):
         k = grid.strikes
         if k[0] + params.shift <= 0.0:
             raise NonpositiveShiftedStrike(f"lowest strike {k[0]} violates k + shift > 0")
         self.k, self.F, self.expiry = k[1:-1], grid.forward, expiry
-        self.h_minus, self.h_plus = grid.steps()
-        self.hh, self.hs = self.h_plus * self.h_minus, self.h_plus + self.h_minus
+        h_minus, h_plus = grid.steps()
+        self.hh, hs = h_plus * h_minus, h_plus + h_minus
         with np.errstate(all="ignore"):
-            self.lv2 = local_vol(self.k, self.F, params) ** 2
-        self.n = grid.forward_index - 1
-        self.hp_n, self.hm_n = self.h_plus.item(self.n), self.h_minus.item(self.n)
+            self.a = self.hh / (expiry * local_vol(self.k, self.F, params) ** 2)
+        self.lo, self.up = h_plus / hs, h_minus / hs
+        self.up[0] = self.lo[-1] = 0.0
+        n = self.n = grid.forward_index - 1
+        # a sweep subtracts c_j / p_{j-1} from row j's diagonal: c_j is
+        # lo_j up_{j-1} from row 0 up to row n, up_j lo_{j+1} from the last down
+        self.c_left = [0.0, *(self.lo[1:n + 1] * self.up[:n]).tolist()]
+        self.c_right = [0.0, *(self.up[-2:n - 1:-1] * self.lo[:n:-1]).tolist()]
+        self.source = self.hh.item(n) / hs.item(n)
 
-    def at(self, sigma: float):
-        """(z, lower, diag, upper, source) at ATM vol sigma, with
-        z_j = T theta(k_j)^2 / (h+_j h-_j) and theta^2 = local_vol^2 * kappa.
-        The first and last rows state the boundary condition c_kk = 0, which
-        in the row c - (T/2) theta^2 c'' = (F - k)^+ is tv = 0: an absorbing
-        boundary.  The source, at row n, is the row operator applied to the
-        intrinsic's kink.  z is an array; the rows are lists and the source a
-        float, which the elimination runs on at a fraction of numpy scalars'
-        cost."""
+    def diagonal(self, sigma: float):
+        """(r, 1 + r) at ATM vol sigma, as arrays."""
         with np.errstate(all="ignore"):
-            theta2 = self.lv2 * kappa(self.k, self.F, sigma, self.expiry)
-            z = self.expiry * theta2 / self.hh
-        # the density divides by z, so an underflow to 0 fails as an overflow
-        # does; a NaN fails both comparisons
-        if not (z.min() > 0.0 and z.max() < math.inf):
+            r = self.a / kappa(self.k, self.F, sigma, self.expiry)
+        # the density multiplies by r, so z past the double range fails at
+        # either end, as r = 0 or inf; a NaN fails both comparisons
+        if not (r.min() > 0.0 and r.max() < math.inf):
             raise NumericalError("one-step coefficients left the double range")
-        w = z / self.hs
-        lower = (-w * self.h_plus).tolist()  # multiplies value at node j-1
-        diag = (1.0 + z).tolist()
-        upper = (-w * self.h_minus).tolist()  # multiplies value at node j+1
-        diag[0] = diag[-1] = 1.0
-        upper[0] = lower[-1] = 0.0
-        return z, lower, diag, upper, w.item(self.n) * self.hp_n * self.hm_n
+        return r, 1.0 + r
 
     def eliminate(self, sigma: float):
-        """(z, tv_n, f, g) at ATM vol sigma.  Eliminating towards row n from
-        each end leaves tv_j = f_j tv_{j+1} below it (f from row 0 up) and
-        tv_j = g_j tv_{j-1} above it (g from the last row down), so
-        tv_n = s / (d_n + l_n f_{n-1} + u_n g_{n+1})."""
-        z, lower, diag, upper, source = self.at(sigma)
+        """(r, tv_n, p, q) at ATM vol sigma.  Eliminating towards row n from
+        each end leaves tv_j = (up_j / p_j) tv_{j+1} below it, with pivots p
+        from row 0 up, and tv_j = (lo_j / q_j) tv_{j-1} above it, with pivots
+        q from the last row down; row n then gives tv_n."""
+        r, d = self.diagonal(sigma)
         n = self.n
-        f = _eliminate_towards(diag[:n], lower[:n], upper[:n])
-        g = _eliminate_towards(diag[:n:-1], upper[:n:-1], lower[:n:-1])
-        piv = diag[n] + lower[n] * f[-1] + upper[n] * g[-1]
+        p = _pivots(d[:n].tolist(), self.c_left)
+        q = _pivots(d[:n:-1].tolist(), self.c_right)
+        piv = d.item(n) - self.c_left[-1] / p[-1] - self.c_right[-1] / q[-1]
         if abs(piv) < 1e-300:
             raise SingularPivot("zero pivot at the forward's row")
-        return z, source / piv, f, g
+        return r, self.source / piv, p, q
 
     def atm_time_value(self, sigma: float) -> float:
         """tv_n alone, with no back substitution."""
         return self.eliminate(sigma)[1]
 
 
-def _eliminate_towards(diag, outer, inner) -> list:
-    """Eliminate rows without a source in turn, on Python floats;
-    `outer` couples a row to the one before it and `inner` to the one after.
-    Returns the ratio f of each row, in order, with v_row = f v_next."""
-    ratios, f = [], 0.0
-    for b, a, u in zip(diag, outer, inner):
-        piv = b + a * f
-        if -1e-300 < piv < 1e-300:  # abs(piv) < 1e-300 without a call, per row
+def _pivots(diag, coupling) -> list:
+    """Pivots p_j = diag_j - coupling_j / p_{j-1} of rows without a source,
+    eliminated in turn on Python floats; coupling_0 is 0."""
+    pivots, p = [], 1.0
+    for d, c in zip(diag, coupling):
+        p = d - c / p
+        if -1e-300 < p < 1e-300:  # abs(p) < 1e-300 without a call, per row
             raise SingularPivot("zero pivot eliminating towards the forward's row")
-        f = -u / piv
-        ratios.append(f)
-    return ratios
+        pivots.append(p)
+    return pivots
 
 
 def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> PriceSurface:
@@ -307,23 +308,19 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
     Calls and puts are their intrinsic plus one time value tv.  The intrinsic
     is linear on the grid except at its kink at the forward, so tv solves the
     one-step matrix with a single source, at the forward's row, and every
-    row gives the density exactly: c''_j = 2 tv_j / (z_j h+_j h-_j).  The
+    row gives the density exactly: c''_j = 2 tv_j r_j / (h+_j h-_j).  The
     boundary rows give tv = 0 at the first and last interior nodes, and the
     end nodes, which have no row, stay at intrinsic too.  The elimination of
-    the fixed point gives tv at the forward, and its ratios carry it outward
-    to every other interior node.
+    the fixed point gives tv at the forward, and the ratios of its pivots
+    carry it outward to every other interior node.
     """
     rows = _OneStepRows(grid, params, slice_.expiry)
-    z, tv_n, f, g = rows.eliminate(slice_.atm_normal_vol)
-    m = rows.n + 1  # the forward's node
+    r, tv_n, p, q = rows.eliminate(slice_.atm_normal_vol)
+    n = rows.n
     tv = np.zeros(grid.size)
-    tv[1:m + 1] = np.cumprod([tv_n, *f[::-1]])[::-1]
-    tv[m + 1:-1] = np.cumprod([tv_n, *g[::-1]])[1:]
-
-    density = 2.0 * tv[1:-1] / (z * rows.hh)
-    # tv is zero at the first and last interior nodes, where the elimination
-    # leaves it as -0.0; write +0.0 so that no density reads as -0
-    density[0] = density[-1] = 0.0
+    tv[1:n + 2] = np.cumprod(np.append(tv_n, (rows.up[:n] / p)[::-1]))[::-1]
+    tv[n + 2:-1] = np.cumprod(np.append(tv_n, (rows.lo[:n:-1] / q)[::-1]))[1:]
+    density = 2.0 * tv[1:-1] * r / rows.hh
     return PriceSurface(grid=grid, slice=slice_, time_value=tv, density=density)
 
 

@@ -275,9 +275,10 @@ def thomas_solve(lower, diag, upper, rhs) -> np.ndarray:
     the right-hand side `rhs` (length N) by the Thomas algorithm.
 
     The general solver, without pivoting; a zero pivot raises SingularPivot.
-    The one-step rows have a single source and are eliminated towards it
-    instead (ah_engine).  The loops run on Python floats, which round
-    exactly as float64 numpy scalars do at a fraction of their cost.
+    The engine calls no general solver: it divides each one-step row by its
+    z and sweeps only the pivots towards the single source (ah_engine).  The
+    loops run on Python floats, which round exactly as float64 numpy scalars
+    do at a fraction of their cost.
     """
     n = len(diag)
     if len(lower) != n - 1 or len(upper) != n - 1 or len(rhs) != n:

@@ -419,15 +419,16 @@ class TestScalarPath:
                     assert got == want or (math.isnan(got) and math.isnan(want))
 
 
-def extended_precision_time_value(grid, z):
-    """tv over interior nodes from the assembled z, solved at mpmath's
-    working precision: the rows of solve_one_step and a Thomas solve with the
-    single source at the forward's interior row.  Returns tv, z, h+ and h-
-    as mpmath numbers."""
+def extended_precision_time_value(grid, r):
+    """tv over interior nodes from the rows' r = 1/z, solved at mpmath's
+    working precision: z = 1/r formed in mpmath, the rows of the one-step
+    matrix before they are divided by z, and a Thomas solve with the single
+    source at the forward's interior row.  Returns tv, z, h+ and h- as
+    mpmath numbers."""
     import mpmath
 
     k = [mpmath.mpf(v) for v in grid.strikes.tolist()]
-    z = [mpmath.mpf(v) for v in z.tolist()]
+    z = [1 / mpmath.mpf(v) for v in r.tolist()]
     h_minus, h_plus = np.diff(k[:-1]), np.diff(k[1:])
     w = [zj / (hp + hm) for zj, hp, hm in zip(z, h_plus, h_minus)]
     lower = [-wj * hp for wj, hp in zip(w, h_plus)]
@@ -491,13 +492,14 @@ class TestSolveOneStep:
         params = make_params()
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         slice_ = self_consistent_slice(grid, params, 5.0)
-        z = _OneStepRows(grid, params, 5.0).at(slice_.atm_normal_vol)[0]
-        assert np.all(z >= 0.0)
-        h_minus, h_plus = grid.steps()
-        w = z / (h_plus + h_minus)
-        # row sums: |diag| - |lower| - |upper| = 1 exactly
-        slack = (1.0 + z) - w * h_plus - w * h_minus
-        assert np.max(np.abs(slack - 1.0)) < 1e-12
+        rows = _OneStepRows(grid, params, 5.0)
+        r, diag = rows.diagonal(slice_.atm_normal_vol)
+        assert np.all(r > 0.0)  # r = 1/z
+        # each row divided by its z: |diag| - |lower| - |upper| = 1/z exactly
+        # on the coupled rows; the boundary rows are tv = 0
+        slack = diag - rows.lo - rows.up
+        assert np.all(np.abs(slack - r)[1:-1] < 1e-12 * diag[1:-1])
+        assert rows.up[0] == rows.lo[-1] == 0.0
 
     def test_grid_refinement_is_second_order(self):
         params = make_params()
@@ -515,27 +517,31 @@ class TestSolveOneStep:
         assert 3.5 < d1 / d2 < 4.5
 
     def test_one_elimination_for_calls_and_puts(self, monkeypatch):
-        # one elimination, for the time value that calls and puts share: the
-        # interior rows from each end towards the forward's row, once each
-        eliminate = ah_engine._eliminate_towards
-        eliminated = []
+        # one elimination, for the time value that calls and puts share: one
+        # kappa call, then one pivot sweep over the interior rows from each
+        # end towards the forward's row; each call is logged with the length
+        # of its first argument
+        calls = []
 
-        def counting(diag, outer, inner):
-            eliminated.append(len(diag))
-            return eliminate(diag, outer, inner)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append((name, len(args[0])))
+                return fn(*args)
+            monkeypatch.setattr(ah_engine, name, wrapper)
 
-        monkeypatch.setattr(ah_engine, "_eliminate_towards", counting)
+        counted("kappa", kappa)
+        counted("_pivots", ah_engine._pivots)
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         solve_one_step(grid, MarketSlice(5.0, 0.0095), make_params())
-        n = grid.forward_index - 1
-        assert eliminated == [n, grid.size - 3 - n]
+        n, m = grid.forward_index - 1, grid.size - 2
+        assert calls == [("kappa", m), ("_pivots", n), ("_pivots", m - 1 - n)]
         assert not hasattr(ah_engine, "thomas_solve")
 
     def test_density_against_extended_precision_solve(self):
         # the same assembled system solved in 50 digits.  On the beta = 1
         # grid a second difference of the solved prices missed by 2.3e-13 of
-        # the largest density; the row equation misses by 4.7e-15 (ED 3.0e-16)
-        # and the time value by 7.9e-15 per node (ED 2.3e-15).  The boundary
+        # the largest density; the row equation misses by 8.6e-15 (ED 6.0e-16)
+        # and the time value by 2.0e-14 per node (ED 4.1e-15).  The boundary
         # rows make tv exactly zero at the first and last interior nodes, in
         # both solves, so there it is held against the largest tv
         import mpmath
@@ -548,9 +554,9 @@ class TestSolveOneStep:
         ]
         for params, grid, T in cases:
             slice_ = self_consistent_slice(grid, params, T)
-            z = _OneStepRows(grid, params, T).at(slice_.atm_normal_vol)[0]
+            r = _OneStepRows(grid, params, T).diagonal(slice_.atm_normal_vol)[0]
             with mpmath.workdps(50):
-                tv, z, h_plus, h_minus = extended_precision_time_value(grid, z)
+                tv, z, h_plus, h_minus = extended_precision_time_value(grid, r)
                 exact = np.array([float(2 * tv[i] / (z[i] * h_plus[i] * h_minus[i]))
                                   for i in range(len(z))])
                 exact_tv = np.array([float(v) for v in tv])
@@ -592,6 +598,8 @@ class TestSolveOneStep:
                 assert tv.min() >= 0.0
                 edges = tv[2] / (k[2] - k[1]) + tv[-3] / (k[-2] - k[-3])
                 assert abs(surface.density_mass() + edges - 1.0) <= 1e-12
+                assert surface.edge_masses() == (tv[2] / (k[2] - k[1]),
+                                                 tv[-3] / (k[-2] - k[-3]))
 
     @pytest.mark.parametrize("expiry", [1e10, 1e12, 1e14])
     def test_large_expiry_absorbs_at_the_edges(self, expiry):
@@ -637,6 +645,27 @@ class TestSolveOneStep:
         assert ed_surface.density.min() >= -1e-12
         assert ed_surface.density_mass() == pytest.approx(1.0, abs=1e-3)
 
+    def test_published_fixture_pinned(self, ed_surface):
+        # the ED numbers as the one-step rows gave them before they were
+        # divided by z; that change moved none of them by more than 3e-15.
+        # The grid has 42 nodes below the forward, so the lower wing is
+        # pinned 40 nodes out, at the lowest node where tv is not zero
+        grid, density = ed_surface.grid, ed_surface.density
+        h_minus, h_plus = grid.steps()
+        mean = float(np.sum(density * (0.5 * (h_minus + h_plus)) * grid.strikes[1:-1]))
+        n = grid.forward_index
+        tv = ed_surface.time_value[[n - 40, n - 20, n, n + 20, n + 60]]
+        pinned = [
+            (ed_surface.slice.atm_normal_vol, 0.0023101927368418033),
+            (ed_surface.density_mass(), 0.9999887028278079),
+            (mean, 0.002500550737144364),
+            *zip(tv.tolist(), [1.4121465240078481e-08, 4.540130598697586e-06,
+                               0.0013626469822093522, 1.0011855889629138e-05,
+                               1.3264512971244612e-09]),
+        ]
+        for got, want in pinned:
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
 
 class TestSelfConsistentSlice:
     def test_fixed_point_residual(self):
@@ -670,10 +699,28 @@ class TestSelfConsistentSlice:
             atm = _OneStepRows(grid, params, T).atm_time_value(sigma)
             assert atm == surface.time_value[grid.forward_index]
 
+    def test_pivots_stay_above_their_coupling(self):
+        # with lo_j + up_j = 1 on the coupled rows and r > 0, each left pivot
+        # is at least up_j + r_j and each right pivot at least lo_j + r_j, so
+        # once r has passed the range check no pivot can reach the
+        # SingularPivot guard.  The smallest ratio here is about 1.005
+        ed = build_uniform_grid(*ED_GRID, ED_FORWARD)
+        beta1 = make_params(alpha=0.4, beta=1.0)
+        cases = [*((ed, SabrParams(**ED_PARAMS), T)
+                   for T in (ED_EXPIRY, 1e10, 1e12, 1e14)),
+                 *self.a1_grids(10), (stretched_grid(0.02, beta1, 5.0)[0], beta1, 5.0)]
+        for grid, params, T in cases:
+            sigma = self_consistent_slice(grid, params, T).atm_normal_vol
+            rows = _OneStepRows(grid, params, T)
+            _, _, p, q = rows.eliminate(sigma)
+            n = rows.n
+            assert np.all(np.array(p) >= rows.up[:n] * (1.0 - 1e-12))
+            assert np.all(np.array(q) >= rows.lo[:n:-1] * (1.0 - 1e-12))
+
     def test_one_full_solve_per_surface(self, monkeypatch):
-        # each evaluation, the fixed point's six and the surface's, builds
-        # the rows once (one kappa call) and eliminates them once from each
-        # end; only solve_one_step carries the ratios outward
+        # each evaluation, the fixed point's six and the surface's, calls
+        # kappa once for the diagonal and sweeps the pivots once from each
+        # end; only solve_one_step carries their ratios outward
         calls = []
 
         def counted(name, fn):
@@ -684,10 +731,10 @@ class TestSelfConsistentSlice:
 
         counted("solve_one_step", solve_one_step)
         counted("kappa", kappa)
-        counted("_eliminate_towards", ah_engine._eliminate_towards)
+        counted("_pivots", ah_engine._pivots)
         grid = build_uniform_grid(*ED_GRID, ED_FORWARD)
         price_self_consistent(grid, SabrParams(**ED_PARAMS), ED_EXPIRY)
-        evaluation = ["kappa", "_eliminate_towards", "_eliminate_towards"]
+        evaluation = ["kappa", "_pivots", "_pivots"]
         assert calls == 6 * evaluation + ["solve_one_step", *evaluation]
 
     def test_secant_evaluation_count(self, monkeypatch):
@@ -743,15 +790,17 @@ class TestSelfConsistentSlice:
 
     def test_zero_pivot(self, monkeypatch):
         # decoupled rows, one with a zero diagonal: above, below and at the
-        # forward's row
+        # forward's row.  1 + r with r > 0 never gives one (see
+        # test_pivots_stay_above_their_coupling), so the diagonal is patched
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         rows = _OneStepRows(grid, make_params(), 5.0)
+        rows.c_left = [0.0] * len(rows.c_left)
+        rows.c_right = [0.0] * len(rows.c_right)
         m = grid.size - 2
         for row in (0, m - 1, rows.n):
             diag = np.ones(m)
             diag[row] = 0.0
-            decoupled = (None, np.zeros(m), diag, np.zeros(m), 1.0)
-            monkeypatch.setattr(rows, "at", lambda sigma: decoupled)
+            monkeypatch.setattr(rows, "diagonal", lambda sigma, d=diag: (None, d))
             with pytest.raises(SingularPivot):
                 rows.atm_time_value(0.01)
 
@@ -771,9 +820,9 @@ class TestSelfConsistentSlice:
         grid = build_uniform_grid(*ED_GRID, ED_FORWARD)
         T = 1e-60
         vol = self_consistent_slice(grid, params, T).atm_normal_vol
-        z = _OneStepRows(grid, params, T).at(vol)[0]
+        r = _OneStepRows(grid, params, T).diagonal(vol)[0]
         with mpmath.workdps(50):
-            tv = extended_precision_time_value(grid, z)[0][grid.forward_index - 1]
+            tv = extended_precision_time_value(grid, r)[0][grid.forward_index - 1]
             exact = float(tv * mpmath.sqrt(2 * mpmath.pi / mpmath.mpf(T)))
         assert vol == pytest.approx(exact, rel=1e-13)
 

@@ -98,17 +98,19 @@ class TestAlphaFromStraddle:
 
 class TestZCoefficients:
     def test_matches_assembled_system(self):
+        import mpmath
+
         params = SabrParams(alpha=0.02, beta=0.4, rho=-0.2, nu=0.3, shift=0.03)
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         slice_ = self_consistent_slice(grid, params, 5.0)
         surface = price_self_consistent(grid, params, 5.0)
         q = extract_quote_set(surface)
-        z = _OneStepRows(grid, params, 5.0).at(slice_.atm_normal_vol)[0]
+        r = _OneStepRows(grid, params, 5.0).diagonal(slice_.atm_normal_vol)[0]
         n = grid.forward_index
         z_minus, z_plus = z_coefficients(q)
-        # z is indexed over interior nodes
-        assert z_minus == pytest.approx(z[n - 2], rel=1e-9)
-        assert z_plus == pytest.approx(z[n], rel=1e-9)
+        # the rows keep r = 1/z, indexed over interior nodes
+        assert z_minus == pytest.approx(float(1 / mpmath.mpf(r[n - 2])), rel=1e-9)
+        assert z_plus == pytest.approx(float(1 / mpmath.mpf(r[n])), rel=1e-9)
 
     def test_degenerate_butterfly(self):
         q = uniform_quote_set(p_minus2=0.0029)
