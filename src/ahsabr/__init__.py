@@ -42,12 +42,6 @@ from .market_io import (
     write_quotes,
     write_report,
 )
-from .numerics import (
-    bachelier_implied_vol,
-    bachelier_price,
-    norm_cdf,
-    norm_pdf,
-    thomas_solve,
-)
+from .numerics import bachelier_implied_vol, thomas_solve
 
 __version__ = "0.1.0"

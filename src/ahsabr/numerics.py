@@ -1,6 +1,6 @@
-"""Normal distribution kernels, the Mills-ratio complement 1 - x M(x) that
-kappa and the vol inversion share, Bachelier pricing and inversion, and the
-tridiagonal solver.
+"""The normal CDF, the Mills-ratio complement 1 - x M(x) that kappa and the
+vol inversion share, the Bachelier vol inversion, and thomas_solve, a general
+tridiagonal solver that the engine does not call.
 
 Everything here is a pure function of numpy and the standard library; all
 other modules build on this one.
@@ -32,20 +32,9 @@ def is_scalar(x) -> bool:
     return isinstance(x, float) or np.ndim(x) == 0
 
 
-def norm_pdf(x):
-    """Standard normal density exp(-x^2/2)/sqrt(2*pi). Accepts scalars or arrays."""
-    with np.errstate(over="ignore"):
-        # x^2 overflowing to inf still maps to the correct density of 0
-        return np.exp(-0.5 * np.square(x)) / SQRT_2PI
-
-
 def norm_cdf(x):
-    """Standard normal CDF via the complementary error function."""
-    if is_scalar(x):
-        return 0.5 * math.erfc(-float(x) * _INV_SQRT2)
-    x = np.asarray(x, dtype=float)
-    # element by element through the scalar branch, so both agree bit for bit
-    return np.array([norm_cdf(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    """Standard normal CDF of a scalar via the complementary error function."""
+    return 0.5 * math.erfc(-float(x) * _INV_SQRT2)
 
 
 # W. J. Cody, "Rational Chebyshev approximations for the error function",
@@ -93,8 +82,8 @@ def _erfcx(y: float) -> float:
     """exp(y^2) erfc(y) for a float y >= 0, Cody's three ranges."""
     if y <= 0.46875:
         t = y * y
-        # only a negative y past -26.6, outside mills_ratio's domain, takes
-        # exp past the double range; numpy's exp gives inf there
+        # only a negative y past -26.6, outside one_minus_x_mills' domain,
+        # takes exp past the double range; numpy's exp gives inf there
         scale = math.exp(t) if t <= _LOG_MAX else math.inf
         return scale * (1.0 - y * _cody_ratio(_CODY[0], t))
     if y <= 4.0:
@@ -120,40 +109,13 @@ def _cody_ratios(t: np.ndarray) -> np.ndarray:
     return values[:3] / values[3:]
 
 
-def _erfcx_array(y: np.ndarray) -> np.ndarray:
-    """_erfcx over a 1-d array, every element at its range's t."""
-    small = y <= 0.46875
-    big = y > 4.0
-    inv = 1.0 / np.maximum(y, 4.0)  # 1/y wherever it is used
-    t = np.where(big, inv * inv, y)
-    t = np.where(small, t * t, t)
-    q = _cody_ratios(t)
-    return np.where(small, np.exp(t) * (1.0 - y * q[0]),
-                    np.where(big, (_INV_SQRT_PI - t * q[2]) * inv, q[1]))
-
-
-def mills_ratio(x):
-    """Phi(-x)/phi(x) for x >= 0, stable for arbitrarily large x.
-
-    Uses the scaled complementary error function, so neither the tail CDF nor
-    the density is ever formed on its own (both underflow past x ~ 38).  A
-    scalar stays on floats and the math module.  No module of the package
-    calls it since kappa and the vol inversion read one_minus_x_mills; the
-    tests keep it as their oracle.
-    """
-    if is_scalar(x):
-        return _SQRT_HALF_PI * _erfcx(float(x) * _INV_SQRT2)
-    x = np.asarray(x, dtype=float)
-    return _SQRT_HALF_PI * _erfcx_array(x.ravel() * _INV_SQRT2).reshape(x.shape)
-
-
 def one_minus_x_mills(x):
     """q(x) = 1 - x M(x) for x >= 0: 1 at x = 0, falling to 0 like 1/x^2.
 
     With y = x/sqrt(2) past 4, Cody's third range gives it directly as
     sqrt(pi) t R(t), t = 2/x^2, with no subtraction.  Up to y = 4 it is
-    1 - x (sqrt(pi/2) erfcx(y)), as mills_ratio forms it; that difference
-    gives up log10(1/q) digits, about 1.5 at y = 4.  An infinite x gives 0.
+    1 - x M(x) with M(x) = sqrt(pi/2) erfcx(y); that difference gives up
+    log10(1/q) digits, about 1.5 at y = 4.  An infinite x gives 0.
     A scalar stays on floats and the math module.
     """
     if is_scalar(x):
@@ -175,26 +137,6 @@ def one_minus_x_mills(x):
     erfcx = np.where(small, np.exp(t) * (1.0 - y * r[0]), r[1])
     q = np.where(big, _SQRT_PI * t * r[2], 1.0 - flat * (_SQRT_HALF_PI * erfcx))
     return q.reshape(x.shape)
-
-
-def bachelier_price(F, k, sigma, T, kind="call"):
-    """Undiscounted Bachelier (normal) option price.
-
-    sigma is the annualized normal volatility; at k == F both call and put
-    equal sigma * sqrt(T / (2*pi)).
-    """
-    if sigma <= 0.0 or T <= 0.0:
-        raise ValueError("bachelier_price requires sigma > 0 and T > 0")
-    s = sigma * math.sqrt(T)
-    m = F - k
-    d = m / s
-    call = m * norm_cdf(d) + s * norm_pdf(d)
-    if kind == "call":
-        return call
-    if kind == "put":
-        # parity keeps call - put == F - k exact to the last bit
-        return call - m
-    raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
 
 
 def bachelier_otm_vols(time_value, distance, T):

@@ -34,12 +34,7 @@ from ahsabr.errors import (
     PriceOutOfBounds,
     SingularPivot,
 )
-from ahsabr.numerics import (
-    bachelier_implied_vol,
-    bachelier_price,
-    mills_ratio,
-    norm_pdf,
-)
+from ahsabr.numerics import bachelier_implied_vol
 
 from conftest import (
     ED_ATM_PRICE_POINTS,
@@ -52,6 +47,7 @@ from conftest import (
     mass_setup,
     stretched_grid,
 )
+from oracles import bachelier_price, mills_ratio, norm_pdf
 
 
 def make_params(**kw):
@@ -450,6 +446,37 @@ def extended_precision_time_value(grid, r):
     return tv, z, h_plus, h_minus
 
 
+def extended_precision_lower_edge_mass(u, n, params, sigma, T):
+    """The mass beyond the lower edge, tv_2 / (k_2 - k_1), of the divided
+    one-step rows of a beta = 1 slice at mpmath's working precision.  The
+    nodes are given as u = k + b (increasing mpmath numbers, the forward at
+    node n), so a wing may reach far below the smallest double k + b.  Each
+    row is _OneStepRows' with theta^2 = local_vol^2 kappa formed in mpmath,
+    the first and last interior rows absorb (tv = 0), and a Thomas solve
+    with the single source at row n gives tv."""
+    import mpmath
+
+    alpha, rho, nu, T = (mpmath.mpf(v) for v in (params.alpha, params.rho, params.nu, T))
+    s = mpmath.mpf(sigma) * mpmath.sqrt(T)
+    c, d = [mpmath.mpf(0)], [mpmath.mpf(0)]  # tv_j = d_j + c_j tv_{j+1}
+    for j in range(1, len(u) - 1):
+        h_minus, h_plus = u[j] - u[j - 1], u[j + 1] - u[j]
+        y = mpmath.log(u[n] / u[j]) / alpha
+        xi = abs(u[n] - u[j]) / s
+        kappa = 2 * (1 - xi * mpmath.ncdf(-xi) / mpmath.npdf(xi))
+        theta2 = (alpha * u[j]) ** 2 * (1 - 2 * rho * nu * y + (nu * y) ** 2) * kappa
+        r = h_plus * h_minus / (T * theta2)
+        hs = h_plus + h_minus
+        lo, up = (0, 0) if j in (1, len(u) - 2) else (h_plus / hs, h_minus / hs)
+        piv = 1 + r - lo * c[-1]
+        c.append(up / piv)
+        d.append(((h_plus * h_minus / hs if j == n else 0) + lo * d[-1]) / piv)
+    tv = [mpmath.mpf(0)]  # the last node
+    for cj, dj in zip(c[:0:-1], d[:0:-1]):
+        tv.append(dj + cj * tv[-1])
+    return tv[-2] / (u[2] - u[1])
+
+
 class TestSolveOneStep:
     def test_bachelier_limit(self):
         # beta = 0, nu = 0: the model is a normal model; on a fine wide grid
@@ -600,6 +627,41 @@ class TestSolveOneStep:
                 assert abs(surface.density_mass() + edges - 1.0) <= 1e-12
                 assert surface.edge_masses() == (tv[2] / (k[2] - k[1]),
                                                  tv[-3] / (k[-2] - k[-3]))
+
+    def test_beta_one_lower_edge_mass_survives_a_resolved_wing(self):
+        # A6's draw 24 (seed 20260825) misses unit mass by its lower-edge
+        # mass, 8.80e-2.  Its mass grid stops at L = log((F+b)/(k+b)) = 28.7,
+        # where k + b nears the double resolution of k.  A wing of nodes
+        # uniform in L with dL = 1 out to L = 300, solved in 30 digits at the
+        # same ATM vol, still carries 8.71e-2 past its edge (measured -1.0%),
+        # and halving dL moves that by 0.1%: the mass goes to k + b = 0 and
+        # no resolved wing holds it.  On the unextended grid the 30-digit
+        # rows give the library's edge mass within 2.2e-15
+        import mpmath
+
+        rng = np.random.default_rng(20260825)
+        d = [draw_parameters(rng) for _ in range(25)][24]
+        params, grid, _ = mass_setup(
+            0.02, d["alpha"], d["beta"], d["rho"], d["nu"], d["T"]
+        )
+        surface = price_self_consistent(grid, params, d["T"])
+        sigma, n = surface.slice.atm_normal_vol, grid.forward_index
+        below = surface.edge_masses()[0]
+        with mpmath.workdps(30):
+            b = mpmath.mpf(params.shift)
+            u = [mpmath.mpf(k) + b for k in grid.strikes.tolist()]
+            edge = extended_precision_lower_edge_mass(u, n, params, sigma, d["T"])
+            assert float(edge) == pytest.approx(below, rel=1e-12)
+            edge_l = mpmath.log(u[n] / u[0])
+            masses = []
+            for step in (1, 0.5):
+                count = int(mpmath.ceil((300 - edge_l) / step))
+                wing = [u[n] * mpmath.exp(-(edge_l + i * step))
+                        for i in range(count, 0, -1)]
+                masses.append(float(extended_precision_lower_edge_mass(
+                    wing + u, n + count, params, sigma, d["T"])))
+        assert masses[0] == pytest.approx(below, rel=0.05)
+        assert masses[1] == pytest.approx(masses[0], rel=0.01)
 
     @pytest.mark.parametrize("expiry", [1e10, 1e12, 1e14])
     def test_large_expiry_absorbs_at_the_edges(self, expiry):
