@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .errors import (
     ConvergenceError,
     ForwardTooCloseToBoundary,
@@ -23,7 +22,7 @@ from .errors import (
     NumericalError,
     SingularPivot,
 )
-from .numerics import is_scalar, one_minus_x_mills
+from .numerics import atm_normal_vol, bachelier_otm_vols, is_scalar, one_minus_x_mills
 
 FIXED_POINT_TOL = 1e-13  # relative change of sigma that ends the ATM fixed point
 FIXED_POINT_MAX_ITER = 50  # evaluations; the secant takes 6 or 7 on ED and A1 grids
@@ -55,8 +54,8 @@ class SabrParams:
 
 @dataclass(frozen=True)
 class MarketSlice:
-    """Expiry and the ATM normal vol; the ATM price follows from the vol
-    through the one-step ATM identity price = vol * sqrt(T / (2*pi))."""
+    """Expiry and the ATM normal vol, which fixes the ATM price by the one-step
+    ATM identity price = vol * sqrt(T / (2*pi)) (numerics.atm_normal_vol)."""
 
     expiry: float
     atm_normal_vol: float
@@ -66,10 +65,6 @@ class MarketSlice:
             raise ValueError("expiry must be positive")
         if not self.atm_normal_vol > 0.0:
             raise ValueError("atm_normal_vol must be positive")
-
-    @property
-    def atm_price(self) -> float:
-        return self.atm_normal_vol * math.sqrt(self.expiry / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -335,10 +330,9 @@ def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> Mark
     rows = _OneStepRows(grid, params, expiry)
     sigma = params.alpha * (grid.forward + params.shift) ** params.beta
     MarketSlice(expiry, sigma)  # rejects an expiry that is not positive
-    to_vol = math.sqrt(2.0 * math.pi / expiry)
     last = None  # (sigma, g) of the evaluation before
     for _ in range(FIXED_POINT_MAX_ITER):
-        vol = rows.atm_time_value(sigma) * to_vol
+        vol = atm_normal_vol(rows.atm_time_value(sigma), expiry)
         if not 0.0 < vol < math.inf:
             raise ConvergenceError("ATM fixed point left the positive domain")
         g = vol - sigma
@@ -366,15 +360,15 @@ def otm_vol_curve(strikes, prices, F, T) -> np.ndarray:
 
     Strikes whose price is at or below intrinsic within tolerance, or not
     finite, are marked absent (NaN).  All other strikes off the forward are
-    inverted together in one call.
+    inverted together in one call, and the forward reads the ATM identity.
     """
     k, prices = np.asarray(strikes, dtype=float), np.asarray(prices, dtype=float)
     priced = np.isfinite(prices) & (prices > 1e-16 * (1.0 + abs(F)))
     out = np.full(k.size, np.nan)
     wing = priced & (k != F)
-    out[wing] = numerics.bachelier_otm_vols(prices[wing], np.abs(k[wing] - F), T)
-    for n in np.flatnonzero(priced & (k == F)):
-        out[n] = numerics.bachelier_implied_vol(prices[n], F, F, T)
+    out[wing] = bachelier_otm_vols(prices[wing], np.abs(k[wing] - F), T)
+    atm = priced & (k == F)
+    out[atm] = atm_normal_vol(prices[atm], T)
     return out
 
 

@@ -24,8 +24,7 @@ from .errors import (
     RhoOutOfRange,
     UnstableDifferences,
 )
-
-TWO_PI = 2.0 * math.pi
+from .numerics import atm_normal_vol
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class QuoteSet:
     @property
     def sigma_atm(self) -> float:
         """ATM normal vol implied by the ATM identity price = vol*sqrt(T/2pi)."""
-        return self.atm * math.sqrt(TWO_PI / self.expiry)
+        return atm_normal_vol(self.atm, self.expiry)
 
     @property
     def p_plus1(self) -> float:
@@ -304,14 +303,15 @@ def limiting_params(
         fine = _second_difference(price_curve, k, 0.5 * h)
         return (4.0 * fine - coarse) / 3.0
 
+    level = _cev_level(F, beta, b)
     atm = price_curve(F)
-    sigma_atm = atm * math.sqrt(TWO_PI / T)
+    sigma_atm = atm_normal_vol(atm, T)
 
     def evaluate(h: float):
         pdf_atm = pdf(F, h)
         if pdf_atm <= 0.0:
             raise DegenerateStraddle("price curve has non-positive ATM density")
-        alpha = math.sqrt(atm / (T * pdf_atm)) / (F + b) ** beta
+        alpha = math.sqrt(atm / (T * pdf_atm)) / level
         params0 = SabrParams(alpha=alpha, beta=beta, rho=0.0, nu=0.0, shift=b)
 
         def k_of_y(y: float) -> float:

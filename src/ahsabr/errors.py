@@ -26,10 +26,6 @@ class NonpositiveShiftedStrike(NumericalError):
     """Strike plus shift is not positive; the CEV map is undefined there."""
 
 
-class ForwardTooCloseToBoundary(NumericalError):
-    """Grid would leave fewer than two nodes on one side of the forward."""
-
-
 class DegenerateStraddle(NumericalError):
     """ATM straddle quotes are inconsistent with a positive ATM density."""
 
@@ -52,6 +48,10 @@ class UnstableDifferences(NumericalError):
 
 class ConvergenceError(NumericalError):
     """A fixed-point or root-finding iteration failed to converge."""
+
+
+class ForwardTooCloseToBoundary(ConfigError):
+    """Grid would leave fewer than two nodes on one side of the forward."""
 
 
 class MalformedRow(ConfigError):

@@ -168,18 +168,18 @@ def fmt(x: float) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a CSV file with LF endings: strings as given, numbers through
-    fmt, and an empty cell where a number is undefined (NaN)."""
+    """Write a CSV file with LF endings through csv.writer, which quotes a cell
+    holding a comma or a quote: numbers through fmt, a NaN as an empty cell."""
 
     def cell(x) -> str:
         if isinstance(x, str):
             return x
         return "" if math.isnan(x) else fmt(x)
 
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(x) for x in row) + "\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(cell, row) for row in rows)
 
 
 def _to_json(obj, where: str, indent: int) -> str:

@@ -1,6 +1,6 @@
 """The normal CDF, the Mills-ratio complement 1 - x M(x) that kappa and the
-vol inversion share, the Bachelier vol inversion, and thomas_solve, a general
-tridiagonal solver that the engine does not call.
+vol inversion share, the ATM identity, the Bachelier vol inversion, and
+thomas_solve, a general tridiagonal solver that the engine does not call.
 
 Everything here is a pure function of numpy and the standard library; all
 other modules build on this one.
@@ -139,6 +139,12 @@ def one_minus_x_mills(x):
     return q.reshape(x.shape)
 
 
+def atm_normal_vol(price, T):
+    """Normal vol of an at-the-money option from its price, elementwise, by the
+    ATM identity price = vol * sqrt(T / (2 pi)): the package's one spelling."""
+    return price * math.sqrt(2.0 * math.pi / T)
+
+
 def bachelier_otm_vols(time_value, distance, T):
     """Annualized normal vols of options from their time values, one per
     element: time_value > 0, distance = |F - k| > 0 and the expiry T > 0
@@ -207,7 +213,7 @@ def bachelier_implied_vol(price, F, k, T, kind="call"):
             f"price {price} is at or below intrinsic for strike {k}"
         )
     if k == F:
-        return price * SQRT_2PI / math.sqrt(T)
+        return atm_normal_vol(price, T)
     return float(bachelier_otm_vols([time_value], [abs(F - k)], T)[0])
 
 

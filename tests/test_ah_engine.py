@@ -34,7 +34,7 @@ from ahsabr.errors import (
     PriceOutOfBounds,
     SingularPivot,
 )
-from ahsabr.numerics import bachelier_implied_vol
+from ahsabr.numerics import atm_normal_vol, bachelier_implied_vol
 
 from conftest import (
     ED_ATM_PRICE_POINTS,
@@ -73,13 +73,15 @@ class TestSabrParams:
 
 class TestMarketSlice:
     def test_atm_identity_links_fields(self):
-        s = MarketSlice(2.0, 0.0095)
-        assert s.atm_price == pytest.approx(
-            0.0095 * math.sqrt(2.0 / (2.0 * math.pi)), rel=1e-15
-        )
-        assert s.atm_price * math.sqrt(2.0 * math.pi / 2.0) == pytest.approx(
-            0.0095, rel=1e-14
-        )
+        # numerics.atm_normal_vol and its inverse, price = vol * sqrt(T / 2 pi)
+        price = 0.0095 * math.sqrt(2.0 / (2.0 * math.pi))
+        vol = MarketSlice(2.0, atm_normal_vol(price, 2.0)).atm_normal_vol
+        assert vol == pytest.approx(price / math.sqrt(2.0 / (2.0 * math.pi)), rel=1e-15)
+        assert vol == pytest.approx(0.0095, rel=1e-14)
+        assert vol * math.sqrt(2.0 / (2.0 * math.pi)) == pytest.approx(price, rel=1e-14)
+        # elementwise on arrays, with the scalar's bits
+        assert atm_normal_vol(np.array([price, 2.0 * price]), 2.0).tolist() == [
+            vol, atm_normal_vol(2.0 * price, 2.0)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -736,7 +738,7 @@ class TestSelfConsistentSlice:
         slice_ = self_consistent_slice(grid, params, 5.0)
         surface = solve_one_step(grid, slice_, params)
         atm = surface.time_value[grid.forward_index]
-        assert atm == pytest.approx(slice_.atm_price, rel=1e-12)
+        assert atm_normal_vol(atm, 5.0) == pytest.approx(slice_.atm_normal_vol, rel=1e-12)
 
     @staticmethod
     def a1_grids(count):
@@ -760,6 +762,16 @@ class TestSelfConsistentSlice:
             surface = solve_one_step(grid, MarketSlice(T, sigma), params)
             atm = _OneStepRows(grid, params, T).atm_time_value(sigma)
             assert atm == surface.time_value[grid.forward_index]
+
+    def test_vol_curve_reads_the_quote_sets_sigma_atm(self):
+        # the vol curve at the forward and the calibration's sigma_ATM are one
+        # ATM identity, so they agree bit for bit, on ED and the first 50 A1 grids
+        ed = build_uniform_grid(*ED_GRID, ED_FORWARD)
+        for grid, params, T in [(ed, SabrParams(**ED_PARAMS), ED_EXPIRY),
+                                *self.a1_grids(50)]:
+            surface = price_self_consistent(grid, params, T)
+            vol = implied_vol_curve(surface)[grid.forward_index]
+            assert vol == extract_quote_set(surface).sigma_atm
 
     def test_pivots_stay_above_their_coupling(self):
         # with lo_j + up_j = 1 on the coupled rows and r > 0, each left pivot
@@ -976,7 +988,8 @@ class TestExtractQuoteSet:
             assert step == pytest.approx(h, rel=1e-12)
         assert q.p_minus2 == surface.puts[n - 2]
         assert q.c_plus2 == surface.calls[n + 2]
-        assert q.atm == pytest.approx(surface.slice.atm_price, rel=1e-12)
+        assert atm_normal_vol(q.atm, q.expiry) == pytest.approx(
+            surface.slice.atm_normal_vol, rel=1e-12)
 
     def test_non_uniform_steps_match_differences(self):
         params = make_params()

@@ -215,14 +215,26 @@ class TestCalibrate:
 
 
 class TestLevelRange:
-    @pytest.mark.parametrize("beta,b", [(1.5, 0.03), (0.4, -0.02), (0.4, -0.03)])
+    # at F = 0.02, b = -0.02 puts F + b at 0 and b = -0.03 below it
+    CASES = [(1.5, 0.03), (0.4, -0.02), (0.4, -0.03)]
+    PARAMS = SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.30, shift=0.03)
+
+    @pytest.mark.parametrize("beta,b", CASES)
     @pytest.mark.parametrize("calib", [calibrate, calibrate_uniform])
     def test_out_of_range_rejected_before_the_power(self, calib, beta, b):
-        # at F = 0.02, b = -0.02 puts F + b at 0 and b = -0.03 below it
-        params = SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.30, shift=0.03)
-        q, _ = solved_quotes(params)
+        q, _ = solved_quotes(self.PARAMS)
         with pytest.raises(ValueError, match="out of range"):
             calib(q, beta, b)
+
+    @pytest.mark.parametrize("beta,b", CASES)
+    def test_limit_rejects_out_of_range_level(self, beta, b):
+        F, T = 0.02, 1.0
+
+        def curve(k):
+            return hagan_price(k, F, T, self.PARAMS)
+
+        with pytest.raises(ValueError, match="out of range"):
+            limiting_params(curve, F, T, beta, b, 1e-4)
 
 
 class TestCalibrateUniform:

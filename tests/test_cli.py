@@ -534,6 +534,16 @@ class TestConfigHandling:
         assert_one_line_error(capsys, "grid.count must be at least 5")
         assert not out.exists()
 
+    def test_forward_within_two_nodes_of_edge_exit_2(self, tmp_path, capsys):
+        # lo 0.2% leaves the 0.25% forward within half a step of the lowest
+        # node: an input error, as a forward outside the grid is
+        out = tmp_path / "surface.csv"
+        cfg = ed_config(tmp_path, out, grid={
+            "lo_pct": 0.2, "hi_pct": pct(ED_GRID[1]), "count": ED_GRID[2]})
+        assert main(["price", "--config", cfg]) == 2
+        assert_one_line_error(capsys, "two nodes on one side")
+        assert not out.exists()
+
     def test_non_integer_grid_count_exit_2(self, tmp_path):
         out = tmp_path / "surface.csv"
         cfg = write_config(

@@ -141,6 +141,15 @@ class TestParseQuotes:
         write_quotes(path, quotes)
         assert parse_quotes(path) == quotes
 
+    @pytest.mark.parametrize("contract", ["ED,H3", '"EDH3"'])
+    def test_write_then_parse_quotes_a_comma_or_quote(self, tmp_path, contract):
+        # a contract with a comma must not split its row, and one with quote
+        # characters must keep them
+        quotes = [make_quote(contract=contract)]
+        path = tmp_path / "out.csv"
+        write_quotes(path, quotes)
+        assert parse_quotes(path) == quotes
+
 
 def surface_rate_quotes(surface, around=2):
     """OTM rate quotes at the five calibration strikes of a solved surface."""
