@@ -25,7 +25,11 @@ QUOTE_HEADER = ["contract", "quote_date", "kind", "strike_price", "last"]
 
 @dataclass(frozen=True)
 class FuturesOptionQuote:
-    """One exchange quote: option on the futures price."""
+    """One exchange quote: option on the futures price.  The contract and the
+    quote date are text that the CSV file carries as it is: no leading or
+    trailing whitespace, which parse_quotes strips, no carriage return, on
+    which the reader would end the row, no more characters than the reader's
+    field limit and nothing UTF-8 cannot encode."""
 
     contract: str
     quote_date: str
@@ -34,6 +38,16 @@ class FuturesOptionQuote:
     last: float  # premium in price points
 
     def __post_init__(self):
+        for name in ("contract", "quote_date"):
+            text = getattr(self, name)
+            if (not isinstance(text, str) or text != text.strip() or "\r" in text
+                    or len(text) > csv.field_size_limit()):
+                raise ValueError(
+                    f"{name} must be text with no surrounding whitespace, no "
+                    f"carriage return and at most {csv.field_size_limit()} "
+                    f"characters, got {repr(text)[:60]}"
+                )
+            text.encode("utf-8")  # UnicodeEncodeError, a ValueError, on a surrogate
         if self.kind not in ("C", "P"):
             raise ValueError(f"kind must be 'C' or 'P', got {self.kind!r}")
         if not 0.0 < self.strike_price < 200.0:

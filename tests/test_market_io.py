@@ -2,11 +2,15 @@
 errors, the price/rate involution, quote-set assembly with parity completion,
 and lossless JSON report round trips."""
 
+import csv
 import json
 import math
+import pathlib
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ahsabr as ah
 from ahsabr.ah_engine import build_uniform_grid, extract_quote_set, price_self_consistent
@@ -51,6 +55,33 @@ class TestFuturesOptionQuote:
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             make_quote(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        dict(contract=" EDH3"), dict(contract="EDH3 "), dict(contract="EDH3\n"),
+        dict(contract="\u2028EDH3"), dict(contract=" "), dict(contract="ED\rH3"),
+        dict(quote_date="2021-01-04\t"), dict(contract=None), dict(contract="ED\ud800"),
+        dict(contract="E" * (csv.field_size_limit() + 1)),
+    ])
+    def test_text_the_csv_cannot_carry(self, bad):
+        # parse_quotes strips every cell, the reader ends a row at a carriage
+        # return and refuses a field past its limit, so such a quote would
+        # come back changed, split or not at all
+        with pytest.raises(ValueError):
+            make_quote(**bad)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(contract=st.text(), quote_date=st.text(), kind=st.sampled_from("CP"),
+           strike=st.floats(0.0, 200.0, exclude_min=True, exclude_max=True),
+           last=st.floats(0.0, allow_infinity=False))
+    def test_every_quote_round_trips(self, contract, quote_date, kind, strike, last):
+        try:
+            quote = FuturesOptionQuote(contract, quote_date, kind, strike, last)
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "quotes.csv"
+            write_quotes(path, [quote])
+            assert parse_quotes(path) == [quote]
 
 
 class TestRateConversion:
