@@ -161,8 +161,8 @@ def _build_surface(config: dict):
 
 
 def cmd_price(config: dict) -> int:
-    surface = _build_surface(config)
     out = _path(config, "out", "output")
+    surface = _build_surface(config)
     vols = implied_vol_curve(surface)
     strikes = surface.grid.strikes
     # density is defined on interior nodes only; boundary cells stay empty
@@ -174,8 +174,8 @@ def cmd_price(config: dict) -> int:
 
 
 def cmd_density(config: dict) -> int:
-    surface = _build_surface(config)
     out = _path(config, "out", "output")
+    surface = _build_surface(config)
     strikes = surface.grid.strikes[1:-1]
     density = surface.density
     write_csv(out, ("strike", "density"), zip(strikes, density))

@@ -15,7 +15,7 @@ class NumericalError(AhSabrError):
 
 
 class PriceOutOfBounds(NumericalError):
-    """Option price outside the invertible (intrinsic, upper-bound) range."""
+    """A source model gave recalibrate a price that is not positive and finite."""
 
 
 class SingularPivot(NumericalError):

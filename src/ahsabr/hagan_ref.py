@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 from .ah_engine import SabrParams
+from .errors import NonpositiveShiftedStrike
 from .numerics import norm_cdf
 
 _ATM_LOG_TOL = 1e-7
@@ -22,7 +23,9 @@ def hagan_implied_vol(strike: float, forward: float, expiry: float,
     f = forward + params.shift
     K = strike + params.shift
     if K <= 0.0 or f <= 0.0:
-        raise ValueError("strike + shift and forward + shift must be positive")
+        raise NonpositiveShiftedStrike(
+            f"strike {strike} or forward {forward} violates k + shift > 0"
+        )
     one_m_beta = 1.0 - beta
 
     log_fk = math.log(f / K)
@@ -56,18 +59,18 @@ def hagan_implied_vol(strike: float, forward: float, expiry: float,
 
 def hagan_price(strike: float, forward: float, expiry: float,
                 params: SabrParams, kind: str = "call") -> float:
-    """Undiscounted Black price of the shifted rate at the Hagan vol."""
+    """Undiscounted Black price of the shifted rate at the Hagan vol.  The put
+    is priced directly, not through parity, which cancels out of the money."""
     sigma = hagan_implied_vol(strike, forward, expiry, params)
     f = forward + params.shift
     K = strike + params.shift
     s = sigma * math.sqrt(expiry)
     d1 = math.log(f / K) / s + 0.5 * s
     d2 = d1 - s
-    call = f * norm_cdf(d1) - K * norm_cdf(d2)
     if kind == "call":
-        return call
+        return f * norm_cdf(d1) - K * norm_cdf(d2)
     if kind == "put":
-        return call - (forward - strike)
+        return K * norm_cdf(-d2) - f * norm_cdf(-d1)
     raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
 
 

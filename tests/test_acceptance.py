@@ -17,7 +17,11 @@ import numpy as np
 import pytest
 
 import ahsabr as ah
-from ahsabr.ah_engine import extract_quote_set, price_self_consistent
+from ahsabr.ah_engine import (
+    extract_quote_set,
+    otm_vol_curve,
+    price_self_consistent,
+)
 from ahsabr.analytic_calib import (
     calibrate,
     calibrate_uniform,
@@ -26,7 +30,7 @@ from ahsabr.analytic_calib import (
     recalibrate,
 )
 from ahsabr.hagan_ref import hagan_price, hagan_price_fn
-from ahsabr.numerics import bachelier_implied_vol, norm_cdf, thomas_solve
+from ahsabr.numerics import norm_cdf, thomas_solve
 
 from conftest import (
     ED_EXPIRY,
@@ -267,7 +271,7 @@ def test_a7_numerics_oracles():
         k = F + rng.uniform(-3.0, 3.0) * sigma * math.sqrt(T)
         kind = "call" if k >= F else "put"
         price = bachelier_price(F, k, sigma, T, kind)
-        vol = bachelier_implied_vol(price, F, k, T, kind)
+        vol = float(otm_vol_curve([k], [price], F, T)[0])
         if abs(vol - sigma) > 1e-12 * sigma:
             failures.append(f"implied vol sigma={sigma:.4f} k={k:.4f}")
 

@@ -21,6 +21,7 @@ from ahsabr.ah_engine import (
     implied_vol_curve,
     kappa,
     local_vol,
+    otm_vol_curve,
     price_self_consistent,
     self_consistent_slice,
     solve_one_step,
@@ -31,10 +32,9 @@ from ahsabr.errors import (
     ForwardTooCloseToBoundary,
     NonpositiveShiftedStrike,
     NumericalError,
-    PriceOutOfBounds,
     SingularPivot,
 )
-from ahsabr.numerics import atm_normal_vol, bachelier_implied_vol
+from ahsabr.numerics import atm_normal_vol
 
 from conftest import (
     ED_ATM_PRICE_POINTS,
@@ -992,19 +992,14 @@ class TestImpliedVolCurve:
 
 
 def per_strike_vols(surface):
-    """The implied-vol curve one strike at a time through the scalar
-    inversion: the reference for the vectorised implied_vol_curve."""
+    """The implied-vol curve one strike at a time, each out-of-the-money
+    price inverted alone: the reference for the vectorised implied_vol_curve."""
     F = surface.grid.forward
     T = surface.slice.expiry
     out = np.full(surface.grid.size, np.nan)
     for j, k in enumerate(surface.grid.strikes):
-        price, kind = (surface.puts[j], "put") if k < F else (surface.calls[j], "call")
-        if price <= 1e-16 * (1.0 + abs(F)):
-            continue
-        try:
-            out[j] = bachelier_implied_vol(price, F, k, T, kind)
-        except PriceOutOfBounds:
-            continue
+        price = surface.puts[j] if k < F else surface.calls[j]
+        out[j] = otm_vol_curve([k], [price], F, T)[0]
     return out
 
 

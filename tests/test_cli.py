@@ -101,14 +101,20 @@ class TestPrice:
         assert not out.exists()
 
     @pytest.mark.parametrize("beta_pct", [0.0, 50.0, 100.0])
-    @pytest.mark.parametrize("command", ["price", "density", "recalibrate"])
+    @pytest.mark.parametrize("command,source", [
+        pytest.param("price", "onestep", id="price"),
+        pytest.param("density", "onestep", id="density"),
+        pytest.param("recalibrate", "onestep", id="recalibrate"),
+        pytest.param("recalibrate", "hagan", id="recalibrate-hagan"),
+    ])
     def test_nonpositive_shifted_strike_exit_3(self, tmp_path, capsys,
-                                               command, beta_pct):
+                                               command, source, beta_pct):
         # forward -1% with no shift puts the lowest strikes and the forward
-        # below -shift; every beta fails on the strikes, not on the guess
+        # below -shift; every beta fails on the strikes, not on the guess,
+        # and the Hagan source fails on its first sampled strike
         out = tmp_path / "surface.csv"
         cfg = ed_config(
-            tmp_path, out, source="onestep",
+            tmp_path, out, source=source,
             market={"forward_pct": -1.0, "expiry_years": ED_EXPIRY},
             model={**{f"{k}_pct": pct(v) for k, v in ED_PARAMS.items()},
                    "beta_pct": beta_pct, "shift_pct": 0.0},
@@ -498,6 +504,23 @@ class TestConfigHandling:
             model={f"{k}_pct": pct(v) for k, v in ED_PARAMS.items()},
         )
         assert main(["price", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command", ["price", "density", "calibrate",
+                                         "recalibrate"])
+    def test_missing_out_read_before_the_solve(self, tmp_path, capsys,
+                                               command):
+        # an expiry whose solve fails numerically: the missing path is
+        # reported first, as an input error
+        cfg = write_config(
+            tmp_path,
+            grid={"lo_pct": pct(ED_GRID[0]), "hi_pct": pct(ED_GRID[1]),
+                  "count": ED_GRID[2]},
+            market={"forward_pct": pct(ED_FORWARD), "expiry_years": 1e-300},
+            model={f"{k}_pct": pct(v) for k, v in ED_PARAMS.items()},
+            quotes=ed_quotes(tmp_path),
+        )
+        assert main([command, "--config", cfg]) == 2
+        assert_one_line_error(capsys, "missing output path")
 
     @pytest.mark.parametrize("section,value,command", [
         ("grid", 5, "price"),

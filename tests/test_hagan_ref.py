@@ -6,10 +6,11 @@ import math
 import pytest
 
 from ahsabr.ah_engine import SabrParams
+from ahsabr.errors import NonpositiveShiftedStrike
 from ahsabr.hagan_ref import hagan_implied_vol, hagan_price
-from ahsabr.numerics import bachelier_implied_vol
+from ahsabr.numerics import atm_normal_vol
 
-from conftest import HAGAN_SOURCE
+from conftest import HAGAN_FORWARD, HAGAN_SOURCE
 
 
 def quote(strike, forward=0.02, expiry=10.0, **params):
@@ -21,11 +22,11 @@ def quote(strike, forward=0.02, expiry=10.0, **params):
 
 class TestHaganImpliedVol:
     def test_shifted_positivity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonpositiveShiftedStrike, match=r"k \+ shift > 0"):
             hagan_implied_vol(*quote(-0.031))
-        with pytest.raises(ValueError):
+        with pytest.raises(NonpositiveShiftedStrike, match=r"k \+ shift > 0"):
             hagan_implied_vol(*quote(0.02, forward=-0.04))
-        with pytest.raises(ValueError):
+        with pytest.raises(NonpositiveShiftedStrike, match=r"k \+ shift > 0"):
             hagan_price(*quote(-0.031), "put")
 
     def test_black_limit(self):
@@ -85,9 +86,25 @@ class TestHaganPrice:
         q = quote(F, expiry=T)
         sigma_ln = hagan_implied_vol(*q)
         price = hagan_price(*q, "call")
-        sigma_n = bachelier_implied_vol(price, F, F, T, "call")
+        sigma_n = atm_normal_vol(price, T)
         approx = sigma_ln * (F + q[-1].shift)
         assert sigma_n == pytest.approx(approx, abs=1e-5)  # within 0.1 bp
+
+    @pytest.mark.parametrize("strike", [-0.02, -0.025])
+    def test_otm_put_against_mpmath(self, strike):
+        # parity, call - (F - k), cancels at these strikes: it gives 6.9e-18
+        # and 3.5e-18 where the Black put is 1.23e-18 and 1.9e-25
+        import mpmath
+
+        q = quote(strike, forward=HAGAN_FORWARD, expiry=0.25)
+        with mpmath.workdps(50):
+            shift = mpmath.mpf(q[-1].shift)
+            f, K = HAGAN_FORWARD + shift, strike + shift
+            s = mpmath.mpf(hagan_implied_vol(*q)) * mpmath.sqrt(0.25)
+            d1 = mpmath.log(f / K) / s + s / 2
+            black_put = float(K * mpmath.ncdf(s - d1) - f * mpmath.ncdf(-d1))
+        put = hagan_price(*q, "put")
+        assert put == pytest.approx(black_put, rel=1e-12, abs=0.0)
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
