@@ -42,6 +42,6 @@ from .market_io import (
     write_quotes,
     write_report,
 )
-from .numerics import thomas_solve
+from .numerics import bachelier_implied_vol, thomas_solve
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ class NumericalError(AhSabrError):
 
 
 class PriceOutOfBounds(NumericalError):
-    """A source model gave recalibrate a price that is not positive and finite."""
+    """Option price outside the invertible (intrinsic, upper-bound) range."""
 
 
 class SingularPivot(NumericalError):

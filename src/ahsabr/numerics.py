@@ -1,6 +1,6 @@
 """The normal CDF, the Mills-ratio complement 1 - x M(x) that kappa and the
-vol inversion share, the ATM identity, otm_vol_curve's Bachelier inversion,
-and thomas_solve, a general tridiagonal solver that the engine does not call.
+vol inversion share, the ATM identity, the Bachelier vol inversion, and
+thomas_solve, a general tridiagonal solver that the engine does not call.
 
 Everything here is a pure function of numpy and the standard library; all
 other modules build on this one.
@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, SingularPivot
+from .errors import ConvergenceError, PriceOutOfBounds, SingularPivot
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -191,6 +191,30 @@ def bachelier_otm_vols(time_value, distance, T):
         w = w + step
         w = np.where((w >= lo) & (w <= hi), w, 0.5 * (lo + hi))
     raise ConvergenceError("normal-vol inversion did not converge")
+
+
+def bachelier_implied_vol(price, F, k, T, kind="call"):
+    """Invert the Bachelier formula for the annualized normal volatility.
+
+    The reproduced price matches the input to ~1e-12 relative.  Raises
+    PriceOutOfBounds if the price does not sit strictly above intrinsic
+    (any larger finite price is attainable in the normal model).
+    """
+    if T <= 0.0:
+        raise ValueError("bachelier_implied_vol requires T > 0")
+    if kind not in ("call", "put"):
+        raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
+    if not math.isfinite(price):
+        raise PriceOutOfBounds(f"price {price} is not finite")
+    intrinsic = max(F - k, 0.0) if kind == "call" else max(k - F, 0.0)
+    time_value = price - intrinsic
+    if time_value <= 0.0:
+        raise PriceOutOfBounds(
+            f"price {price} is at or below intrinsic for strike {k}"
+        )
+    if k == F:
+        return atm_normal_vol(price, T)
+    return float(bachelier_otm_vols([time_value], [abs(F - k)], T)[0])
 
 
 def thomas_solve(lower, diag, upper, rhs) -> np.ndarray:

@@ -21,7 +21,6 @@ from ahsabr.ah_engine import (
     implied_vol_curve,
     kappa,
     local_vol,
-    otm_vol_curve,
     price_self_consistent,
     self_consistent_slice,
     solve_one_step,
@@ -34,7 +33,7 @@ from ahsabr.errors import (
     NumericalError,
     SingularPivot,
 )
-from ahsabr.numerics import atm_normal_vol
+from ahsabr.numerics import atm_normal_vol, bachelier_otm_vols
 
 from conftest import (
     ED_ATM_PRICE_POINTS,
@@ -992,14 +991,19 @@ class TestImpliedVolCurve:
 
 
 def per_strike_vols(surface):
-    """The implied-vol curve one strike at a time, each out-of-the-money
-    price inverted alone: the reference for the vectorised implied_vol_curve."""
+    """The implied-vol curve one strike at a time, with its own absence rule
+    and ATM branch: the reference for the vectorised implied_vol_curve."""
     F = surface.grid.forward
     T = surface.slice.expiry
     out = np.full(surface.grid.size, np.nan)
     for j, k in enumerate(surface.grid.strikes):
         price = surface.puts[j] if k < F else surface.calls[j]
-        out[j] = otm_vol_curve([k], [price], F, T)[0]
+        if not math.isfinite(price) or price <= 1e-16 * (1.0 + abs(F)):
+            continue
+        if k == F:
+            out[j] = atm_normal_vol(price, T)
+        else:
+            out[j] = bachelier_otm_vols([price], [abs(k - F)], T)[0]
     return out
 
 

@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import ahsabr as ah
 from ahsabr import numerics
-from ahsabr.ah_engine import otm_vol_curve
-from ahsabr.errors import SingularPivot
+from ahsabr.errors import PriceOutOfBounds, SingularPivot
 from ahsabr.numerics import (
     _erfcx,
+    bachelier_implied_vol,
     bachelier_otm_vols,
     norm_cdf,
     one_minus_x_mills,
@@ -193,6 +193,14 @@ class TestBachelierOtmVols:
         got = bachelier_otm_vols(price, distance, T)
         assert np.max(np.abs(got - sigma) / sigma) < 1e-12
 
+    def test_scalar_api_uses_the_kernel(self):
+        F, T = 0.02, 3.0
+        for k in (0.001, 0.015, 0.0199, 0.0201, 0.03, 0.09):
+            price = bachelier_price(F, k, 0.007, T, "put" if k < F else "call")
+            vol = float(bachelier_otm_vols([price], [abs(F - k)], T)[0])
+            kind = "put" if k < F else "call"
+            assert bachelier_implied_vol(price, F, k, T, kind) == vol
+
     def test_extreme_wings_and_tiny_distances(self):
         # time values from 1e-305 to 1e11 times the distance: the log-space
         # iteration keeps every one in range
@@ -271,19 +279,12 @@ class TestBachelierPrice:
             bachelier_price(0.02, 0.02, 0.01, 1.0, kind="straddle")
 
 
-def otm_vol(price, F, k, T):
-    """The normal vol of one out-of-the-money price, through otm_vol_curve."""
-    return float(otm_vol_curve([k], [price], F, T)[0])
-
-
 class TestBachelierImpliedVol:
-    """Round trips through otm_vol_curve, the package's one inversion, on
-    out-of-the-money prices: puts below the forward, calls at and above it."""
-
     @pytest.mark.parametrize("F,k,sigma,T,_", BACHELIER_CASES)
     def test_round_trip(self, F, k, sigma, T, _):
-        price = bachelier_price(F, k, sigma, T, "put" if k < F else "call")
-        assert otm_vol(price, F, k, T) == pytest.approx(sigma, rel=1e-12)
+        price = bachelier_price(F, k, sigma, T, "call")
+        vol = bachelier_implied_vol(price, F, k, T, "call")
+        assert vol == pytest.approx(sigma, rel=1e-12)
 
     @given(
         sigma=st.floats(1e-4, 0.05),
@@ -294,18 +295,35 @@ class TestBachelierImpliedVol:
     def test_round_trip_property(self, sigma, moneyness, T):
         F = 0.02
         k = F + moneyness * sigma * math.sqrt(T)
-        kind = "put" if k < F else "call"
-        price = bachelier_price(F, k, sigma, T, kind)
-        vol = otm_vol(price, F, k, T)
-        assert vol == pytest.approx(sigma, rel=1e-10)
-        reprice = bachelier_price(F, k, vol, T, kind)
-        # price error scales with vega
-        assert abs(reprice - price) <= 1e-12 * sigma * math.sqrt(T)
+        for kind in ("call", "put"):
+            price = bachelier_price(F, k, sigma, T, kind)
+            vol = bachelier_implied_vol(price, F, k, T, kind)
+            assert vol == pytest.approx(sigma, rel=1e-10)
+            reprice = bachelier_price(F, k, vol, T, kind)
+            # price error scales with vega; deep-OTM premiums go through
+            # parity and cannot hold a relative bound of their own
+            assert abs(reprice - price) <= 1e-12 * sigma * math.sqrt(T)
 
     def test_put_side_round_trip(self):
         F, k, sigma, T = 0.02, 0.01, 0.006, 5.0
         price = bachelier_price(F, k, sigma, T, "put")
-        assert otm_vol(price, F, k, T) == pytest.approx(sigma, rel=1e-12)
+        assert bachelier_implied_vol(price, F, k, T, "put") == pytest.approx(
+            sigma, rel=1e-12
+        )
+
+    def test_at_or_below_intrinsic_rejected(self):
+        with pytest.raises(PriceOutOfBounds):
+            bachelier_implied_vol(0.005, 0.02, 0.015, 1.0, "call")  # == intrinsic
+        with pytest.raises(PriceOutOfBounds):
+            bachelier_implied_vol(0.004, 0.02, 0.015, 1.0, "call")
+        with pytest.raises(PriceOutOfBounds):
+            bachelier_implied_vol(math.inf, 0.02, 0.015, 1.0, "call")
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ValueError):
+            bachelier_implied_vol(0.01, 0.02, 0.02, -1.0)
+        with pytest.raises(ValueError):
+            bachelier_implied_vol(0.01, 0.02, 0.02, 1.0, kind="digital")
 
 
 class TestThomasSolve:
