@@ -68,11 +68,12 @@ class MarketSlice:
             raise ValueError("atm_normal_vol must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Strictly increasing strike mesh containing the forward as a node.
     strikes is a read-only copy of the input, so the one-step geometry, which
-    the grid computes once, cannot go stale."""
+    the grid computes once, cannot go stale.  A grid, like a surface, equals
+    and hashes as itself only: its fields are arrays."""
 
     strikes: np.ndarray
     forward_index: int
@@ -214,7 +215,7 @@ def kappa(k, F, sigma, T):
     return 2.0 * one_minus_x_mills(np.abs(np.asarray(k, dtype=float) - F) / s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSurface:
     """One-step time value on a grid plus the implied discrete density.
 

@@ -32,7 +32,6 @@ from .hagan_ref import hagan_price_fn
 from .market_io import (
     CalibrationReport,
     assemble_quote_set,
-    fmt,
     parse_quotes,
     to_rate_space,
     write_csv,
@@ -181,9 +180,9 @@ def cmd_density(config: dict) -> int:
     write_csv(out, ("strike", "density"), zip(strikes, density))
     h_minus, h_plus = surface.grid.steps()
     mean = float(np.sum(density * (0.5 * (h_minus + h_plus)) * strikes))
-    print(f"mass={fmt(surface.density_mass())}")
-    print(f"mean={fmt(mean)}")
-    print(f"min_density={fmt(float(density.min()))}")
+    print(f"mass={surface.density_mass()}")
+    print(f"mean={mean}")
+    print(f"min_density={float(density.min())}")
     return 0
 
 

@@ -3,8 +3,8 @@
 Quotes arrive in futures-price space (strike 99.50 means a 0.50% rate) and
 are flipped into rate space before the five-quote set is assembled.  Files
 are LF-terminated CSV (write_csv) or indented JSON (write_json; reports are
-versioned), with floats at 17 significant digits (fmt) so the write/read
-round trip is lossless.
+versioned).  Both write a float as Python's shortest repr that reads back to
+the same double, so the write/read round trip is lossless.
 """
 
 from __future__ import annotations
@@ -176,19 +176,15 @@ class CalibrationReport:
     vol_curve: list  # [{strike, normal_vol_bp}]
 
 
-def fmt(x: float) -> str:
-    """17-significant-digit decimal; lossless for doubles."""
-    return format(float(x), ".17g")
-
-
 def write_csv(path, header, rows) -> None:
     """Write a CSV file with LF endings through csv.writer, which quotes a cell
-    holding a comma or a quote: numbers through fmt, a NaN as an empty cell."""
+    holding a comma or a quote: a number as its shortest round-trip repr, a
+    NaN as an empty cell."""
 
-    def cell(x) -> str:
+    def cell(x):
         if isinstance(x, str):
             return x
-        return "" if math.isnan(x) else fmt(x)
+        return "" if math.isnan(x) else float(x)
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -196,41 +192,25 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(map(cell, row) for row in rows)
 
 
-def _to_json(obj, where: str, indent: int) -> str:
-    """Indented JSON text of obj; `where` names obj's place in the document
-    for the error raised on a non-finite float."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _check_finite(obj, where: str) -> None:
+    """Raise ValueError on a non-finite float; `where` names obj's place in
+    the document."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{inner}"{key}": {_to_json(val, f"{where}.{key}", indent + 1)}'
-            for key, val in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [
-            f"{inner}{_to_json(val, f'{where}[{i}]', indent + 1)}"
-            for i, val in enumerate(obj)
-        ]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite value at {where}")
-        return fmt(obj)
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r} at {where}")
+        for key, val in obj.items():
+            _check_finite(val, f"{where}.{key}")
+    elif isinstance(obj, (list, tuple)):
+        for i, val in enumerate(obj):
+            _check_finite(val, f"{where}[{i}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"non-finite value at {where}")
 
 
 def write_json(doc: dict, path) -> None:
-    """Write doc as indented JSON with floats through fmt.  A non-finite
-    float raises ValueError naming its place (report.smile[0].strike)
-    before the file opens."""
-    text = _to_json(doc, "report", 0)
+    """Write doc as JSON indented by two spaces, floats as their shortest
+    round-trip repr.  A non-finite float raises ValueError naming its place
+    (report.smile[0].strike) before the file opens."""
+    _check_finite(doc, "report")
+    text = json.dumps(doc, indent=2)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

@@ -138,6 +138,17 @@ class TestBuildUniformGrid:
         with pytest.raises(ValueError):
             grid.strikes[3] = 0.5
 
+    def test_grid_and_surface_compare_by_identity(self):
+        # array fields have no single truth value: two equal grids, and two
+        # surfaces on them, are distinct objects that hash and compare
+        # without error
+        params = SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.30, shift=0.03)
+        grids = [build_uniform_grid(-0.02, 0.08, 41, 0.02) for _ in range(2)]
+        surfaces = [price_self_consistent(g, params, 5.0) for g in grids]
+        for a, b in (grids, surfaces):
+            assert a == a and a != b
+            assert len({a, b, a}) == 2
+
     def test_geometry_computed_once_per_grid(self, monkeypatch):
         # two surfaces build their rows four times, and the grid's steps once
         calls, steps = [], Grid.steps
@@ -289,7 +300,8 @@ class TestKappa:
 
     def test_series_past_double_range(self):
         # at xi = 1e80, xi^2 is past the double range; t = 2/xi/xi is not
-        assert kappa(1e-60, 0.0, 1e-140, 1.0) == pytest.approx(2e-160, rel=1e-14)
+        assert kappa(1e-60, 0.0, 1e-140, 1.0) == pytest.approx(2e-160, rel=1e-14,
+                                                               abs=0.0)
 
     def test_one_step_row_exact_for_bachelier(self):
         # xi in units of sigma*sqrt(T) makes the one-step row hold exactly

@@ -34,6 +34,7 @@ from ahsabr.analytic_calib import (
 from ahsabr.errors import (
     DegenerateButterfly,
     DegenerateStraddle,
+    NegativeNuSquared,
     PriceOutOfBounds,
     RhoOutOfRange,
     UnstableDifferences,
@@ -41,6 +42,7 @@ from ahsabr.errors import (
 from ahsabr.hagan_ref import hagan_price, hagan_price_fn
 
 from conftest import HAGAN_EXPIRY, HAGAN_FORWARD, HAGAN_SOURCE, HAGAN_STEP
+from oracles import bachelier_price
 
 
 def solved_quotes(params, F=0.02, T=5.0, lo=-0.02, hi=0.08, count=81):
@@ -321,6 +323,31 @@ class TestLimitingParams:
 
         with pytest.raises(UnstableDifferences):
             limiting_params(noisy, F, T, params.beta, params.shift, 2e-4)
+
+    @pytest.mark.parametrize("skew, curvature, error, message", [
+        # a concave call curve has a negative ATM density
+        (None, None, DegenerateStraddle, "non-positive ATM density"),
+        # a frown in the normal vol bends G(y) down: nu^2 near -0.2
+        (0.0, 0.05, NegativeNuSquared, r"nu\^2 = -2\.0\d*e-01"),
+        # a steep skew with a slight frown: |rho| near 1.13
+        (0.2, 0.02, RhoOutOfRange, r"\|rho\| = 1\.13"),
+        (-0.2, 0.02, RhoOutOfRange, r"\|rho\| = 1\.13"),
+    ], ids=["straddle", "nu_squared", "rho_up", "rho_down"])
+    def test_smooth_curves_that_admit_no_model(self, skew, curvature, error,
+                                               message):
+        # Bachelier calls at a normal vol of 80 bp times a quadratic in the
+        # strike's distance from the forward, in percent
+        F, T = 0.02, 0.5
+
+        def curve(k):
+            if skew is None:
+                return 0.01 - (k - F) ** 2
+            x = (k - F) / 0.01
+            vol = 0.008 * (1.0 + skew * x - curvature * x * x)
+            return bachelier_price(F, k, vol, T)
+
+        with pytest.raises(error, match=message):
+            limiting_params(curve, F, T, 0.0, 0.03, 2e-4)
 
 
 class TestQuoteSetFromCurve:

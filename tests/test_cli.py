@@ -59,6 +59,16 @@ class TestPrice:
         assert lines[0] == "strike,call,put,density,normal_vol_bp"
         assert len(lines) == 1 + 241
 
+    def test_cells_are_shortest_repr(self, tmp_path):
+        # every number as repr spells it: the forward node is 0.0025, not
+        # 0.0025000000000000001; the boundary densities are empty cells
+        out = tmp_path / "surface.csv"
+        assert main(["price", "--config", ed_config(tmp_path, out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert ["0.0025"] == [row[0] for row in rows if float(row[0]) == ED_FORWARD]
+        assert rows[0][3] == rows[-1][3] == ""
+        assert all(c == repr(float(c)) for row in rows for c in row if c)
+
     def test_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         cfg = ed_config(tmp_path, out1)

@@ -3,6 +3,7 @@ errors, the price/rate involution, quote-set assembly with parity completion,
 and lossless JSON report round trips."""
 
 import csv
+import dataclasses
 import json
 import math
 import pathlib
@@ -378,11 +379,34 @@ class TestReportRoundTrip:
             write_report(broken, path)
         assert not path.exists()
 
-    def test_seventeen_digit_floats(self, solved, tmp_path):
-        report = sample_report(solved)
+    def test_floats_are_shortest_repr(self, solved, tmp_path):
+        # every number is spelled as repr spells it, the shortest text that
+        # parses back to the same double: -0.05, not -0.050000000000000003
+        report = dataclasses.replace(
+            sample_report(solved),
+            grid={"lo": -0.05, "hi": 0.08, "count": 81, "forward": 0.02},
+        )
         path = tmp_path / "report.json"
         write_report(report, path)
-        text = path.read_text()
-        alpha = report.params.alpha
-        assert format(alpha, ".17g") in text
-        assert float(format(alpha, ".17g")) == alpha  # lossless
+        spelled = []
+
+        def keep(token):
+            spelled.append(token)
+            return float(token)
+
+        json.loads(path.read_text(), parse_float=keep, parse_int=keep)
+        numbers = list(numbers_in(report_to_dict(report)))
+        assert spelled == [repr(float(x)) if isinstance(x, float) else str(x)
+                           for x in numbers]
+        assert [float(t).hex() for t in spelled] == [float(x).hex() for x in numbers]
+
+
+def numbers_in(doc):
+    """The numbers of a JSON-ready document in the order json writes them."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for item in doc:
+            yield from numbers_in(item)
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield doc
