@@ -93,19 +93,25 @@ def _erfcx(y: float) -> float:
     return (_INV_SQRT_PI - t * _cody_ratio(_CODY[2], t)) * inv
 
 
-def _cody_ratios(t: np.ndarray) -> np.ndarray:
-    """The three ranges' ratios, rows 0 to 2, at every element of a 1-d t
-    (each at most 4, so no power overflows).  One matrix product evaluates
-    the six polynomials at every element: a few large numpy calls cost less
-    than a Horner loop of small ones.  The powers are built row by row,
+def _polynomials(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each row of coefficients (column j multiplies t^j) evaluated at every
+    element of a 1-d t, |t| small enough that no power overflows.  One matrix
+    product evaluates them all: a few large numpy calls cost less than a
+    Horner loop of small ones.  The powers are built row by row,
     t^j = t^(j-1) t: np.cumprod along the short axis rounds the same and
     costs about twice as much."""
-    powers = np.empty((9, t.size))
+    powers = np.empty((rows.shape[1], t.size))
     powers[0] = 1.0
     powers[1] = t
-    for j in range(2, 9):
+    for j in range(2, rows.shape[1]):
         np.multiply(powers[j - 1], t, out=powers[j])
-    values = _CODY_ROWS @ powers
+    return rows @ powers
+
+
+def _cody_ratios(t: np.ndarray) -> np.ndarray:
+    """The three ranges' ratios, rows 0 to 2, at every element of a 1-d t
+    (each at most 4)."""
+    values = _polynomials(_CODY_ROWS, t)
     return values[:3] / values[3:]
 
 
@@ -145,6 +151,75 @@ def atm_normal_vol(price, T):
     return price * math.sqrt(2.0 * math.pi / T)
 
 
+# The start of bachelier_otm_vols: w = log u from eta = log(time value /
+# distance), as a base plus a ratio of two degree-7 polynomials in y, rows
+# numerator then denominator, column j multiplying y^j.  Near the forward
+# (u <= 1) p = 1/(exp(eta) + 1/2), the base is log(p / sqrt(2 pi)) and
+# y = p^2 - 1.5; in the wings s = -2 (eta + log sqrt(2 pi)), the base is
+# log(s) / 2 and y = log s - 4.2, fitted up to log s = 7.3 (u = 38.19).
+# tests/fit_otm_vol_start.py fits them to h(u) at 30 digits: within 1.9e-14
+# in w near the forward and 1.3e-9 in the wings.
+_START_ROWS = np.array([
+    [0.19451743749605627, 0.030174984856216513, -0.10375701896351666,
+     0.008393127014005313, 0.01493477422883222, -0.0042876303679509,
+     0.00037079027176462016, -7.907997382357638e-06],
+    [1.3483138237118648, -0.8957486771494317, -0.16987406568731,
+     0.27563892355645797, -0.0819810601605564, 0.009787547081155106,
+     -0.0004409467371870679, 4.5470857032785675e-06],
+    [-0.02071170608485456, -0.005551178559998992, 0.00018252563133506512,
+     0.0003415366458320224, -2.2888674827997304e-05, -6.7321307249345945e-06,
+     1.0855362906926578e-06, -5.025462577618032e-08],
+    [0.20684008344760596, 0.22074262797603575, 0.11273548205079913,
+     0.0337730304382109, 0.006607068412616972, 0.0008788888073878447,
+     8.16661284990894e-05, 4.214446459433695e-06],
+])
+_LOG_H_ONE = math.log(math.exp(_LOG_PDF_ONE) - 0.5 * math.erfc(_INV_SQRT2))
+
+
+def _fitted_log_u(log_target):
+    """The fitted start, w = log u, for a 1-d log_target = log h(u).  Both
+    branches' y are formed at every element, held to the ranges where
+    neither denominator vanishes: p^2 at most 3, log s from 1.1 to 7.3."""
+    near = log_target >= _LOG_H_ONE
+    inv_p = np.exp(log_target) + 0.5
+    log_s = np.log(np.minimum(np.maximum(
+        -2.0 * (log_target + _LOG_SQRT_2PI), math.exp(1.1)), math.exp(7.3)))
+    y = np.where(near, np.minimum(1.0 / (inv_p * inv_p), 3.0) - 1.5, log_s - 4.2)
+    r = _polynomials(_START_ROWS, y)
+    base = np.where(near, -np.log(inv_p) - _LOG_SQRT_2PI, 0.5 * log_s)
+    return base + np.where(near, r[0], r[2]) / np.where(near, r[1], r[3])
+
+
+def _halley_step(w, log_target):
+    """The residual g = log h(e^w) - log_target and the Halley step in w,
+    from one evaluation of q = 1 - u M(u)."""
+    u = np.exp(w)
+    q = one_minus_x_mills(u)
+    g = np.log(q) - 0.5 * u * u - w - _LOG_SQRT_2PI - log_target
+    return g, g * q / (1.0 - 0.5 * g * (q * (1.0 + u * u) - 1.0))
+
+
+def _bracketed_log_u(w, log_target):
+    """Halley's method from w, each element kept inside a bracket [lo, hi]
+    that holds its root and bisected whenever a step would leave it; for
+    the elements whose fitted start misses."""
+    target = np.exp(log_target)
+    # h(u) >= phi(1)/u - 1/2 for u <= 1 and h(u) <= phi(u)/u for u >= 1
+    # give h(e^lo) >= target >= h(e^hi)
+    lo = np.minimum(0.0, _LOG_PDF_ONE - np.log(target + 0.5))
+    hi = 0.5 * np.log(np.maximum(1.0, -2.0 * (log_target + _LOG_SQRT_2PI)))
+    w = np.clip(w, lo, hi)
+    for _ in range(100):
+        g, step = _halley_step(w, log_target)
+        if np.max(np.abs(step)) <= 1e-7:
+            return w + step
+        lo = np.where(g > 0.0, w, lo)
+        hi = np.where(g < 0.0, w, hi)
+        w = w + step
+        w = np.where((w >= lo) & (w <= hi), w, 0.5 * (lo + hi))
+    raise ConvergenceError("normal-vol inversion did not converge")
+
+
 def bachelier_otm_vols(time_value, distance, T):
     """Annualized normal vols of options from their time values, one per
     element: time_value > 0, distance = |F - k| > 0 and the expiry T > 0
@@ -157,40 +232,28 @@ def bachelier_otm_vols(time_value, distance, T):
     w = log u, with slope -1/q and curvature (q (1 + u^2) - 1) / q^2, so
     both derivatives come free with q.  Halley's method on
     g = log h - log(target) in w scales the deep wings as well as the near
-    strikes: its step g q / (1 - g (q (1 + u^2) - 1) / 2) converges cubically,
-    in 3 evaluations of q on the ED smile and on a sweep of u from 1e-12 to
-    37.  Each element keeps a bracket [lo, hi] in w that holds its root, and
-    bisects it whenever a step would leave it.
+    strikes: its step g q / (1 - g (q (1 + u^2) - 1) / 2) converges
+    cubically, and a step below 1e-7 leaves w exact.
+
+    The start is fitted to log(target) on two branches split at u = 1 (the
+    table _START_ROWS, made by tests/fit_otm_vol_start.py), within 1.3e-9 of
+    the root in w for u up to 38.19.  So one step, one evaluation of q at
+    every element, finishes every element in that range; the ED smile and a
+    sweep of u from 1e-12 to 37 take exactly one.  Only the elements whose
+    step misses the stop go on, in a bracketed Halley loop
+    (_bracketed_log_u) on that subset alone.
     """
     distance = np.asarray(distance, dtype=float)
     log_target = np.log(time_value) - np.log(distance)
-    target = np.exp(log_target)
-    # h(u) >= phi(1)/u - 1/2 for u <= 1 and h(u) <= phi(u)/u for u >= 1
-    # give h(e^lo) >= target >= h(e^hi)
-    lo = np.minimum(0.0, _LOG_PDF_ONE - np.log(target + 0.5))
-    hi = 0.5 * np.log(np.maximum(1.0, -2.0 * (log_target + _LOG_SQRT_2PI)))
-    # start from h(u) ~ 1/(u sqrt(2 pi)) - 1/2 + u/(2 sqrt(2 pi)) near the
-    # forward and from h(u) ~ phi(u)/u^3 in the wings
-    a = target + 0.5
-    near = np.log(2.0 / SQRT_2PI) - np.log(
-        a + np.sqrt(np.maximum(a * a - 1.0 / math.pi, 0.0))
-    )
-    s = np.maximum(1.0, -2.0 * (log_target + _LOG_SQRT_2PI))
-    far = 0.5 * np.log(np.maximum(1.0, s - 3.0 * np.log(s)))
-    w = np.clip(np.where(a * a > 1.0 / math.pi, near, far), lo, hi)
-    for _ in range(100):
-        u = np.exp(w)
-        q = one_minus_x_mills(u)
-        g = np.log(q) - 0.5 * u * u - w - _LOG_SQRT_2PI - log_target
-        step = g * q / (1.0 - 0.5 * g * (q * (1.0 + u * u) - 1.0))
-        if np.max(np.abs(step), initial=0.0) <= 1e-7:
-            # convergence is cubic: this last step leaves w exact
-            return distance / (np.exp(w + step) * np.sqrt(T))
-        lo = np.where(g > 0.0, w, lo)
-        hi = np.where(g < 0.0, w, hi)
-        w = w + step
-        w = np.where((w >= lo) & (w <= hi), w, 0.5 * (lo + hi))
-    raise ConvergenceError("normal-vol inversion did not converge")
+    shape = np.shape(log_target)
+    log_target = np.ravel(log_target)
+    w = _fitted_log_u(log_target)
+    step = _halley_step(w, log_target)[1]
+    root = w + step
+    miss = ~(np.abs(step) <= 1e-7)  # a NaN misses too
+    if miss.any():
+        root[miss] = _bracketed_log_u(w[miss], log_target[miss])
+    return distance / (np.exp(root.reshape(shape)) * np.sqrt(T))
 
 
 def bachelier_implied_vol(price, F, k, T, kind="call"):

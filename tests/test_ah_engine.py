@@ -974,7 +974,8 @@ class TestImpliedVolCurve:
         surface = price_self_consistent(grid, params, 5.0)
         vols = implied_vol_curve(surface)
         n = grid.forward_index
-        assert vols[n] == pytest.approx(surface.slice.atm_normal_vol, rel=1e-10)
+        # both read the ATM identity on the same time value: measured equal
+        assert vols[n] == pytest.approx(surface.slice.atm_normal_vol, rel=1e-10, abs=0.0)
 
     def test_round_trips_prices(self):
         params = make_params()
@@ -985,10 +986,13 @@ class TestImpliedVolCurve:
         for j, k in enumerate(grid.strikes):
             if math.isnan(vols[j]):
                 continue
-            kind = "put" if k < F else "call"
-            target = surface.puts[j] if k < F else surface.calls[j]
-            reprice = bachelier_price(F, float(k), float(vols[j]), T, kind)
-            assert reprice == pytest.approx(float(target), rel=1e-10)
+            # a put below the forward is repriced as the call at the mirrored
+            # strike: the oracle's put goes through parity and loses its
+            # digits in the wing.  Measured: 1.4e-14 relative at most, on
+            # time values down to 3.5e-6
+            mirrored = 2.0 * F - float(k) if k < F else float(k)
+            reprice = bachelier_price(F, mirrored, float(vols[j]), T, "call")
+            assert reprice == pytest.approx(float(surface.time_value[j]), rel=1e-10, abs=0.0)
 
     def test_flat_model_near_flat_curve(self):
         alpha, T, F = 0.01, 2.0, 0.02

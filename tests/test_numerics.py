@@ -108,6 +108,16 @@ def exact_erfcx(y):
         return float(mpmath.exp(mpmath.mpf(y) ** 2) * mpmath.erfc(mpmath.mpf(y)))
 
 
+def exact_h(u):
+    """h(u) = phi(u)/u - Phi(-u), the OTM time value per unit distance, at
+    30 digits (an mpmath number)."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        u = mpmath.mpf(u)
+        return mpmath.npdf(u) / u - mpmath.ncdf(-u)
+
+
 def ulps(got, exact):
     return np.abs(np.asarray(got) - exact) / np.spacing(exact)
 
@@ -218,29 +228,87 @@ class TestBachelierOtmVols:
     def test_empty_input(self):
         assert bachelier_otm_vols(np.empty(0), np.empty(0), 1.0).size == 0
 
-    def test_kernel_evaluations(self, monkeypatch):
-        # each Halley step reads q = 1 - u M(u) once, at every element: at
-        # most 4 evaluations (3 measured) on the ED smile and on a sweep of u
-        # from 1e-12 to 37, which round-trips
-        grid = ah.build_uniform_grid(*ED_GRID, ED_FORWARD)
-        surface = ah.price_self_consistent(grid, ah.SabrParams(**ED_PARAMS), ED_EXPIRY)
+    @staticmethod
+    def counting(monkeypatch):
+        """Record the size of every evaluation of q = 1 - u M(u)."""
         calls = []
 
-        def counting(x):
+        def counted(x):
             calls.append(np.size(x))
             return one_minus_x_mills(x)
 
-        monkeypatch.setattr(numerics, "one_minus_x_mills", counting)
+        monkeypatch.setattr(numerics, "one_minus_x_mills", counted)
+        return calls
+
+    def test_kernel_evaluations(self, monkeypatch):
+        # the fitted start lets one Halley step, one evaluation of q at every
+        # element, finish the ED smile and a sweep of u from 1e-12 to 37,
+        # which round-trips
+        grid = ah.build_uniform_grid(*ED_GRID, ED_FORWARD)
+        surface = ah.price_self_consistent(grid, ah.SabrParams(**ED_PARAMS), ED_EXPIRY)
+        calls = self.counting(monkeypatch)
         vols = ah.implied_vol_curve(surface)
-        assert np.sum(np.isfinite(vols)) > 100 and 0 < len(calls) <= 4
+        priced = np.sum(np.isfinite(vols))
+        assert priced > 100 and calls == [priced - 1]  # the forward reads no q
         u = np.geomspace(1e-12, 37.0, 401)
         for T in (0.01, 1.0, 30.0):
             price = np.array([bachelier_price(0.0, 0.01, 0.01 / (x * math.sqrt(T)), T)
                               for x in u])
             calls.clear()
             got = bachelier_otm_vols(price, np.full(u.size, 0.01), T)
-            assert calls == [u.size] * len(calls) and len(calls) <= 4
+            assert calls == [u.size]
             assert np.max(np.abs(got * u * math.sqrt(T) / 0.01 - 1.0)) < 1e-12
+
+    def test_start_within_fit_bound(self):
+        # the fitted start alone, on a dense sweep of u over the fitted range
+        # (the fit script measures 1.3e-9 in the wings); log h(u) is formed
+        # from q as the inversion forms it, which puts its rounding, at most
+        # 1e-13 in w, on the root
+        w = np.linspace(math.log(1e-12), math.log(38.18), 200001)
+        u = np.exp(w)
+        log_h = (np.log(one_minus_x_mills(u)) - 0.5 * u * u - w
+                 - numerics._LOG_SQRT_2PI)
+        assert np.max(np.abs(numerics._fitted_log_u(log_h) - w)) <= 1e-8
+
+    def test_vols_against_mpmath(self):
+        # OTM prices from h(u) at 30 digits on 300 points of the sweep, each
+        # rounded to a double; the vols against d / (u sqrt(T)) at 30 digits.
+        # Measured: 3.4e-15, where one ulp of w = log u is 3.6e-15 at
+        # u = 1e-12; the bound allows about three
+        import mpmath
+
+        u = np.geomspace(1e-12, 37.0, 300)
+        price = np.array([float(0.01 * exact_h(x)) for x in u])
+        for T in (0.01, 1.0, 30.0):
+            with mpmath.workdps(30):
+                exact = [float(0.01 / (mpmath.mpf(x) * mpmath.sqrt(T))) for x in u]
+            got = bachelier_otm_vols(price, np.full(price.size, 0.01), T)
+            assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_missed_elements_take_the_bracketed_loop_alone(self, monkeypatch):
+        # in-range elements mixed with misses: u = 38.5 to 42, past the fit
+        # (priced at 30 digits, against a distance of 1e200 so that every time
+        # value is a normal double), and in-range elements whose start is
+        # pushed 1e-3 off.  Every element round-trips; the first evaluation
+        # covers all, and every later one only the missed subset.
+        u = np.array([1e-12, 0.3, 38.5, 1.0, 40.0, 3.0, 42.0, 20.0, 37.0])
+        past = u > 38.19
+        price = np.array([float(1e200 * exact_h(x)) for x in u])
+        distance = np.full(u.size, 1e200)
+        calls = self.counting(monkeypatch)
+        got = bachelier_otm_vols(price, distance, 1.0)
+        assert np.max(np.abs(got * u / 1e200 - 1.0)) < 1e-12
+        assert calls[0] == u.size and len(calls) > 1
+        assert set(calls[1:]) == {np.sum(past)}
+
+        pushed = np.arange(u.size) % 3 == 0
+        start = numerics._fitted_log_u
+        monkeypatch.setattr(numerics, "_fitted_log_u",
+                            lambda lt: start(lt) + np.where(pushed, 1e-3, 0.0))
+        calls.clear()
+        got = bachelier_otm_vols(price, distance, 1.0)
+        assert np.max(np.abs(got * u / 1e200 - 1.0)) < 1e-12
+        assert calls[0] == u.size and set(calls[1:]) == {np.sum(past | pushed)}
 
 
 class TestBachelierPrice:
