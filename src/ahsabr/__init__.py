@@ -5,6 +5,7 @@ from .ah_engine import (
     Grid,
     MarketSlice,
     PriceSurface,
+    QuoteSet,
     SabrParams,
     build_uniform_grid,
     extract_quote_set,
@@ -18,16 +19,12 @@ from .ah_engine import (
 )
 from .analytic_calib import (
     CalibrationResult,
-    QuoteSet,
-    alpha_from_straddle,
     calibrate,
     calibrate_uniform,
     limiting_params,
-    nu_rho_from_z,
     quote_set_from_curve,
     recalibrate,
     surface_price_fn,
-    z_coefficients,
 )
 from .hagan_ref import hagan_implied_vol, hagan_price, hagan_price_fn
 from .market_io import (

@@ -399,11 +399,54 @@ def implied_vol_curve(surface: PriceSurface) -> np.ndarray:
     return otm_vol_curve(grid.strikes, surface.time_value, grid.forward, T)
 
 
-def extract_quote_set(surface: PriceSurface):
+@dataclass(frozen=True)
+class QuoteSet:
+    """The five near-ATM option prices plus their grid geometry.
+
+    Put prices below the forward, call prices above.  The four gaps between
+    the nodes k_{n-2} .. k_{n+2} are stored once, left to right.  The
+    paper labels steps per node (h-_j, h+_j), which names each inner gap
+    twice: h+_{n-1} is `h_minus_n` and h-_{n+1} is `h_plus_n`.
+    """
+
+    p_minus2: float
+    p_minus1: float
+    atm: float
+    c_plus1: float
+    c_plus2: float
+    h_minus_nm1: float
+    h_minus_n: float
+    h_plus_n: float
+    h_plus_np1: float
+    forward: float
+    expiry: float
+
+    def __post_init__(self):
+        for name in (
+            "p_minus2", "p_minus1", "atm", "c_plus1", "c_plus2",
+            "h_minus_nm1", "h_minus_n", "h_plus_n", "h_plus_np1",
+        ):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if not abs(self.forward) < math.inf:
+            raise ValueError(f"forward must be finite, got {self.forward}")
+        if not self.expiry > 0.0:
+            raise ValueError("expiry must be positive")
+
+    @property
+    def sigma_atm(self) -> float:
+        """ATM normal vol implied by the ATM identity price = vol*sqrt(T/2pi)."""
+        return atm_normal_vol(self.atm, self.expiry)
+
+    @property
+    def p_plus1(self) -> float:
+        """ITM put at k_{n+1}, synthesized from the quoted call by parity."""
+        return self.c_plus1 + self.h_plus_n
+
+
+def extract_quote_set(surface: PriceSurface) -> QuoteSet:
     """Project the five near-ATM time values and their step geometry out of
     a solved surface."""
-    from .analytic_calib import QuoteSet
-
     grid = surface.grid
     n = grid.forward_index
     return QuoteSet(

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .ah_engine import SabrParams, kappa, y_of_k
+from .ah_engine import QuoteSet, SabrParams, kappa, y_of_k
 from .errors import (
     DegenerateButterfly,
     DegenerateStraddle,
@@ -25,51 +25,6 @@ from .errors import (
     UnstableDifferences,
 )
 from .numerics import atm_normal_vol
-
-
-@dataclass(frozen=True)
-class QuoteSet:
-    """The five near-ATM option prices plus their grid geometry.
-
-    Put prices below the forward, call prices above.  The four gaps between
-    the nodes k_{n-2} .. k_{n+2} are stored once, left to right.  The
-    paper labels steps per node (h-_j, h+_j), which names each inner gap
-    twice: h+_{n-1} is `h_minus_n` and h-_{n+1} is `h_plus_n`.
-    """
-
-    p_minus2: float
-    p_minus1: float
-    atm: float
-    c_plus1: float
-    c_plus2: float
-    h_minus_nm1: float
-    h_minus_n: float
-    h_plus_n: float
-    h_plus_np1: float
-    forward: float
-    expiry: float
-
-    def __post_init__(self):
-        for name in (
-            "p_minus2", "p_minus1", "atm", "c_plus1", "c_plus2",
-            "h_minus_nm1", "h_minus_n", "h_plus_n", "h_plus_np1",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not abs(self.forward) < math.inf:
-            raise ValueError(f"forward must be finite, got {self.forward}")
-        if not self.expiry > 0.0:
-            raise ValueError("expiry must be positive")
-
-    @property
-    def sigma_atm(self) -> float:
-        """ATM normal vol implied by the ATM identity price = vol*sqrt(T/2pi)."""
-        return atm_normal_vol(self.atm, self.expiry)
-
-    @property
-    def p_plus1(self) -> float:
-        """ITM put at k_{n+1}, synthesized from the quoted call by parity."""
-        return self.c_plus1 + self.h_plus_n
 
 
 @dataclass(frozen=True)
@@ -91,11 +46,20 @@ class CalibrationResult:
     diagnostics: CalibDiagnostics
 
 
+# The three degenerate-row messages of both forms.  A row's denominator is
+# the density at its node times h- * h+ * (h- + h+) / 2, so its guard,
+# denominator <= 1e-14 * ATM * (h- + h+), is the condition they state.
+_FLOOR = ": density * h- * h+ / 2 <= 1e-14 * ATM"
+_NO_ATM_DENSITY = "straddle quotes admit no positive density at the forward" + _FLOOR
+_NO_PUT_FLY_DENSITY = "put butterfly admits no positive density at k_{n-1}" + _FLOOR
+_NO_CALL_FLY_DENSITY = "call butterfly admits no positive density at k_{n+1}" + _FLOOR
+
+
 def _row_z(left, mid, right, h_minus, h_plus, atm, message,
            error=DegenerateButterfly) -> float:
     """System coefficient z_j of the pricing row at k_j, from the prices at
-    k_{j-1}, k_j, k_{j+1}; a denominator below 1e-14 of the ATM scale means
-    no positive density at k_j and raises error(message)."""
+    k_{j-1}, k_j, k_{j+1}; raises error(message) unless the row admits a
+    positive density at k_j."""
     width = h_plus + h_minus
     denom = left * h_plus + right * h_minus - mid * width
     if denom <= 1e-14 * atm * width:
@@ -110,36 +74,6 @@ def _cev_level(F: float, beta: float, b: float) -> float:
         raise ValueError(f"beta {beta}, shift {b} or forward + shift {F + b} "
                          "out of range")
     return (F + b) ** beta
-
-
-def alpha_from_straddle(q: QuoteSet, beta: float, b: float) -> float:
-    """alpha from the ATM row of the put system.
-
-    The row weights the neighbours by the opposite step (h+ with p_{n-1},
-    h- with p_{n+1}); on a uniform grid this is the straddle-convexity
-    formula ATM / (p_{n-1} + p_{n+1} - 2*ATM).
-    """
-    hp, hm = q.h_plus_n, q.h_minus_n
-    z_n = _row_z(
-        q.p_minus1, q.atm, q.p_plus1, hm, hp, q.atm,
-        "straddle quotes admit no positive ATM density (denominator <= 0)",
-        DegenerateStraddle,
-    )
-    level = _cev_level(q.forward, beta, b)
-    return math.sqrt(z_n * hp * hm / (2.0 * q.expiry)) / level
-
-
-def z_coefficients(q: QuoteSet) -> tuple[float, float]:
-    """System coefficients z_{n-1}, z_{n+1} implied by the butterfly rows."""
-    z_minus = _row_z(
-        q.p_minus2, q.p_minus1, q.atm, q.h_minus_nm1, q.h_minus_n, q.atm,
-        "put butterfly implies a non-positive density at k_{n-1}",
-    )
-    z_plus = _row_z(
-        q.atm, q.c_plus1, q.c_plus2, q.h_plus_n, q.h_plus_np1, q.atm,
-        "call butterfly implies a non-positive density at k_{n+1}",
-    )
-    return z_minus, z_plus
 
 
 def _neighbours(q: QuoteSet, alpha, beta, b):
@@ -157,9 +91,11 @@ def _neighbours(q: QuoteSet, alpha, beta, b):
 
 
 def _solve_nu_rho(j2_m: float, j2_p: float, y_m: float, y_p: float, **diag):
-    """The 2x2 solve of nu_rho_from_z from J(y)^2 at both neighbours, with
-    its guards.  Returns nu, rho and the CalibDiagnostics made of `diag`,
-    the y values and the relative residual of each relation."""
+    """The linear 2x2 system in (nu^2, 2*rho*nu) from J(y)^2 at both
+    neighbours, with its guards.  Each J^2 = 1 - 2*rho*nu*y + nu^2*y^2 pins
+    one relation; subtracting the two isolates nu^2.  Returns nu, rho and
+    the CalibDiagnostics made of `diag`, the y values and the relative
+    residual of each relation."""
     r_m = (j2_m - 1.0) / y_m
     r_p = (j2_p - 1.0) / y_p
     nu2 = (r_m - r_p) / (y_m - y_p)
@@ -177,40 +113,37 @@ def _solve_nu_rho(j2_m: float, j2_p: float, y_m: float, y_p: float, **diag):
     )
 
 
-def nu_rho_from_z(
-    z_minus: float,
-    z_plus: float,
-    alpha: float,
-    q: QuoteSet,
-    beta: float,
-    b: float,
-) -> tuple[float, float, CalibDiagnostics]:
-    """Solve the linear 2x2 system in (nu^2, 2*rho*nu).
+def calibrate(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
+    """Analytic (alpha, nu, rho) from a five-quote set at given beta, shift.
 
-    Each z coefficient pins J(y)^2 = 1 - 2*rho*nu*y + nu^2*y^2 at one
-    neighbouring strike; subtracting the two relations isolates nu^2.
+    The ATM row of the put system gives alpha.  It weights the neighbours by
+    the opposite step (h+ with p_{n-1}, h- with p_{n+1}); on a uniform grid
+    this is the straddle-convexity formula ATM / (p_{n-1} + p_{n+1} - 2*ATM).
+    The two butterfly rows give the system coefficients z at k_{n-1} and
+    k_{n+1}, and each pins J(y)^2 there for the 2x2 solve.
     """
-    T = q.expiry
-    k_m, k_p, y_m, y_p, kap_m, kap_p = _neighbours(q, alpha, beta, b)
+    F, T = q.forward, q.expiry
+    hm, hp = q.h_minus_n, q.h_plus_n
+    z_n = _row_z(q.p_minus1, q.atm, q.p_plus1, hm, hp, q.atm,
+                 _NO_ATM_DENSITY, DegenerateStraddle)
+    alpha = math.sqrt(z_n * hp * hm / (2.0 * T)) / _cev_level(F, beta, b)
+    z_minus = _row_z(q.p_minus2, q.p_minus1, q.atm, q.h_minus_nm1, hm, q.atm,
+                     _NO_PUT_FLY_DENSITY)
+    z_plus = _row_z(q.atm, q.c_plus1, q.c_plus2, hp, q.h_plus_np1, q.atm,
+                    _NO_CALL_FLY_DENSITY)
 
+    k_m, k_p, y_m, y_p, kap_m, kap_p = _neighbours(q, alpha, beta, b)
     # J^2 at the two neighbours, read off the z definition
-    j2_m = z_minus * q.h_minus_n * q.h_minus_nm1 / (
+    j2_m = z_minus * hm * q.h_minus_nm1 / (
         T * kap_m * alpha**2 * (k_m + b) ** (2.0 * beta)
     )
-    j2_p = z_plus * q.h_plus_np1 * q.h_plus_n / (
+    j2_p = z_plus * q.h_plus_np1 * hp / (
         T * kap_p * alpha**2 * (k_p + b) ** (2.0 * beta)
     )
-    return _solve_nu_rho(
+    nu, rho, diag = _solve_nu_rho(
         j2_m, j2_p, y_m, y_p, z_minus=z_minus, z_plus=z_plus,
         kappa_minus=kap_m, kappa_plus=kap_p, sigma_atm=q.sigma_atm,
     )
-
-
-def calibrate(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
-    """Analytic (alpha, nu, rho) from a five-quote set at given beta, shift."""
-    alpha = alpha_from_straddle(q, beta, b)
-    z_minus, z_plus = z_coefficients(q)
-    nu, rho, diag = nu_rho_from_z(z_minus, z_plus, alpha, q, beta, b)
     params = SabrParams(alpha=alpha, beta=beta, rho=rho, nu=nu, shift=b)
     return CalibrationResult(params=params, diagnostics=diag)
 
@@ -234,18 +167,18 @@ def calibrate_uniform(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
     # half the ATM row coefficient: z_n/2 = ATM / (p_{n-1} + p_{n+1} - 2 ATM)
     denom_a = q.p_minus1 * h + p_plus1 * h - q.atm * (h + h)
     if denom_a <= 1e-14 * q.atm * (h + h):
-        raise DegenerateStraddle("straddle quotes admit no positive ATM density")
+        raise DegenerateStraddle(_NO_ATM_DENSITY)
     zh_n = q.atm * h / denom_a
     alpha = math.sqrt(zh_n * h * h / T) / _cev_level(F, beta, b)
 
     # half butterfly coefficients: z_{n-1}/2 and z_{n+1}/2
     denom_m = q.p_minus2 * h + q.atm * h - q.p_minus1 * (h + h)
     if denom_m <= 1e-14 * q.atm * (h + h):
-        raise DegenerateButterfly("put butterfly implies a non-positive density")
+        raise DegenerateButterfly(_NO_PUT_FLY_DENSITY)
     zh_minus = q.p_minus1 * h / denom_m
     denom_p = q.c_plus2 * h + q.atm * h - q.c_plus1 * (h + h)
     if denom_p <= 1e-14 * q.atm * (h + h):
-        raise DegenerateButterfly("call butterfly implies a non-positive density")
+        raise DegenerateButterfly(_NO_CALL_FLY_DENSITY)
     zh_plus = q.c_plus1 * h / denom_p
 
     k_m, k_p, y_m, y_p, kap_m, kap_p = _neighbours(q, alpha, beta, b)

@@ -15,8 +15,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
-from .ah_engine import SabrParams
-from .analytic_calib import CalibDiagnostics, QuoteSet, quote_set_from_curve
+from .ah_engine import QuoteSet, SabrParams
+from .analytic_calib import CalibDiagnostics, quote_set_from_curve
 from .errors import MalformedRow, MissingStrike, SchemaMismatch
 
 SCHEMA_VERSION = 3

@@ -21,15 +21,12 @@ from ahsabr.ah_engine import (
 )
 from ahsabr.analytic_calib import (
     QuoteSet,
-    alpha_from_straddle,
     calibrate,
     calibrate_uniform,
     limiting_params,
-    nu_rho_from_z,
     quote_set_from_curve,
     recalibrate,
     surface_price_fn,
-    z_coefficients,
 )
 from ahsabr.errors import (
     DegenerateButterfly,
@@ -66,7 +63,7 @@ class TestQuoteSet:
     def test_sigma_atm_identity(self):
         q = uniform_quote_set()
         assert q.sigma_atm == pytest.approx(
-            q.atm * math.sqrt(2.0 * math.pi / q.expiry), rel=1e-15
+            q.atm * math.sqrt(2.0 * math.pi / q.expiry), rel=1e-15, abs=0.0
         )
 
     def test_parity_put(self):
@@ -88,14 +85,8 @@ class TestAlphaFromStraddle:
     def test_recovers_z_row(self):
         params = SabrParams(alpha=0.02, beta=0.4, rho=-0.2, nu=0.3, shift=0.03)
         q, surface = solved_quotes(params)
-        alpha = alpha_from_straddle(q, params.beta, params.shift)
-        assert alpha == pytest.approx(params.alpha, rel=1e-10)
-
-    def test_degenerate_straddle(self):
-        # ATM above the average of its neighbours: no positive density
-        q = uniform_quote_set(p_minus1=0.0089, c_plus1=0.0039)
-        with pytest.raises(DegenerateStraddle):
-            alpha_from_straddle(q, 0.4, 0.03)
+        alpha = calibrate(q, params.beta, params.shift).params.alpha
+        assert alpha == pytest.approx(params.alpha, rel=1e-10, abs=0.0)
 
 
 class TestZCoefficients:
@@ -109,33 +100,25 @@ class TestZCoefficients:
         q = extract_quote_set(surface)
         r = _OneStepRows(grid, params, 5.0).diagonal(slice_.atm_normal_vol)[0]
         n = grid.forward_index
-        z_minus, z_plus = z_coefficients(q)
+        diag = calibrate(q, params.beta, params.shift).diagnostics
         # the rows keep r = 1/z, indexed over interior nodes
-        assert z_minus == pytest.approx(float(1 / mpmath.mpf(r[n - 2])), rel=1e-9)
-        assert z_plus == pytest.approx(float(1 / mpmath.mpf(r[n])), rel=1e-9)
-
-    def test_degenerate_butterfly(self):
-        q = uniform_quote_set(p_minus2=0.0029)
-        with pytest.raises(DegenerateButterfly):
-            z_coefficients(q)
-        q = uniform_quote_set(c_plus2=0.0039)
-        with pytest.raises(DegenerateButterfly):
-            z_coefficients(q)
+        assert diag.z_minus == pytest.approx(
+            float(1 / mpmath.mpf(r[n - 2])), rel=1e-9, abs=0.0
+        )
+        assert diag.z_plus == pytest.approx(
+            float(1 / mpmath.mpf(r[n])), rel=1e-9, abs=0.0
+        )
 
 
 class TestNuRhoFromZ:
     def test_recovery_and_residuals(self):
         params = SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.30, shift=0.03)
         q, _ = solved_quotes(params)
-        alpha = alpha_from_straddle(q, params.beta, params.shift)
-        z_minus, z_plus = z_coefficients(q)
-        nu, rho, diag = nu_rho_from_z(
-            z_minus, z_plus, alpha, q, params.beta, params.shift
-        )
-        assert nu == pytest.approx(0.30, abs=1e-8)
-        assert rho == pytest.approx(-0.25, abs=1e-8)
-        assert abs(diag.residual_minus) < 1e-12
-        assert abs(diag.residual_plus) < 1e-12
+        result = calibrate(q, params.beta, params.shift)
+        assert result.params.nu == pytest.approx(0.30, abs=1e-8)
+        assert result.params.rho == pytest.approx(-0.25, abs=1e-8)
+        assert abs(result.diagnostics.residual_minus) < 1e-12
+        assert abs(result.diagnostics.residual_plus) < 1e-12
 
     def test_symmetric_smile_zero_rho(self):
         params = SabrParams(alpha=0.015, beta=0.0, rho=0.0, nu=0.4, shift=0.03)
@@ -174,7 +157,7 @@ class TestCalibrate:
         surface = price_self_consistent(grid, params, T)
         q = extract_quote_set(surface)
         result = calibrate(q, beta, params.shift)
-        assert result.params.alpha == pytest.approx(alpha, rel=1e-8)
+        assert result.params.alpha == pytest.approx(alpha, rel=1e-8, abs=0.0)
         assert result.params.nu == pytest.approx(nu, abs=1e-8)
         assert result.params.rho == pytest.approx(rho, abs=1e-8)
 
@@ -194,9 +177,9 @@ class TestCalibrate:
         grid = Grid(strikes=strikes, forward_index=keep.index(n0))
         surface = price_self_consistent(grid, params, 5.0)
         q = extract_quote_set(surface)
-        assert q.h_minus_nm1 != pytest.approx(q.h_minus_n, rel=1e-3)
+        assert q.h_minus_nm1 != pytest.approx(q.h_minus_n, rel=1e-3, abs=0.0)
         result = calibrate(q, 0.4, 0.03)
-        assert result.params.alpha == pytest.approx(0.02, rel=1e-8)
+        assert result.params.alpha == pytest.approx(0.02, rel=1e-8, abs=0.0)
         assert result.params.nu == pytest.approx(0.30, abs=1e-8)
         assert result.params.rho == pytest.approx(-0.25, abs=1e-8)
 
@@ -265,19 +248,35 @@ class TestCalibrateUniform:
         with pytest.raises(ValueError):
             calibrate_uniform(q, 0.4, 0.03)
 
+    # the three messages of both forms: each row's guard, denominator <=
+    # 1e-14 * ATM * (h- + h+), is this condition on its density
+    STRADDLE = ("straddle quotes admit no positive density at the forward: "
+                "density * h- * h+ / 2 <= 1e-14 * ATM")
+    PUT_FLY = ("put butterfly admits no positive density at k_{n-1}: "
+               "density * h- * h+ / 2 <= 1e-14 * ATM")
+    CALL_FLY = ("call butterfly admits no positive density at k_{n+1}: "
+                "density * h- * h+ / 2 <= 1e-14 * ATM")
+
     @pytest.mark.parametrize("overrides, error, message", [
         # p_{n-1} + p_{n+1} < 2 ATM
-        ({}, DegenerateStraddle, "straddle quotes admit no positive ATM density"),
+        ({}, DegenerateStraddle, STRADDLE),
         (dict(c_plus1=0.0075, c_plus2=0.0061, p_minus2=0.0029),
-         DegenerateButterfly, "put butterfly implies a non-positive density"),
+         DegenerateButterfly, PUT_FLY),
         (dict(c_plus1=0.0075, c_plus2=0.0059),
-         DegenerateButterfly, "call butterfly implies a non-positive density"),
+         DegenerateButterfly, CALL_FLY),
+        # ATM above the average of its neighbours
+        (dict(p_minus1=0.0089, c_plus1=0.0039), DegenerateStraddle, STRADDLE),
+        # c_plus1 = 0.0075 lets the straddle pass; the put butterfly is
+        # checked before the call butterfly, which is degenerate here too
+        (dict(c_plus1=0.0075, p_minus2=0.0029), DegenerateButterfly, PUT_FLY),
+        (dict(c_plus1=0.0075, c_plus2=0.0039), DegenerateButterfly, CALL_FLY),
     ])
     @pytest.mark.parametrize("calib", [calibrate, calibrate_uniform])
     def test_degenerate_quotes_rejected(self, calib, overrides, error, message):
         # both forms check the straddle, then the put and the call butterfly
-        with pytest.raises(error, match=message):
+        with pytest.raises(error) as raised:
             calib(uniform_quote_set(**overrides), 0.4, 0.03)
+        assert str(raised.value) == message
 
 
 class TestLimitingParams:
@@ -298,7 +297,7 @@ class TestLimitingParams:
             ).params
             # both carry O(h^2) bias with different constants, so the gap
             # is itself O(h^2)
-            assert limit.alpha == pytest.approx(discrete.alpha, rel=3e-4), beta
+            assert limit.alpha == pytest.approx(discrete.alpha, rel=3e-4, abs=0.0), beta
             assert limit.nu == pytest.approx(discrete.nu, abs=1e-3), beta
             assert limit.rho == pytest.approx(discrete.rho, abs=1e-3), beta
 
@@ -310,9 +309,9 @@ class TestLimitingParams:
         )
         assert res.pdf_atm > 0.0
         # both sides approximate the same smooth derivatives
-        assert res.d1_left == pytest.approx(res.d1_right, rel=0.05)
+        assert res.d1_left == pytest.approx(res.d1_right, rel=0.05, abs=0.0)
         # one-sided second differences are first-order and noisier
-        assert res.d2_left == pytest.approx(res.d2_right, rel=0.5)
+        assert res.d2_left == pytest.approx(res.d2_right, rel=0.5, abs=0.0)
 
     def test_unstable_differences(self):
         params = SabrParams(**HAGAN_SOURCE)
@@ -360,7 +359,7 @@ class TestQuoteSetFromCurve:
         direct = extract_quote_set(surface)
         assert q.p_minus2 == direct.p_minus2
         assert q.c_plus2 == direct.c_plus2
-        assert q.atm == pytest.approx(direct.atm, rel=1e-12)
+        assert q.atm == pytest.approx(direct.atm, rel=1e-12, abs=0.0)
 
     def test_surface_price_fn_on_non_uniform_grid(self):
         # 61 nodes, F = 0.25%: a left wing whose steps grow geometrically
@@ -412,7 +411,7 @@ class TestRecalibrate:
         result = recalibrate(
             surface_price_fn(surface), 0.02, 5.0, 0.4, 0.03, h
         )
-        assert result.params.alpha == pytest.approx(0.02, rel=1e-8)
+        assert result.params.alpha == pytest.approx(0.02, rel=1e-8, abs=0.0)
         assert result.params.nu == pytest.approx(0.30, abs=1e-8)
         assert result.params.rho == pytest.approx(-0.25, abs=1e-8)
 
