@@ -24,7 +24,6 @@ from .analytic_calib import (
     limiting_params,
     quote_set_from_curve,
     recalibrate,
-    surface_price_fn,
 )
 from .hagan_ref import hagan_implied_vol, hagan_price, hagan_price_fn
 from .market_io import (

@@ -10,7 +10,6 @@ the model-to-model recalibration workflow.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -325,24 +324,6 @@ def quote_set_from_curve(
     """
     strikes = (F - 2.0 * h, F - h, F, F + h, F + 2.0 * h)
     return QuoteSet(*[price_fn(k) for k in strikes], h, h, h, h, F, T)
-
-
-def surface_price_fn(surface) -> Callable[[float], float]:
-    """Price source backed by a solved surface's time value; strikes must hit
-    grid nodes (the nearest node, so the grid may be non-uniform)."""
-    nodes, time_value = surface.grid.strikes.tolist(), surface.time_value.tolist()
-
-    def price(k: float) -> float:
-        # the nearest node is one of the two around the insertion point; on a
-        # tie the lower index wins, as it does for an argmin over the grid
-        idx = min(bisect.bisect_left(nodes, k), len(nodes) - 1)
-        while idx > 0 and abs(nodes[idx - 1] - k) <= abs(nodes[idx] - k):
-            idx -= 1
-        if not abs(nodes[idx] - k) <= 1e-9 * (1.0 + abs(k)):
-            raise ValueError(f"strike {k} is not a node of the surface grid")
-        return time_value[idx]
-
-    return price
 
 
 def recalibrate(

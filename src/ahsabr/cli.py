@@ -22,11 +22,12 @@ import numpy as np
 from .ah_engine import (
     SabrParams,
     build_uniform_grid,
+    extract_quote_set,
     implied_vol_curve,
     otm_vol_curve,
     price_self_consistent,
 )
-from .analytic_calib import calibrate, recalibrate, surface_price_fn
+from .analytic_calib import calibrate, recalibrate
 from .errors import AhSabrError, ConfigError
 from .hagan_ref import hagan_price_fn
 from .market_io import (
@@ -239,12 +240,15 @@ def cmd_recalibrate(config: dict) -> int:
 
     if source_kind == "hagan":
         price_fn = hagan_price_fn(source_params, F, T)
+        result = recalibrate(
+            price_fn, F, T, target_beta=target_beta, target_b=target_b, h=h,
+        )
     else:
-        price_fn = surface_price_fn(price_self_consistent(grid, source_params, T))
-
-    result = recalibrate(
-        price_fn, F, T, target_beta=target_beta, target_b=target_b, h=h,
-    )
+        # the source's own quotes; the target strikes are nodes of its grid
+        source = price_self_consistent(grid, source_params, T)
+        result = calibrate(extract_quote_set(source), target_beta, target_b)
+        price_fn = dict(zip(grid.strikes.tolist(),
+                            source.time_value.tolist())).__getitem__
     target_vols = _vols_bp(price_self_consistent(grid, result.params, T))
     # the source smile on the target's strikes, from its OTM prices
     strikes = list(target_vols)

@@ -4,7 +4,6 @@ and the recalibration workflow."""
 
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from ahsabr.analytic_calib import (
     limiting_params,
     quote_set_from_curve,
     recalibrate,
-    surface_price_fn,
 )
 from ahsabr.errors import (
     DegenerateButterfly,
@@ -46,6 +44,13 @@ def solved_quotes(params, F=0.02, T=5.0, lo=-0.02, hi=0.08, count=81):
     grid = build_uniform_grid(lo, hi, count, F)
     surface = price_self_consistent(grid, params, T)
     return extract_quote_set(surface), surface
+
+
+def node_price_fn(surface):
+    """Price source that reads a solved surface's time value at the node
+    nearest the strike."""
+    strikes, time_value = surface.grid.strikes, surface.time_value
+    return lambda k: float(time_value[np.argmin(np.abs(strikes - k))])
 
 
 def uniform_quote_set(**overrides):
@@ -353,52 +358,13 @@ class TestQuoteSetFromCurve:
     def test_samples_otm_sides(self):
         params = SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.30, shift=0.03)
         _, surface = solved_quotes(params)
-        price = surface_price_fn(surface)
+        price = node_price_fn(surface)
         h = surface.grid.strikes[1] - surface.grid.strikes[0]
         q = quote_set_from_curve(price, 0.02, 5.0, h)
         direct = extract_quote_set(surface)
         assert q.p_minus2 == direct.p_minus2
         assert q.c_plus2 == direct.c_plus2
         assert q.atm == pytest.approx(direct.atm, rel=1e-12, abs=0.0)
-
-    def test_surface_price_fn_on_non_uniform_grid(self):
-        # 61 nodes, F = 0.25%: a left wing whose steps grow geometrically
-        # away from the forward, then even 0.05% steps above it
-        F, h = 0.0025, 0.0005
-        left = F - h * np.cumsum(1.1 ** np.arange(20))[::-1]
-        strikes = np.concatenate([left, F + h * np.arange(40)])
-        grid = Grid(strikes=strikes, forward_index=20)
-        params = SabrParams(alpha=0.004, beta=0.2, rho=0.2, nu=0.5, shift=0.03)
-        surface = price_self_consistent(grid, params, 2.0)
-        price = surface_price_fn(surface)
-        for j, k in enumerate(strikes):
-            assert price(k) == surface.time_value[j]
-        for k in (strikes[0] - h, 0.5 * (strikes[19] + strikes[20]), F + 0.0201):
-            with pytest.raises(ValueError, match="not a node"):
-                price(k)
-
-    def test_surface_price_fn_nearest_node_and_ties(self):
-        # nodes 2^-40 apart both pass the 1e-9 node check: the nearer one
-        # wins, and midway the lower one, as for an argmin over the grid
-        strikes = np.array([0.25, 0.5, 0.5 + 2.0**-40, 0.75])
-        surface = SimpleNamespace(grid=SimpleNamespace(strikes=strikes),
-                                  time_value=np.arange(4.0))
-        price = surface_price_fn(surface)
-        assert price(0.5 + 2.0**-41) == 1.0
-        assert price(0.5 + 2.0**-41 + 2.0**-45) == 2.0
-        assert price(0.5 - 2.0**-41) == 1.0
-        assert price(0.25 - 1e-12) == 0.0
-        assert price(0.75 + 1e-12) == 3.0
-        for k in (0.375, math.nan, 0.75 + 1e-6):
-            with pytest.raises(ValueError, match="not a node"):
-                price(k)
-
-    def test_surface_price_fn_rejects_off_node_strike(self):
-        params = SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.30, shift=0.03)
-        _, surface = solved_quotes(params)
-        price = surface_price_fn(surface)
-        with pytest.raises(ValueError):
-            price(0.0203)
 
 
 class TestRecalibrate:
@@ -409,7 +375,7 @@ class TestRecalibrate:
         _, surface = solved_quotes(params)
         h = surface.grid.strikes[1] - surface.grid.strikes[0]
         result = recalibrate(
-            surface_price_fn(surface), 0.02, 5.0, 0.4, 0.03, h
+            node_price_fn(surface), 0.02, 5.0, 0.4, 0.03, h
         )
         assert result.params.alpha == pytest.approx(0.02, rel=1e-8, abs=0.0)
         assert result.params.nu == pytest.approx(0.30, abs=1e-8)

@@ -228,7 +228,7 @@ class TestCalibrate:
         )
         assert main(["calibrate", "--config", cfg]) == 0
         doc = json.loads(out.read_text())
-        assert doc["params"]["alpha"] == pytest.approx(0.02, rel=1e-8)
+        assert doc["params"]["alpha"] == pytest.approx(0.02, rel=1e-8, abs=0.0)
         assert doc["params"]["nu"] == pytest.approx(0.30, abs=1e-8)
         assert doc["params"]["rho"] == pytest.approx(-0.25, abs=1e-8)
         assert doc["vol_curve"], "report must carry the implied-vol curve"
@@ -385,7 +385,8 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def recal_config(tmp_path, out, target_beta_pct, target_shift_pct):
+def recal_config(tmp_path, out, target_beta_pct, target_shift_pct,
+                 source="hagan"):
     return write_config(
         tmp_path,
         grid={"lo_pct": -2.0, "hi_pct": 8.0, "count": 81},
@@ -393,7 +394,7 @@ def recal_config(tmp_path, out, target_beta_pct, target_shift_pct):
                 "expiry_years": HAGAN_EXPIRY},
         model={f"{k}_pct": pct(v) for k, v in HAGAN_SOURCE.items()},
         target={"beta_pct": target_beta_pct, "shift_pct": target_shift_pct},
-        source="hagan",
+        source=source,
         out=str(out),
     )
 
@@ -439,6 +440,35 @@ class TestRecalibrate:
                 doc["source"][key], abs=1e-8
             )
 
+    def test_identity_on_ed_one_step_source(self, tmp_path):
+        # the source's own five quotes, with the grid's actual gaps, invert
+        # its rows to a few ulps
+        out = tmp_path / "recal.json"
+        cfg = ed_config(tmp_path, out, source="onestep")
+        assert main(["recalibrate", "--config", cfg]) == 0
+        doc = json.loads(out.read_text())
+        source, target = doc["source"], doc["target"]
+        assert target["alpha"] == pytest.approx(source["alpha"], rel=2e-15,
+                                                abs=0.0)
+        assert target["nu"] == pytest.approx(source["nu"], rel=0.0, abs=2e-15)
+        assert target["rho"] == pytest.approx(source["rho"], rel=0.0, abs=2e-15)
+
+    @pytest.mark.parametrize("flags,quote", [
+        (["--grid-count", "9"], "p_minus2"),
+        (["--grid-count", "11"], "p_minus2"),
+        (["--grid-count", "13"], "p_minus2"),
+        (["--grid-count", "9", "--forward", "6.0"], "c_plus1"),
+    ], ids=["lower-9", "lower-11", "lower-13", "upper-9"])
+    def test_zero_one_step_quote_exit_2(self, tmp_path, capsys, flags, quote):
+        # on these grids the forward sits two or three nodes from an end, so
+        # a quote of the source is the absorbing boundary's zero tv: the grid
+        # is the input at fault, as such market quotes would be
+        out = tmp_path / "recal.json"
+        cfg = recal_config(tmp_path, out, pct(0.60), pct(0.03), source="onestep")
+        assert main(["recalibrate", "--config", cfg, *flags]) == 2
+        assert_one_line_error(capsys, f"{quote} must be positive")
+        assert not out.exists()
+
     def test_source_and_target_vols_share_units(self, tmp_path):
         # both smiles are Bachelier normal vols in bp: at the forward the
         # source and the recalibrated target sit close together
@@ -447,7 +477,8 @@ class TestRecalibrate:
         assert main(["recalibrate", "--config", cfg]) == 0
         doc = json.loads(out.read_text())
         (row,) = [r for r in doc["smile"] if r["strike"] == HAGAN_FORWARD]
-        assert row["source_vol_bp"] == pytest.approx(row["target_vol_bp"], rel=0.1)
+        assert row["source_vol_bp"] == pytest.approx(
+            row["target_vol_bp"], rel=0.1, abs=0.0)
 
     def test_nan_source_vol_rejected_at_write(self, tmp_path, capsys,
                                               monkeypatch):

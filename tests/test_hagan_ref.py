@@ -32,7 +32,7 @@ class TestHaganImpliedVol:
     def test_black_limit(self):
         # beta = 1, nu = 0: the shifted rate is exactly lognormal at vol alpha
         q = quote(0.015, expiry=5.0, beta=1.0, nu=0.0, rho=0.0, alpha=0.25)
-        assert hagan_implied_vol(*q) == pytest.approx(0.25, rel=1e-15)
+        assert hagan_implied_vol(*q) == pytest.approx(0.25, rel=1e-15, abs=0.0)
 
     def test_atm_leading_order(self):
         # short maturity: the T-correction vanishes and the ATM vol tends to
@@ -40,14 +40,14 @@ class TestHaganImpliedVol:
         q = quote(0.02, expiry=1e-6)
         p = q[-1]
         lead = p.alpha / (0.02 + p.shift) ** (1.0 - p.beta)
-        assert hagan_implied_vol(*q) == pytest.approx(lead, rel=1e-5)
+        assert hagan_implied_vol(*q) == pytest.approx(lead, rel=1e-5, abs=0.0)
 
     def test_atm_series_branch_is_continuous(self):
         # strikes straddling the ATM switch must produce nearby vols
         eps = 0.02 * 5e-8
         v_atm = hagan_implied_vol(*quote(0.02))
         v_near = hagan_implied_vol(*quote(0.02 + 5.0 * eps))
-        assert v_near == pytest.approx(v_atm, rel=1e-5)
+        assert v_near == pytest.approx(v_atm, rel=1e-5, abs=0.0)
 
     def test_smile_is_smooth(self):
         h = 0.0005
@@ -76,7 +76,7 @@ class TestHaganPrice:
         call = hagan_price(*quote(k, expiry=0.25), "call")
         intrinsic = 0.02 - k
         assert call > intrinsic
-        assert call == pytest.approx(intrinsic, rel=1e-3)
+        assert call == pytest.approx(intrinsic, rel=1e-3, abs=0.0)
 
     def test_atm_normal_vol_equivalence_short_maturity(self):
         # for short T the lognormal and normal ATM quotes agree through the

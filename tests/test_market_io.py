@@ -218,7 +218,7 @@ class TestAssembleQuoteSet:
         direct = extract_quote_set(surface)
         for name in ("p_minus2", "p_minus1", "atm", "c_plus1", "c_plus2"):
             assert getattr(q, name) == pytest.approx(
-                getattr(direct, name), rel=1e-12
+                getattr(direct, name), rel=1e-12, abs=0.0
             )
 
     def test_parity_completion(self, solved):
@@ -236,7 +236,7 @@ class TestAssembleQuoteSet:
                                 float(surface.calls[n - 1])))
         q = assemble_quote_set(quotes, 0.02, 5.0, h)
         direct = extract_quote_set(surface)
-        assert q.p_minus1 == pytest.approx(direct.p_minus1, rel=1e-10)
+        assert q.p_minus1 == pytest.approx(direct.p_minus1, rel=1e-10, abs=0.0)
 
     def test_parity_completion_call_side(self, solved):
         # drop the OTM call at F+h and supply the ITM put instead; parity
@@ -253,7 +253,7 @@ class TestAssembleQuoteSet:
                                 float(surface.puts[n + 1])))
         q = assemble_quote_set(quotes, 0.02, 5.0, h)
         direct = extract_quote_set(surface)
-        assert q.c_plus1 == pytest.approx(direct.c_plus1, rel=1e-10)
+        assert q.c_plus1 == pytest.approx(direct.c_plus1, rel=1e-10, abs=0.0)
 
     def test_missing_strike(self, solved):
         _, surface = solved
@@ -278,10 +278,10 @@ class TestAssembleQuoteSet:
         direct = extract_quote_set(surface)
         for name in ("p_minus2", "p_minus1", "atm", "c_plus1", "c_plus2"):
             assert getattr(q, name) == pytest.approx(
-                getattr(direct, name), rel=1e-12
+                getattr(direct, name), rel=1e-12, abs=0.0
             )
         recovered = calibrate(q, 0.4, 0.03).params
-        assert recovered.alpha == pytest.approx(0.02, rel=1e-8)
+        assert recovered.alpha == pytest.approx(0.02, rel=1e-8, abs=0.0)
         assert recovered.nu == pytest.approx(0.30, abs=1e-8)
         assert recovered.rho == pytest.approx(-0.25, abs=1e-8)
 
