@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
 from .numerics import atm_normal_vol, bachelier_otm_vols, is_scalar, one_minus_x_mills
 
 FIXED_POINT_TOL = 1e-13  # relative change of sigma that ends the ATM fixed point
-FIXED_POINT_MAX_ITER = 50  # evaluations; the secant takes 6 on ED and 4 to 6 on A1 grids
+FIXED_POINT_MAX_ITER = 50  # evaluations: 6 on ED, 4 to 6 on A1 grids; the surface adds none
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,9 @@ class _OneStepRows:
     their outer couplings are zero.  The couplings and the source depend on
     the grid alone and come from Grid.row_geometry, computed once per grid.
     Only r depends on the ATM vol, as a / kappa with
-    a = h+ h- / (T local_vol^2), so a is the one array built per set of rows."""
+    a = h+ h- / (T local_vol^2), so a is the one array built per set of rows.
+    The rows keep their last evaluation, (sigma, eliminate(sigma)), as one
+    tuple, so the surface at the fixed point's last sigma repeats none."""
 
     def __init__(self, grid: Grid, params: SabrParams, expiry: float):
         if grid.strikes[0] + params.shift <= 0.0:
@@ -274,6 +276,7 @@ class _OneStepRows:
         self.F, self.expiry = grid.forward, expiry
         with np.errstate(all="ignore"):
             self.a = self.hh / (expiry * local_vol(self.k, self.F, params) ** 2)
+        self.last = (None, None)
 
     def diagonal(self, sigma: float):
         """(r, 1 + r) at ATM vol sigma, as arrays."""
@@ -289,7 +292,11 @@ class _OneStepRows:
         """(r, tv_n, p, q) at ATM vol sigma.  Eliminating towards row n from
         each end leaves tv_j = (up_j / p_j) tv_{j+1} below it, with pivots p
         from row 0 up, and tv_j = (lo_j / q_j) tv_{j-1} above it, with pivots
-        q from the last row down; row n then gives tv_n."""
+        q from the last row down; row n then gives tv_n.  A call at the last
+        sigma returns the last result; r is read-only, so it cannot go stale."""
+        last = self.last
+        if last[0] == sigma:
+            return last[1]
         r, d = self.diagonal(sigma)
         d, n = d.tolist(), self.n
         p = _pivots(d[:n], self.c_left)
@@ -297,11 +304,22 @@ class _OneStepRows:
         piv = d[n] - self.c_left[-1] / p[-1] - self.c_right[-1] / q[-1]
         if abs(piv) < 1e-300:
             raise SingularPivot("zero pivot at the forward's row")
-        return r, self.source / piv, p, q
+        r.flags.writeable = False
+        result = r, self.source / piv, p, q
+        self.last = (sigma, result)
+        return result
 
     def atm_time_value(self, sigma: float) -> float:
         """tv_n alone, with no back substitution."""
         return self.eliminate(sigma)[1]
+
+
+@lru_cache(maxsize=1)
+def _rows(grid: Grid, params: SabrParams, expiry: float) -> _OneStepRows:
+    """The rows of the last (grid, params, expiry) asked for, so the fixed
+    point and the surface at its last sigma share one build.  The memo holds
+    the grid itself, which hashes by identity, and the params by value."""
+    return _OneStepRows(grid, params, expiry)
 
 
 def _pivots(diag, coupling) -> list:
@@ -327,9 +345,11 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
     boundary rows give tv = 0 at the first and last interior nodes, and the
     end nodes, which have no row, stay at intrinsic too.  The elimination of
     the fixed point gives tv at the forward, and the ratios of its pivots
-    carry it outward to every other interior node.
+    carry it outward to every other interior node.  At the last sigma of a
+    fixed point on the same grid, params and expiry, the rows and their
+    elimination are the fixed point's own (_rows, _OneStepRows.eliminate).
     """
-    rows = _OneStepRows(grid, params, slice_.expiry)
+    rows = _rows(grid, params, slice_.expiry)
     r, tv_n, p, q = rows.eliminate(slice_.atm_normal_vol)
     n = rows.n
     tv = np.zeros(grid.size)
@@ -346,9 +366,12 @@ def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> Mark
     step come secant steps on the vol ratio G(sigma) = 1 - sigma / ATM vol,
     which take fewer evaluations than steps on ATM vol - sigma, or the plain
     step where a secant one is not positive and finite.  Each evaluation
-    reads tv at the forward alone (_OneStepRows.atm_time_value)."""
+    reads tv at the forward alone (_OneStepRows.atm_time_value).  The slice
+    carries the last sigma evaluated, whose residual
+    |ATM vol - sigma| <= FIXED_POINT_TOL sigma the loop checked, so its
+    rows and elimination serve solve_one_step as they are."""
     # the rows reject k_0 + b <= 0 first, and k_0 < F, so the guess is real
-    rows = _OneStepRows(grid, params, expiry)
+    rows = _rows(grid, params, expiry)
     sigma = params.alpha * (grid.forward + params.shift) ** params.beta
     MarketSlice(expiry, sigma)  # rejects an expiry that is not positive
     last = None  # (sigma, G) of the evaluation before
@@ -357,7 +380,7 @@ def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> Mark
         if not 0.0 < vol < math.inf:
             raise ConvergenceError("ATM fixed point left the positive domain")
         if abs(vol - sigma) <= FIXED_POINT_TOL * sigma:
-            return MarketSlice(expiry, vol)
+            return MarketSlice(expiry, sigma)
         g = 1.0 - sigma / vol
         step = vol  # the plain step, unless a secant step is positive and finite
         if last is not None and g != last[1]:
@@ -369,8 +392,9 @@ def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> Mark
 
 
 def price_self_consistent(grid, params, expiry) -> PriceSurface:
-    """solve_one_step at the self-consistent ATM volatility: the fixed point
-    solves nothing in full, so this is the surface's one full solve."""
+    """solve_one_step at the self-consistent ATM volatility.  The fixed point
+    builds the rows once and its last evaluation is the surface's: the solve
+    only carries tv outward from the forward, and eliminates nothing again."""
     slice_ = self_consistent_slice(grid, params, expiry)
     return solve_one_step(grid, slice_, params)
 

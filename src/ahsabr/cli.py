@@ -245,6 +245,13 @@ def cmd_recalibrate(config: dict) -> int:
         )
     else:
         # the source's own quotes; the target strikes are nodes of its grid
+        n = grid.forward_index
+        if n < 4 or n > count - 5:  # tv is zero on the two nodes at each end
+            raise ConfigError(
+                f"source 'onestep' quotes nodes n-2..n+2 and needs the forward n "
+                f"at least 4 nodes from each grid end: forward {F / PCT:g}% is "
+                f"node {n} of 0..{count - 1} on [{lo / PCT:g}%, {hi / PCT:g}%]"
+            )
         source = price_self_consistent(grid, source_params, T)
         result = calibrate(extract_quote_set(source), target_beta, target_b)
         price_fn = dict(zip(grid.strikes.tolist(),

@@ -75,9 +75,11 @@ class TestMarketSlice:
         # numerics.atm_normal_vol and its inverse, price = vol * sqrt(T / 2 pi)
         price = 0.0095 * math.sqrt(2.0 / (2.0 * math.pi))
         vol = MarketSlice(2.0, atm_normal_vol(price, 2.0)).atm_normal_vol
-        assert vol == pytest.approx(price / math.sqrt(2.0 / (2.0 * math.pi)), rel=1e-15)
-        assert vol == pytest.approx(0.0095, rel=1e-14)
-        assert vol * math.sqrt(2.0 / (2.0 * math.pi)) == pytest.approx(price, rel=1e-14)
+        assert vol == pytest.approx(price / math.sqrt(2.0 / (2.0 * math.pi)),
+                                    rel=1e-15, abs=0.0)
+        assert vol == pytest.approx(0.0095, rel=1e-14, abs=0.0)
+        assert vol * math.sqrt(2.0 / (2.0 * math.pi)) == pytest.approx(
+            price, rel=1e-14, abs=0.0)
         # elementwise on arrays, with the scalar's bits
         assert atm_normal_vol(np.array([price, 2.0 * price]), 2.0).tolist() == [
             vol, atm_normal_vol(2.0 * price, 2.0)]
@@ -97,7 +99,7 @@ class TestBuildUniformGrid:
     def test_published_quoting_grid(self):
         grid = build_uniform_grid(-0.05, 0.25, 241, 0.0025)
         h = grid.strikes[1] - grid.strikes[0]
-        assert h == pytest.approx(0.00125, rel=1e-12)
+        assert h == pytest.approx(0.00125, rel=1e-12, abs=0.0)
         assert grid.strikes[grid.forward_index] == 0.0025  # exact
         assert grid.size == 241
 
@@ -171,26 +173,26 @@ class TestYofK:
 
     def test_beta_zero_linear(self):
         p = make_params(beta=0.0)
-        assert y_of_k(0.015, 0.02, p) == pytest.approx(0.005 / p.alpha, rel=1e-14)
+        assert y_of_k(0.015, 0.02, p) == pytest.approx(0.005 / p.alpha, rel=1e-14, abs=0.0)
 
     def test_quadrature_oracle(self):
         p = make_params(alpha=0.0206, beta=0.4, shift=0.03)
         F, k = 0.02, 0.01875
         oracle, err = quad(lambda u: (u + p.shift) ** (-p.beta), [k, F], error=True)
         assert err < 1e-14
-        assert y_of_k(k, F, p) == pytest.approx(float(oracle) / p.alpha, rel=1e-12)
+        assert y_of_k(k, F, p) == pytest.approx(float(oracle) / p.alpha, rel=1e-12, abs=0.0)
 
     def test_log_branch_quadrature_oracle(self):
         p = make_params(beta=1.0)
         F, k = 0.02, 0.031
         oracle = quad(lambda u: 1.0 / (u + p.shift), [k, F])
-        assert y_of_k(k, F, p) == pytest.approx(float(oracle) / p.alpha, rel=1e-12)
+        assert y_of_k(k, F, p) == pytest.approx(float(oracle) / p.alpha, rel=1e-12, abs=0.0)
 
     def test_near_one_beta_routed_to_log_branch(self):
         p_log = make_params(beta=1.0)
         p_near = make_params(beta=1.0 - 1e-13)
         assert y_of_k(0.015, 0.02, p_near) == pytest.approx(
-            y_of_k(0.015, 0.02, p_log), rel=1e-12
+            y_of_k(0.015, 0.02, p_log), rel=1e-12, abs=0.0
         )
 
     def test_strictly_decreasing(self):
@@ -212,13 +214,13 @@ class TestLocalVol:
         p = make_params(nu=0.0)
         k = 0.013
         assert local_vol(k, 0.02, p) == pytest.approx(
-            p.alpha * (k + p.shift) ** p.beta, rel=1e-15
+            p.alpha * (k + p.shift) ** p.beta, rel=1e-15, abs=0.0
         )
 
     def test_at_forward(self):
         p = make_params()
         assert local_vol(0.02, 0.02, p) == pytest.approx(
-            p.alpha * (0.02 + p.shift) ** p.beta, rel=1e-15
+            p.alpha * (0.02 + p.shift) ** p.beta, rel=1e-15, abs=0.0
         )
 
     def test_generic_point_direct_formula(self):
@@ -227,7 +229,7 @@ class TestLocalVol:
         y = y_of_k(k, F, p)
         j = math.sqrt(1.0 - 2.0 * p.rho * p.nu * y + (p.nu * y) ** 2)
         assert local_vol(k, F, p) == pytest.approx(
-            p.alpha * j * (k + p.shift) ** p.beta, rel=1e-15
+            p.alpha * j * (k + p.shift) ** p.beta, rel=1e-15, abs=0.0
         )
 
 
@@ -239,7 +241,7 @@ class TestKappa:
         sigma, T = 0.01, 4.0
         k = 0.02 - sigma * math.sqrt(T)  # xi == 1 under the total convention
         expected = 2.0 * (1.0 - float(mills_ratio(1.0)))
-        assert kappa(k, 0.02, sigma, T) == pytest.approx(expected, rel=1e-13)
+        assert kappa(k, 0.02, sigma, T) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_decreasing_in_distance_and_range(self):
         ks = np.linspace(0.02, 0.40, 300)
@@ -266,7 +268,7 @@ class TestKappa:
         for xi in (50.001, 55.0, 80.0):
             k = 0.02 + xi * sigma
             direct = 2.0 * (1.0 - xi * float(mills_ratio(xi)))
-            assert kappa(k, 0.02, sigma, T) == pytest.approx(direct, rel=1e-10)
+            assert kappa(k, 0.02, sigma, T) == pytest.approx(direct, rel=1e-10, abs=0.0)
 
     def test_against_exact_from_zero_to_1e300(self):
         # both paths against 40-digit values, on both sides of Cody's joins
@@ -525,7 +527,7 @@ class TestSolveOneStep:
         grid = build_uniform_grid(F - 10.0 * s, F + 10.0 * s, 801, F)
         surface = price_self_consistent(grid, params, T)
         sigma = surface.slice.atm_normal_vol
-        assert sigma == pytest.approx(alpha, rel=2e-4)
+        assert sigma == pytest.approx(alpha, rel=2e-4, abs=0.0)
         sel = np.abs(grid.strikes - F) < 4.0 * s
         for k, call in zip(grid.strikes[sel], surface.calls[sel]):
             oracle = bachelier_price(F, float(k), sigma, T)
@@ -689,7 +691,7 @@ class TestSolveOneStep:
             b = mpmath.mpf(params.shift)
             u = [mpmath.mpf(k) + b for k in grid.strikes.tolist()]
             edge = extended_precision_lower_edge_mass(u, n, params, sigma, d["T"])
-            assert float(edge) == pytest.approx(below, rel=1e-12)
+            assert float(edge) == pytest.approx(below, rel=1e-12, abs=0.0)
             edge_l = mpmath.log(u[n] / u[0])
             masses = []
             for step in (1, 0.5):
@@ -698,8 +700,8 @@ class TestSolveOneStep:
                         for i in range(count, 0, -1)]
                 masses.append(float(extended_precision_lower_edge_mass(
                     wing + u, n + count, params, sigma, d["T"])))
-        assert masses[0] == pytest.approx(below, rel=0.05)
-        assert masses[1] == pytest.approx(masses[0], rel=0.01)
+        assert masses[0] == pytest.approx(below, rel=0.05, abs=0.0)
+        assert masses[1] == pytest.approx(masses[0], rel=0.01, abs=0.0)
 
     @pytest.mark.parametrize("expiry", [1e10, 1e12, 1e14])
     def test_large_expiry_absorbs_at_the_edges(self, expiry):
@@ -739,7 +741,7 @@ class TestSolveOneStep:
         # published parameters are rounded to four digits, so the repriced
         # ATM only has to land near the quote
         atm = ed_surface.time_value[ed_surface.grid.forward_index]
-        assert atm * 100.0 == pytest.approx(ED_ATM_PRICE_POINTS, rel=2e-2)
+        assert atm * 100.0 == pytest.approx(ED_ATM_PRICE_POINTS, rel=2e-2, abs=0.0)
 
     def test_published_fixture_density(self, ed_surface):
         assert ed_surface.density.min() >= -1e-12
@@ -776,7 +778,8 @@ class TestSelfConsistentSlice:
         slice_ = self_consistent_slice(grid, params, 5.0)
         surface = solve_one_step(grid, slice_, params)
         atm = surface.time_value[grid.forward_index]
-        assert atm_normal_vol(atm, 5.0) == pytest.approx(slice_.atm_normal_vol, rel=1e-12)
+        assert atm_normal_vol(atm, 5.0) == pytest.approx(
+            slice_.atm_normal_vol, rel=1e-12, abs=0.0)
 
     @staticmethod
     def a1_grids(count):
@@ -857,9 +860,10 @@ class TestSelfConsistentSlice:
             assert np.all(np.array(q) >= rows.lo[:n:-1] * (1.0 - 1e-12))
 
     def test_one_full_solve_per_surface(self, monkeypatch):
-        # each evaluation, the fixed point's six and the surface's, calls
-        # kappa once for the diagonal and sweeps the pivots once from each
-        # end; only solve_one_step carries their ratios outward
+        # one build of the rows; each of the fixed point's six evaluations
+        # calls kappa once for the diagonal and sweeps the pivots once from
+        # each end, and solve_one_step carries the last one's ratios outward
+        # with no evaluation of its own
         calls = []
 
         def counted(name, fn):
@@ -868,13 +872,79 @@ class TestSelfConsistentSlice:
                 return fn(*args)
             monkeypatch.setattr(ah_engine, name, wrapper)
 
+        counted("_OneStepRows", _OneStepRows)
         counted("solve_one_step", solve_one_step)
         counted("kappa", kappa)
         counted("_pivots", ah_engine._pivots)
         grid = build_uniform_grid(*ED_GRID, ED_FORWARD)
         price_self_consistent(grid, SabrParams(**ED_PARAMS), ED_EXPIRY)
         evaluation = ["kappa", "_pivots", "_pivots"]
-        assert calls == 6 * evaluation + ["solve_one_step", *evaluation]
+        assert calls == ["_OneStepRows", *6 * evaluation, "solve_one_step"]
+
+    def test_surface_is_the_fixed_points_last_evaluation(self):
+        # bit for bit: price_self_consistent, solve_one_step at the slice on
+        # the same grid, and a solve at that slice on a fresh grid with the
+        # same strikes, which shares no memo: the ED fixture and the first
+        # 10 A1 grids
+        ed = build_uniform_grid(*ED_GRID, ED_FORWARD)
+        for grid, params, T in [(ed, SabrParams(**ED_PARAMS), ED_EXPIRY),
+                                *self.a1_grids(10)]:
+            surface = price_self_consistent(grid, params, T)
+            slice_ = self_consistent_slice(grid, params, T)
+            fresh = Grid(grid.strikes, grid.forward_index)
+            for other in (solve_one_step(grid, slice_, params),
+                          solve_one_step(fresh, slice_, params)):
+                assert other.slice == surface.slice
+                assert np.array_equal(other.time_value, surface.time_value)
+                assert np.array_equal(other.density, surface.density)
+
+    def test_memo_never_stale(self):
+        # after a fixed point, solves on the same grid object in turn: at
+        # another vol, with other params, at another expiry and at the slice
+        # again, each against a solve on a fresh grid with the same strikes
+        grid = build_uniform_grid(*ED_GRID, ED_FORWARD)
+        params = SabrParams(**ED_PARAMS)
+        slice_ = self_consistent_slice(grid, params, ED_EXPIRY)
+        cases = [
+            (MarketSlice(ED_EXPIRY, 1.1 * slice_.atm_normal_vol), params),
+            (slice_, dataclasses.replace(params, nu=1.5 * params.nu)),
+            (MarketSlice(2.0 * ED_EXPIRY, slice_.atm_normal_vol), params),
+            (slice_, params),
+        ]
+        wants = [solve_one_step(Grid(grid.strikes, grid.forward_index), s, p)
+                 for s, p in cases]
+        assert self_consistent_slice(grid, params, ED_EXPIRY) == slice_
+        for (s, p), want in zip(cases, wants):
+            got = solve_one_step(grid, s, p)
+            assert np.array_equal(got.time_value, want.time_value)
+            assert np.array_equal(got.density, want.density)
+
+    def test_failed_evaluation_leaves_the_memo(self, monkeypatch):
+        # a NumericalError (z past the double range at a tiny vol) and a
+        # SingularPivot (a patched zero diagonal) on the fixed point's rows
+        # keep those rows and their last evaluation, so the surface after
+        # them is the one before
+        grid = build_uniform_grid(*ED_GRID, ED_FORWARD)
+        params = SabrParams(**ED_PARAMS)
+        surface = price_self_consistent(grid, params, ED_EXPIRY)
+        rows = ah_engine._rows(grid, params, ED_EXPIRY)
+        last = rows.last
+        assert last[0] == surface.slice.atm_normal_vol
+        assert not last[1][0].flags.writeable  # r, which the density reads
+        with pytest.raises(NumericalError):
+            rows.eliminate(1e-300)
+        diag = np.ones(grid.size - 2)
+        diag[0] = 0.0
+        with monkeypatch.context() as m:
+            m.setattr(rows, "c_left", [0.0] * len(rows.c_left))
+            m.setattr(rows, "diagonal", lambda sigma: (None, diag))
+            with pytest.raises(SingularPivot):
+                rows.eliminate(0.01)
+        assert ah_engine._rows(grid, params, ED_EXPIRY) is rows
+        assert rows.last is last
+        again = solve_one_step(grid, surface.slice, params)
+        assert np.array_equal(again.time_value, surface.time_value)
+        assert np.array_equal(again.density, surface.density)
 
     def test_secant_evaluation_count(self, monkeypatch):
         # one kappa call per evaluation; the damped iteration took 19 on ED,
@@ -964,7 +1034,7 @@ class TestSelfConsistentSlice:
         with mpmath.workdps(50):
             tv = extended_precision_time_value(grid, r)[0][grid.forward_index - 1]
             exact = float(tv * mpmath.sqrt(2 * mpmath.pi / mpmath.mpf(T)))
-        assert vol == pytest.approx(exact, rel=1e-13)
+        assert vol == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 class TestImpliedVolCurve:
@@ -1055,11 +1125,11 @@ class TestExtractQuoteSet:
         h = grid.strikes[1] - grid.strikes[0]
         n = grid.forward_index
         for step in (q.h_minus_nm1, q.h_minus_n, q.h_plus_n, q.h_plus_np1):
-            assert step == pytest.approx(h, rel=1e-12)
+            assert step == pytest.approx(h, rel=1e-12, abs=0.0)
         assert q.p_minus2 == surface.puts[n - 2]
         assert q.c_plus2 == surface.calls[n + 2]
         assert atm_normal_vol(q.atm, q.expiry) == pytest.approx(
-            surface.slice.atm_normal_vol, rel=1e-12)
+            surface.slice.atm_normal_vol, rel=1e-12, abs=0.0)
 
     def test_non_uniform_steps_match_differences(self):
         params = make_params()
@@ -1073,5 +1143,5 @@ class TestExtractQuoteSet:
         q = extract_quote_set(surface)
         n = grid.forward_index
         k = grid.strikes
-        assert q.h_minus_nm1 == pytest.approx(k[n - 1] - k[n - 2], rel=1e-14)
-        assert q.h_plus_np1 == pytest.approx(k[n + 2] - k[n + 1], rel=1e-14)
+        assert q.h_minus_nm1 == pytest.approx(k[n - 1] - k[n - 2], rel=1e-14, abs=0.0)
+        assert q.h_plus_np1 == pytest.approx(k[n + 2] - k[n + 1], rel=1e-14, abs=0.0)

@@ -453,21 +453,32 @@ class TestRecalibrate:
         assert target["nu"] == pytest.approx(source["nu"], rel=0.0, abs=2e-15)
         assert target["rho"] == pytest.approx(source["rho"], rel=0.0, abs=2e-15)
 
-    @pytest.mark.parametrize("flags,quote", [
-        (["--grid-count", "9"], "p_minus2"),
-        (["--grid-count", "11"], "p_minus2"),
-        (["--grid-count", "13"], "p_minus2"),
-        (["--grid-count", "9", "--forward", "6.0"], "c_plus1"),
+    @pytest.mark.parametrize("flags,where", [
+        (["--grid-count", "9"], "forward 0.3% is node 2 of 0..8"),
+        (["--grid-count", "11"], "forward 0.3% is node 2 of 0..10"),
+        (["--grid-count", "13"], "forward 0.3% is node 3 of 0..12"),
+        (["--grid-count", "9", "--forward", "6.0"], "forward 6% is node 6 of 0..8"),
     ], ids=["lower-9", "lower-11", "lower-13", "upper-9"])
-    def test_zero_one_step_quote_exit_2(self, tmp_path, capsys, flags, quote):
+    def test_zero_one_step_quote_exit_2(self, tmp_path, capsys, flags, where):
         # on these grids the forward sits two or three nodes from an end, so
-        # a quote of the source is the absorbing boundary's zero tv: the grid
-        # is the input at fault, as such market quotes would be
+        # a quote of the source would be the absorbing boundary's zero tv: the
+        # grid is the input at fault, and the error names it and the node
         out = tmp_path / "recal.json"
         cfg = recal_config(tmp_path, out, pct(0.60), pct(0.03), source="onestep")
         assert main(["recalibrate", "--config", cfg, *flags]) == 2
-        assert_one_line_error(capsys, f"{quote} must be positive")
+        assert_one_line_error(capsys, "source 'onestep'", where, "[-2%, 8%]")
         assert not out.exists()
+
+    def test_forward_four_nodes_from_each_end_accepted(self, tmp_path):
+        # the forward at node 4 of 0..16, and of 0..8 (forward 3.0%), which
+        # is 4 nodes from both ends: the five quotes miss the boundary nodes
+        for flags in (["--grid-count", "17"],
+                      ["--grid-count", "9", "--forward", "3.0"]):
+            out = tmp_path / "recal.json"
+            cfg = recal_config(tmp_path, out, pct(0.60), pct(0.03), source="onestep")
+            assert main(["recalibrate", "--config", cfg, *flags]) == 0
+            assert out.exists()
+            out.unlink()
 
     def test_source_and_target_vols_share_units(self, tmp_path):
         # both smiles are Bachelier normal vols in bp: at the forward the

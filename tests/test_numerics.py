@@ -60,8 +60,9 @@ class TestNormFunctions:
         assert norm_cdf(x) == pytest.approx(expected, abs=1e-16, rel=1e-14)
 
     def test_pdf_spot_and_symmetry(self):
-        assert norm_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-15)
-        assert norm_pdf(1.3) == pytest.approx(norm_pdf(-1.3), rel=1e-15)
+        assert norm_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi),
+                                              rel=1e-15, abs=0.0)
+        assert norm_pdf(1.3) == pytest.approx(norm_pdf(-1.3), rel=1e-15, abs=0.0)
         assert norm_pdf(40.0) == 0.0  # underflows cleanly, no warning
 
     def test_pdf_extreme_argument_is_zero(self):
@@ -72,7 +73,7 @@ class TestNormFunctions:
 class TestMillsRatio:
     @pytest.mark.parametrize("x,expected", MILLS_CASES)
     def test_spot_values(self, x, expected):
-        assert float(mills_ratio(x)) == pytest.approx(expected, rel=1e-13)
+        assert float(mills_ratio(x)) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_monotone_decreasing(self):
         xs = np.linspace(0.0, 60.0, 400)
@@ -82,7 +83,7 @@ class TestMillsRatio:
     def test_matches_cdf_ratio_in_moderate_range(self):
         for x in (0.1, 1.0, 2.5, 5.0):
             direct = norm_cdf(-x) / norm_pdf(x)
-            assert float(mills_ratio(x)) == pytest.approx(direct, rel=1e-12)
+            assert float(mills_ratio(x)) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("form", [float, int, np.float64, np.asarray])
     def test_scalar_forms_return_the_same_float(self, form):
@@ -151,12 +152,13 @@ class TestErfcx:
     def test_joins_are_continuous(self):
         for join in self.JOINS:
             below, above = join, float(np.nextafter(join, 10.0))
-            assert _erfcx(below) == pytest.approx(_erfcx(above), rel=1e-14)
+            assert _erfcx(below) == pytest.approx(_erfcx(above), rel=1e-14, abs=0.0)
 
     def test_extremes(self):
         assert _erfcx(0.0) == 1.0
         assert _erfcx(math.inf) == 0.0
-        assert _erfcx(1e200) == pytest.approx(1.0 / (1e200 * math.sqrt(math.pi)), rel=1e-15)
+        assert _erfcx(1e200) == pytest.approx(1.0 / (1e200 * math.sqrt(math.pi)),
+                                              rel=1e-15, abs=0.0)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             out = _erfcx_array(np.array([0.0, math.inf, math.nan, 1e300]))
         assert out[0] == 1.0 and out[1] == 0.0 and math.isnan(out[2])
@@ -315,7 +317,7 @@ class TestBachelierPrice:
     @pytest.mark.parametrize("F,k,sigma,T,expected", BACHELIER_CASES)
     def test_call_spot_values(self, F, k, sigma, T, expected):
         assert bachelier_price(F, k, sigma, T, "call") == pytest.approx(
-            expected, rel=1e-14
+            expected, rel=1e-14, abs=0.0
         )
 
     @pytest.mark.parametrize("F,k,sigma,T,expected", BACHELIER_CASES)
@@ -328,7 +330,7 @@ class TestBachelierPrice:
         sigma, T = 0.0095, 2.0
         expected = sigma * math.sqrt(T / (2.0 * math.pi))
         assert bachelier_price(0.0025, 0.0025, sigma, T) == pytest.approx(
-            expected, rel=1e-15
+            expected, rel=1e-15, abs=0.0
         )
 
     def test_quadrature_oracle(self):
@@ -339,7 +341,8 @@ class TestBachelierPrice:
         integrand = lambda x: max(F + s * x - k, 0.0) * mpmath.npdf(x)
         oracle, err = mpmath.quad(integrand, [(k - F) / s, 30.0], error=True)
         assert err < 1e-14
-        assert bachelier_price(F, k, sigma, T) == pytest.approx(float(oracle), rel=1e-10)
+        assert bachelier_price(F, k, sigma, T) == pytest.approx(
+            float(oracle), rel=1e-10, abs=0.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -355,7 +358,7 @@ class TestBachelierImpliedVol:
     def test_round_trip(self, F, k, sigma, T, _):
         price = bachelier_price(F, k, sigma, T, "call")
         vol = bachelier_implied_vol(price, F, k, T, "call")
-        assert vol == pytest.approx(sigma, rel=1e-12)
+        assert vol == pytest.approx(sigma, rel=1e-12, abs=0.0)
 
     @given(
         sigma=st.floats(1e-4, 0.05),
@@ -369,7 +372,7 @@ class TestBachelierImpliedVol:
         for kind in ("call", "put"):
             price = bachelier_price(F, k, sigma, T, kind)
             vol = bachelier_implied_vol(price, F, k, T, kind)
-            assert vol == pytest.approx(sigma, rel=1e-10)
+            assert vol == pytest.approx(sigma, rel=1e-10, abs=0.0)
             reprice = bachelier_price(F, k, vol, T, kind)
             # price error scales with vega; deep-OTM premiums go through
             # parity and cannot hold a relative bound of their own
@@ -379,7 +382,7 @@ class TestBachelierImpliedVol:
         F, k, sigma, T = 0.02, 0.01, 0.006, 5.0
         price = bachelier_price(F, k, sigma, T, "put")
         assert bachelier_implied_vol(price, F, k, T, "put") == pytest.approx(
-            sigma, rel=1e-12
+            sigma, rel=1e-12, abs=0.0
         )
 
     def test_at_or_below_intrinsic_rejected(self):
