@@ -257,8 +257,8 @@ def cmd_recalibrate(config: dict) -> int:
         price_fn = dict(zip(grid.strikes.tolist(),
                             source.time_value.tolist())).__getitem__
     target_vols = _vols_bp(price_self_consistent(grid, result.params, T))
-    # the source smile on the target's strikes, from its OTM prices
-    strikes = list(target_vols)
+    # the source smile, from its OTM prices, on the target's strikes it can price
+    strikes = [k for k in target_vols if k + source_params.shift > 0.0]
     source_vols = otm_vol_curve(strikes, [price_fn(k) for k in strikes], F, T) / BP
     smile = [
         {"strike": k, "source_vol_bp": sv, "target_vol_bp": target_vols[k]}

@@ -12,7 +12,14 @@ from .ah_engine import SabrParams
 from .errors import NonpositiveShiftedStrike
 from .numerics import norm_cdf
 
-_ATM_LOG_TOL = 1e-7
+
+def _z_over_x(z: float, rho: float) -> float:
+    """Hagan's z / x(z), with x(z) = log((s + z - rho) / (1 - rho)) and
+    s = sqrt(1 - 2 rho z + z^2), x written as asinh(z (1 + s) / (1 + s - rho z)).
+    That argument keeps every digit of z near z = 0, where the log's argument,
+    1 + O(z), loses them."""
+    s = math.sqrt(1.0 - 2.0 * rho * z + z * z)
+    return z / math.asinh(z * (1.0 + s) / (1.0 + s - rho * z)) if z else 1.0
 
 
 def hagan_implied_vol(strike: float, forward: float, expiry: float,
@@ -31,24 +38,14 @@ def hagan_implied_vol(strike: float, forward: float, expiry: float,
     log_fk = math.log(f / K)
     fk_mid = (f * K) ** (0.5 * one_m_beta)
 
-    # maturity correction shared by the ATM and smile branches
+    # maturity correction, the expansion's term of order T
     corr = 1.0 + (
         one_m_beta**2 * alpha**2 / (24.0 * fk_mid**2)
         + rho * beta * nu * alpha / (4.0 * fk_mid)
         + (2.0 - 3.0 * rho**2) * nu**2 / 24.0
     ) * expiry
 
-    if abs(log_fk) < _ATM_LOG_TOL:
-        return alpha / f**one_m_beta * corr
-
-    z = (nu / alpha) * fk_mid * log_fk
-    if abs(z) < 1e-7:
-        # series of z/x(z) around zero to avoid 0/0
-        z_over_x = 1.0 + 0.5 * rho * z + (0.5 * rho**2 - 1.0 / 6.0) * z**2
-    else:
-        x = math.log((math.sqrt(1.0 - 2.0 * rho * z + z * z) + z - rho) / (1.0 - rho))
-        z_over_x = z / x
-
+    z_over_x = _z_over_x((nu / alpha) * fk_mid * log_fk, rho)
     denom = fk_mid * (
         1.0
         + one_m_beta**2 * log_fk**2 / 24.0

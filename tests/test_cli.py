@@ -518,6 +518,26 @@ class TestRecalibrate:
         assert_one_line_error(capsys, "forward + shift 0.0")
         assert not out.exists()
 
+    def test_smile_leaves_out_strikes_below_the_source_shift(self, tmp_path):
+        # source shift 1%, target shift 6%: the target prices the ED grid from
+        # -5%, the Hagan source only the strikes above -1%
+        out = tmp_path / "recal.json"
+        cfg = ed_config(tmp_path, out, model={
+            **{f"{k}_pct": pct(v) for k, v in ED_PARAMS.items()}, "shift_pct": 1.0})
+        assert main(["recalibrate", "--config", cfg, "--shift", "6"]) == 0
+        strikes = [row["strike"] for row in json.loads(out.read_text())["smile"]]
+        assert len(strikes) == 123
+        assert min(strikes) + 0.01 > 0.0
+
+    def test_target_below_its_shift_exit_3(self, tmp_path, capsys):
+        # source shift 6%, target shift 1%: the target surface itself cannot
+        # be built on the ED grid from -5%
+        out = tmp_path / "recal.json"
+        cfg = ed_config(tmp_path, out)
+        assert main(["recalibrate", "--config", cfg, "--shift", "1"]) == 3
+        assert_one_line_error(capsys, "NonpositiveShiftedStrike", "k + shift > 0")
+        assert not out.exists()
+
     def test_beta_flag_names_the_target(self, tmp_path):
         out = tmp_path / "recal.json"
         cfg = recal_config(tmp_path, out, pct(0.40), pct(0.03))

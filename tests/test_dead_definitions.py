@@ -1,6 +1,6 @@
-"""The package holds only what it runs: every top-level function and class in
-src/ahsabr is referenced somewhere in the package or exported by its
-__init__.  A kernel that only the tests call belongs in tests/oracles.py."""
+"""The package holds only what it runs: every top-level function, class and
+constant in src/ahsabr is referenced somewhere in the package or exported by
+its __init__.  A kernel that only the tests call belongs in tests/oracles.py."""
 
 import ast
 from pathlib import Path
@@ -23,15 +23,30 @@ def _references(tree) -> set:
     return names
 
 
+def _defined(node) -> list:
+    """Names a top-level statement defines: a function, a class, or an
+    assigned name other than a dunder such as __version__."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    return [
+        name.id
+        for name in ast.walk(node)
+        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+        and not name.id.startswith("__")
+    ]
+
+
 def test_every_top_level_definition_is_used():
     # __init__'s imports count: an export is used
     trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
     used = set().union(*map(_references, trees.values()))
     unused = [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in sorted(trees.items())
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in used
+        for name in _defined(node)
+        if name not in used
     ]
     assert not unused, f"defined in src/ahsabr but never used: {unused}"

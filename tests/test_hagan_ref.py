@@ -3,14 +3,23 @@ Black pricing layer feeding the recalibration workflow."""
 
 import math
 
+import mpmath
 import pytest
 
-from ahsabr.ah_engine import SabrParams
+from ahsabr.ah_engine import SabrParams, build_uniform_grid
 from ahsabr.errors import NonpositiveShiftedStrike
-from ahsabr.hagan_ref import hagan_implied_vol, hagan_price
+from ahsabr.hagan_ref import _z_over_x, hagan_implied_vol, hagan_price
 from ahsabr.numerics import atm_normal_vol
 
-from conftest import HAGAN_FORWARD, HAGAN_SOURCE
+from conftest import (
+    ED_EXPIRY,
+    ED_FORWARD,
+    ED_GRID,
+    ED_PARAMS,
+    HAGAN_EXPIRY,
+    HAGAN_FORWARD,
+    HAGAN_SOURCE,
+)
 
 
 def quote(strike, forward=0.02, expiry=10.0, **params):
@@ -20,7 +29,89 @@ def quote(strike, forward=0.02, expiry=10.0, **params):
     return strike, forward, expiry, SabrParams(**base)
 
 
+def mp_z_over_x(z, rho):
+    """z / x(z) from the log form, at the working precision."""
+    if z == 0:
+        return mpmath.mpf(1)
+    s = mpmath.sqrt(1 - 2 * rho * z + z * z)
+    return z / mpmath.log((s + z - rho) / (1 - rho))
+
+
+def mp_hagan_vol(f, K, expiry, p):
+    """The expansion of hagan_implied_vol at the shifted forward f and
+    strike K, every step at the working precision."""
+    alpha, beta, rho, nu = map(mpmath.mpf, (p.alpha, p.beta, p.rho, p.nu))
+    one_m_beta = 1 - beta
+    log_fk = mpmath.log(mpmath.mpf(f) / K)
+    fk_mid = (mpmath.mpf(f) * K) ** (one_m_beta / 2)
+    corr = 1 + (one_m_beta**2 * alpha**2 / (24 * fk_mid**2)
+                + rho * beta * nu * alpha / (4 * fk_mid)
+                + (2 - 3 * rho**2) * nu**2 / 24) * expiry
+    denom = fk_mid * (1 + one_m_beta**2 * log_fk**2 / 24
+                      + one_m_beta**4 * log_fk**4 / 1920)
+    return alpha / denom * mp_z_over_x(nu / alpha * fk_mid * log_fk, rho) * corr
+
+
+def assert_vols_exact(source, forward, expiry, strikes):
+    """hagan_implied_vol within 1e-14 of mp_hagan_vol at 40 digits, which
+    takes the doubles f and K that the code forms."""
+    p = SabrParams(**source)
+    f = forward + p.shift
+    with mpmath.workdps(40):
+        for k in strikes:
+            exact = mp_hagan_vol(f, mpmath.mpf(k + p.shift), expiry, p)
+            vol = hagan_implied_vol(k, forward, expiry, p)
+            assert vol == pytest.approx(float(exact), rel=1e-14, abs=0.0), k
+
+
+# (params, forward, expiry) of the sources the near-ATM vols are checked on
+NEAR_ATM_SETS = {
+    "hagan": (HAGAN_SOURCE, HAGAN_FORWARD, HAGAN_EXPIRY),
+    "hagan-f2": (HAGAN_SOURCE, 0.02, 10.0),
+    "ed": (ED_PARAMS, ED_FORWARD, ED_EXPIRY),
+    "steep": (dict(alpha=0.02, beta=0.9, rho=0.5, nu=1.5, shift=0.01), 0.02, 1.0),
+    "flat": (dict(alpha=0.5, beta=0.5, rho=-0.9, nu=0.05, shift=0.03), 0.02, 1.0),
+}
+
+
+class TestZOverX:
+    """One formula for z / x(z), exact to a few ulps on both sides of z = 0,
+    where a series, a switch or the log of 1 + O(z) lose digits."""
+
+    def test_against_mpmath(self):
+        zs = [0.0, -0.0] + [
+            sign * 10.0 ** (e / 8) for e in range(-112, 17) for sign in (1, -1)
+        ]
+        rhos = [r / 100 for r in range(-99, 100, 3)]
+        worst = (0.0, 0.0, 0.0)
+        with mpmath.workdps(40):
+            for rho in rhos:
+                for z in zs:
+                    exact = mp_z_over_x(mpmath.mpf(z), mpmath.mpf(rho))
+                    err = float(abs(_z_over_x(z, rho) / exact - 1))
+                    worst = max(worst, (err, z, rho))
+        assert worst[0] <= 5e-14, f"relative error, z, rho: {worst}"
+
+
 class TestHaganImpliedVol:
+    @pytest.mark.parametrize("name", NEAR_ATM_SETS)
+    def test_near_atm_against_mpmath(self, name):
+        # strikes f e^(+-eps) - b, and F + 5e-9, which straddled the retired
+        # ATM switch
+        source, forward, expiry = NEAR_ATM_SETS[name]
+        f, b = forward + source["shift"], source["shift"]
+        strikes = [forward, forward + 5e-9] + [
+            f * math.exp(sign * 10.0**-e) - b
+            for e in range(1, 15) for sign in (1, -1)
+        ]
+        assert_vols_exact(source, forward, expiry, strikes)
+
+    def test_ed_smile_against_mpmath(self):
+        # the strikes the CLI's recalibrate prices the source on; far above
+        # the forward z is large and negative, where s + z - rho cancels
+        strikes = build_uniform_grid(*ED_GRID, ED_FORWARD).strikes.tolist()
+        assert_vols_exact(ED_PARAMS, ED_FORWARD, ED_EXPIRY, strikes)
+
     def test_shifted_positivity(self):
         with pytest.raises(NonpositiveShiftedStrike, match=r"k \+ shift > 0"):
             hagan_implied_vol(*quote(-0.031))
@@ -41,13 +132,6 @@ class TestHaganImpliedVol:
         p = q[-1]
         lead = p.alpha / (0.02 + p.shift) ** (1.0 - p.beta)
         assert hagan_implied_vol(*q) == pytest.approx(lead, rel=1e-5, abs=0.0)
-
-    def test_atm_series_branch_is_continuous(self):
-        # strikes straddling the ATM switch must produce nearby vols
-        eps = 0.02 * 5e-8
-        v_atm = hagan_implied_vol(*quote(0.02))
-        v_near = hagan_implied_vol(*quote(0.02 + 5.0 * eps))
-        assert v_near == pytest.approx(v_atm, rel=1e-5, abs=0.0)
 
     def test_smile_is_smooth(self):
         h = 0.0005
