@@ -19,6 +19,7 @@ from .errors import (
     DegenerateButterfly,
     DegenerateStraddle,
     NegativeNuSquared,
+    NumericalError,
     PriceOutOfBounds,
     RhoOutOfRange,
     UnstableDifferences,
@@ -94,15 +95,21 @@ def _solve_nu_rho(j2_m: float, j2_p: float, y_m: float, y_p: float, **diag):
     neighbours, with its guards.  Each J^2 = 1 - 2*rho*nu*y + nu^2*y^2 pins
     one relation; subtracting the two isolates nu^2.  Returns nu, rho and
     the CalibDiagnostics made of `diag`, the y values and the relative
-    residual of each relation."""
+    residual of each relation.  A zero or non-finite y (alpha overflowed) or a
+    non-finite nu^2 raises NumericalError."""
+    if not (0.0 < abs(y_m) < math.inf and 0.0 < abs(y_p) < math.inf):
+        raise NumericalError(f"y at the neighbours is {y_m!r} and {y_p!r}; "
+                             "the 2x2 system needs both finite and nonzero")
     r_m = (j2_m - 1.0) / y_m
     r_p = (j2_p - 1.0) / y_p
     nu2 = (r_m - r_p) / (y_m - y_p)
+    if not nu2 < math.inf:
+        raise NumericalError(f"quotes imply nu^2 = {nu2!r}, outside the double range")
     if nu2 < 0.0:
         raise NegativeNuSquared(f"quotes imply nu^2 = {nu2:.3e} < 0")
     nu = math.sqrt(nu2)
     rho = (nu2 * y_m - r_m) / (2.0 * nu) if nu > 0.0 else 0.0
-    if abs(rho) >= 1.0:
+    if not abs(rho) < 1.0:
         raise RhoOutOfRange(f"quotes imply |rho| = {abs(rho):.6f} >= 1")
     return nu, rho, CalibDiagnostics(
         y_minus=y_m, y_plus=y_p,
@@ -212,31 +219,39 @@ def _second_difference(f: Callable[[float], float], x: float, h: float) -> float
 
 
 def limiting_params(
-    price_curve: Callable[[float], float],
+    price_fn: Callable[[float], float],
     F: float,
     T: float,
     beta: float,
     b: float,
     h0: float,
 ) -> LimitingResult:
-    """h -> 0 limit of the analytic calibration on a smooth call-price curve.
+    """h -> 0 limit of the analytic calibration on a smooth price source.
 
-    alpha comes from the ATM price and the ATM density (second strike
-    derivative of the curve); nu and rho from first/second derivatives in the
-    y coordinate of G(k) = timevalue(k) / (kappa(k) * pdf(k) * (k+b)^(2*beta)),
-    evaluated by central differences at steps h0 and h0/2 with Richardson
-    extrapolation.  Raises UnstableDifferences when halving h0 moves any
-    output by more than 10%.
+    price_fn is an out-of-the-money source, as for quote_set_from_curve; one
+    whose price at F - h0 is not below its ATM price (a call curve) raises
+    ValueError.  alpha comes from the ATM price and the ATM density, the
+    second strike derivative of the call price_fn(k) + max(F - k, 0); nu and
+    rho from first/second derivatives in the y coordinate of
+    G(k) = price_fn(k) / (kappa(k) * pdf(k) * (k+b)^(2*beta)), by central
+    differences at steps h0 and h0/2 with Richardson extrapolation.  Raises
+    UnstableDifferences when halving h0 moves any output by more than 10%.
     """
 
+    def call(k: float) -> float:
+        return price_fn(k) + max(F - k, 0.0)
+
     def pdf(k: float, h: float) -> float:
-        # Richardson-extrapolated central second difference of the price curve
-        coarse = _second_difference(price_curve, k, h)
-        fine = _second_difference(price_curve, k, 0.5 * h)
+        # Richardson-extrapolated central second difference of the call
+        coarse = _second_difference(call, k, h)
+        fine = _second_difference(call, k, 0.5 * h)
         return (4.0 * fine - coarse) / 3.0
 
     level = _cev_level(F, beta, b)
-    atm = price_curve(F)
+    atm = price_fn(F)
+    if not price_fn(F - h0) < atm:
+        raise ValueError("price_fn must give out-of-the-money prices, the put "
+                         "below F: its price at F - h0 is not below its ATM price")
     sigma_atm = atm_normal_vol(atm, T)
 
     def evaluate(h: float):
@@ -254,11 +269,9 @@ def limiting_params(
 
         def g(y: float) -> float:
             k = k_of_y(y)
-            call = price_curve(k)
-            tv = call - max(F - k, 0.0)  # put below the forward, call above
             # the halved coefficient kappa/2 makes G(y) = T alpha^2 J(y)^2
             kap_half = 0.5 * kappa(k, F, sigma_atm, T)
-            return tv / (kap_half * pdf(k, h) * (k + b) ** (2.0 * beta))
+            return price_fn(k) / (kap_half * pdf(k, h) * (k + b) ** (2.0 * beta))
 
         # y-space step matching the rate-space step h
         delta = y_of_k(F - h, F, params0)
@@ -288,10 +301,7 @@ def limiting_params(
             raise NegativeNuSquared(f"price curve implies nu^2 = {nu2:.3e} < 0")
         nu = math.sqrt(nu2)
         rho = -d1 / (2.0 * T * alpha**2 * nu) if nu > 0.0 else 0.0
-        return (
-            alpha, nu, rho, pdf_atm,
-            (d1_left, d1_right, d2_left, d2_right),
-        )
+        return alpha, nu, rho, pdf_atm, (d1_left, d1_right, d2_left, d2_right)
 
     a1, n1, r1, pdf1, _ = evaluate(h0)
     a2, n2, r2, pdf2, sided = evaluate(0.5 * h0)
@@ -304,11 +314,7 @@ def limiting_params(
     if abs(r2) >= 1.0:
         raise RhoOutOfRange(f"price curve implies |rho| = {abs(r2):.6f} >= 1")
     params = SabrParams(alpha=a2, beta=beta, rho=r2, nu=max(n2, 0.0), shift=b)
-    return LimitingResult(
-        params=params, pdf_atm=pdf2,
-        d1_left=sided[0], d1_right=sided[1],
-        d2_left=sided[2], d2_right=sided[3],
-    )
+    return LimitingResult(params, pdf2, *sided)
 
 
 def quote_set_from_curve(

@@ -55,26 +55,21 @@ def hagan_implied_vol(strike: float, forward: float, expiry: float,
 
 
 def hagan_price(strike: float, forward: float, expiry: float,
-                params: SabrParams, kind: str = "call") -> float:
-    """Undiscounted Black price of the shifted rate at the Hagan vol.  The put
-    is priced directly, not through parity, which cancels out of the money."""
+                params: SabrParams) -> float:
+    """Undiscounted out-of-the-money Black price of the shifted rate at the
+    Hagan vol: the put below the forward, the call at and above it.  Each side
+    is priced directly; parity would cancel out of the money."""
     sigma = hagan_implied_vol(strike, forward, expiry, params)
     f = forward + params.shift
     K = strike + params.shift
     s = sigma * math.sqrt(expiry)
     d1 = math.log(f / K) / s + 0.5 * s
     d2 = d1 - s
-    if kind == "call":
-        return f * norm_cdf(d1) - K * norm_cdf(d2)
-    if kind == "put":
+    if strike < forward:
         return K * norm_cdf(-d2) - f * norm_cdf(-d1)
-    raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
+    return f * norm_cdf(d1) - K * norm_cdf(d2)
 
 
 def hagan_price_fn(params: SabrParams, forward: float, expiry: float):
     """Price source strike -> out-of-the-money price, for recalibration."""
-
-    def price(k: float) -> float:
-        return hagan_price(k, forward, expiry, params, "put" if k < forward else "call")
-
-    return price
+    return lambda k: hagan_price(k, forward, expiry, params)

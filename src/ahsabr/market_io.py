@@ -216,14 +216,7 @@ def write_json(doc: dict, path) -> None:
 
 
 def report_to_dict(report: CalibrationReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "params": asdict(report.params),
-        "diagnostics": asdict(report.diagnostics),
-        "quotes": asdict(report.quotes),
-        "grid": dict(report.grid),
-        "vol_curve": [dict(v) for v in report.vol_curve],
-    }
+    return {"schema_version": SCHEMA_VERSION, **asdict(report)}
 
 
 def write_report(report: CalibrationReport, path) -> None:

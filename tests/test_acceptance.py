@@ -29,7 +29,7 @@ from ahsabr.analytic_calib import (
     quote_set_from_curve,
     recalibrate,
 )
-from ahsabr.hagan_ref import hagan_price, hagan_price_fn
+from ahsabr.hagan_ref import hagan_price_fn
 from ahsabr.numerics import norm_cdf, thomas_solve
 
 from conftest import (
@@ -170,9 +170,7 @@ def test_a5_limiting_convergence():
     F, T, beta, b = FORWARD, 0.5, 0.40, 0.03
     price = hagan_price_fn(src, F, T)
     h0 = 1.25e-3
-
-    curve = lambda k: hagan_price(k, F, T, src)
-    limit = limiting_params(curve, F, T, beta, b, h0 / 8.0).params
+    limit = limiting_params(price, F, T, beta, b, h0 / 8.0).params
 
     levels = []
     for div in (1, 2, 4, 8):

@@ -35,8 +35,17 @@ from ahsabr.errors import (
     UnstableDifferences,
 )
 from ahsabr.hagan_ref import hagan_price, hagan_price_fn
+from ahsabr.market_io import RateQuote, assemble_quote_set
 
-from conftest import HAGAN_EXPIRY, HAGAN_FORWARD, HAGAN_SOURCE, HAGAN_STEP
+from conftest import (
+    ED_EXPIRY,
+    ED_FORWARD,
+    ED_PARAMS,
+    HAGAN_EXPIRY,
+    HAGAN_FORWARD,
+    HAGAN_SOURCE,
+    HAGAN_STEP,
+)
 from oracles import bachelier_price
 
 
@@ -219,12 +228,9 @@ class TestLevelRange:
     @pytest.mark.parametrize("beta,b", CASES)
     def test_limit_rejects_out_of_range_level(self, beta, b):
         F, T = 0.02, 1.0
-
-        def curve(k):
-            return hagan_price(k, F, T, self.PARAMS)
-
+        price = hagan_price_fn(self.PARAMS, F, T)
         with pytest.raises(ValueError, match="out of range"):
-            limiting_params(curve, F, T, beta, b, 1e-4)
+            limiting_params(price, F, T, beta, b, 1e-4)
 
 
 class TestCalibrateUniform:
@@ -297,9 +303,7 @@ class TestLimitingParams:
             discrete = calibrate(
                 quote_set_from_curve(price, F, T, h), beta, params.shift
             ).params
-            limit = limiting_params(
-                lambda k: hagan_price(k, F, T, params), F, T, beta, params.shift, h
-            ).params
+            limit = limiting_params(price, F, T, beta, params.shift, h).params
             # both carry O(h^2) bias with different constants, so the gap
             # is itself O(h^2)
             assert limit.alpha == pytest.approx(discrete.alpha, rel=3e-4, abs=0.0), beta
@@ -310,7 +314,7 @@ class TestLimitingParams:
         params = SabrParams(**HAGAN_SOURCE)
         F, T = 0.02, 0.5
         res = limiting_params(
-            lambda k: hagan_price(k, F, T, params), F, T, params.beta, params.shift, 2e-4
+            hagan_price_fn(params, F, T), F, T, params.beta, params.shift, 2e-4
         )
         assert res.pdf_atm > 0.0
         # both sides approximate the same smooth derivatives
@@ -339,19 +343,74 @@ class TestLimitingParams:
     ], ids=["straddle", "nu_squared", "rho_up", "rho_down"])
     def test_smooth_curves_that_admit_no_model(self, skew, curvature, error,
                                                message):
-        # Bachelier calls at a normal vol of 80 bp times a quadratic in the
-        # strike's distance from the forward, in percent
+        # out-of-the-money Bachelier prices at a normal vol of 80 bp times a
+        # quadratic in the strike's distance from the forward, in percent
         F, T = 0.02, 0.5
 
-        def curve(k):
+        def price(k):
             if skew is None:
-                return 0.01 - (k - F) ** 2
+                return 0.01 - (k - F) ** 2 - max(F - k, 0.0)
             x = (k - F) / 0.01
             vol = 0.008 * (1.0 + skew * x - curvature * x * x)
-            return bachelier_price(F, k, vol, T)
+            return bachelier_price(F, k, vol, T, "put" if k < F else "call")
 
         with pytest.raises(error, match=message):
-            limiting_params(curve, F, T, 0.0, 0.03, 2e-4)
+            limiting_params(price, F, T, 0.0, 0.03, 2e-4)
+
+
+class TestOnePriceConvention:
+    """Every price source gives out-of-the-money prices, the put below the
+    forward and the call at and above it, so each is largest at the forward.
+    limiting_params takes the same sources and rejects a call curve."""
+
+    @staticmethod
+    def assert_largest_at_forward(prices):
+        # prices at F - 2h, F - h, F, F + h, F + 2h
+        atm = prices[2]
+        assert all(p < atm for p in prices[:2] + prices[3:]), prices
+
+    @pytest.mark.parametrize("source, F, T, h", [
+        (HAGAN_SOURCE, HAGAN_FORWARD, HAGAN_EXPIRY, HAGAN_STEP),
+        (ED_PARAMS, ED_FORWARD, ED_EXPIRY, 0.00125),  # the ED grid's step
+    ], ids=["hagan", "ed"])
+    def test_hagan_source(self, source, F, T, h):
+        params = SabrParams(**source)
+        strikes = [F + j * h for j in range(-2, 3)]
+        self.assert_largest_at_forward([hagan_price(k, F, T, params) for k in strikes])
+        price = hagan_price_fn(params, F, T)
+        self.assert_largest_at_forward([price(k) for k in strikes])
+
+    def test_onestep_node_map(self, ed_surface):
+        # the map the CLI's onestep recalibration source reads
+        strikes = ed_surface.grid.strikes.tolist()
+        price = dict(zip(strikes, ed_surface.time_value.tolist()))
+        n = ed_surface.grid.forward_index
+        self.assert_largest_at_forward([price[strikes[n + j]] for j in range(-2, 3)])
+
+    def test_assembled_quote_set(self, ed_surface):
+        # both kinds quoted at every strike: the set keeps the OTM one
+        strikes = ed_surface.grid.strikes
+        n = ed_surface.grid.forward_index
+        quotes = [
+            RateQuote("ED", "2021-01-04", kind, float(strikes[j]), float(prices[j]))
+            for j in range(n - 2, n + 3)
+            for kind, prices in (("put", ed_surface.puts), ("call", ed_surface.calls))
+        ]
+        h = float(strikes[1] - strikes[0])
+        q = assemble_quote_set(quotes, ED_FORWARD, ED_EXPIRY, h)
+        self.assert_largest_at_forward(
+            [q.p_minus2, q.p_minus1, q.atm, q.c_plus1, q.c_plus2]
+        )
+
+    def test_limit_rejects_a_call_curve(self):
+        params = SabrParams(**HAGAN_SOURCE)
+        F, T = 0.02, 0.5
+
+        def call(k):
+            return hagan_price(k, F, T, params) + max(F - k, 0.0)
+
+        with pytest.raises(ValueError, match="must give out-of-the-money prices"):
+            limiting_params(call, F, T, params.beta, params.shift, 2e-4)
 
 
 class TestQuoteSetFromCurve:

@@ -349,13 +349,39 @@ class TestInputFiles:
         assert_one_line_error(capsys, "line 2", "field larger than field limit")
 
     def test_float_underflow_exit_3(self, tmp_path, capsys):
-        # an expiry of one subnormal step sends the ATM vol to infinity
+        # an expiry of one subnormal step sends the ATM vol and alpha to
+        # infinity, and so both neighbours' y to zero
         cfg = ed_config(tmp_path, tmp_path / "report.json",
                         quotes=ed_quotes(tmp_path),
                         market={"forward_pct": pct(ED_FORWARD),
                                 "expiry_years": 5e-324})
         assert main(["calibrate", "--config", cfg]) == 3
-        assert_one_line_error(capsys, "ZeroDivisionError")
+        assert_one_line_error(capsys, "NumericalError: y at the neighbours "
+                              "is 0.0 and -0.0")
+
+    def test_expiry_1e_300_calibrates(self, tmp_path):
+        cfg = ed_config(tmp_path, tmp_path / "report.json",
+                        quotes=ed_quotes(tmp_path),
+                        market={"forward_pct": pct(ED_FORWARD),
+                                "expiry_years": 1e-300})
+        assert main(["calibrate", "--config", cfg]) == 0
+
+    @pytest.mark.parametrize("expiry", [1e-308, 1e-310, 1e-315, 1e-320, 5e-324])
+    def test_tiny_expiry_calibrate_exit_3(self, tmp_path, capsys, expiry):
+        # alpha, y or nu^2 leave the double range: one line naming a
+        # numerical error of the package, never an input error or a bare
+        # ArithmeticError
+        out = tmp_path / "report.json"
+        cfg = ed_config(tmp_path, out, quotes=ed_quotes(tmp_path),
+                        market={"forward_pct": pct(ED_FORWARD),
+                                "expiry_years": expiry})
+        assert main(["calibrate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        name = err.split(": ")[1]
+        assert issubclass(getattr(ah.errors, name, type(None)),
+                          ah.errors.NumericalError), err
+        assert not out.exists()
 
     def test_zero_premium_exit_2(self, tmp_path, capsys):
         # a zero premium is bad quote data, not a breakdown of the model

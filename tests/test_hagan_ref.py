@@ -118,7 +118,7 @@ class TestHaganImpliedVol:
         with pytest.raises(NonpositiveShiftedStrike, match=r"k \+ shift > 0"):
             hagan_implied_vol(*quote(0.02, forward=-0.04))
         with pytest.raises(NonpositiveShiftedStrike, match=r"k \+ shift > 0"):
-            hagan_price(*quote(-0.031), "put")
+            hagan_price(*quote(-0.031))
 
     def test_black_limit(self):
         # beta = 1, nu = 0: the shifted rate is exactly lognormal at vol alpha
@@ -149,19 +149,6 @@ class TestHaganImpliedVol:
 
 
 class TestHaganPrice:
-    def test_parity(self):
-        for k in (0.005, 0.02, 0.035):
-            call = hagan_price(*quote(k), "call")
-            put = hagan_price(*quote(k), "put")
-            assert call - put == pytest.approx(0.02 - k, abs=1e-14)
-
-    def test_deep_itm_near_intrinsic(self):
-        k = -0.025
-        call = hagan_price(*quote(k, expiry=0.25), "call")
-        intrinsic = 0.02 - k
-        assert call > intrinsic
-        assert call == pytest.approx(intrinsic, rel=1e-3, abs=0.0)
-
     def test_atm_normal_vol_equivalence_short_maturity(self):
         # for short T the lognormal and normal ATM quotes agree through the
         # price: invert the Hagan ATM price as a Bachelier price and compare
@@ -169,7 +156,7 @@ class TestHaganPrice:
         F, T = 0.02, 0.05
         q = quote(F, expiry=T)
         sigma_ln = hagan_implied_vol(*q)
-        price = hagan_price(*q, "call")
+        price = hagan_price(*q)
         sigma_n = atm_normal_vol(price, T)
         approx = sigma_ln * (F + q[-1].shift)
         assert sigma_n == pytest.approx(approx, abs=1e-5)  # within 0.1 bp
@@ -187,9 +174,5 @@ class TestHaganPrice:
             s = mpmath.mpf(hagan_implied_vol(*q)) * mpmath.sqrt(0.25)
             d1 = mpmath.log(f / K) / s + s / 2
             black_put = float(K * mpmath.ncdf(s - d1) - f * mpmath.ncdf(-d1))
-        put = hagan_price(*q, "put")
+        put = hagan_price(*q)
         assert put == pytest.approx(black_put, rel=1e-12, abs=0.0)
-
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError):
-            hagan_price(*quote(0.02), "straddle")
