@@ -448,14 +448,12 @@ class QuoteSet:
     def __post_init__(self):
         for name in (
             "p_minus2", "p_minus1", "atm", "c_plus1", "c_plus2",
-            "h_minus_nm1", "h_minus_n", "h_plus_n", "h_plus_np1",
+            "h_minus_nm1", "h_minus_n", "h_plus_n", "h_plus_np1", "expiry",
         ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not abs(self.forward) < math.inf:
             raise ValueError(f"forward must be finite, got {self.forward}")
-        if not self.expiry > 0.0:
-            raise ValueError("expiry must be positive")
 
     @property
     def sigma_atm(self) -> float:

@@ -90,33 +90,42 @@ def _neighbours(q: QuoteSet, alpha, beta, b):
     )
 
 
-def _solve_nu_rho(j2_m: float, j2_p: float, y_m: float, y_p: float, **diag):
+def _nu_rho(nu2: float, two_rho_nu: float) -> tuple[float, float]:
+    """Checked (nu, rho) from nu^2 and 2*rho*nu, the coefficients of J(y)^2:
+    a NaN or +inf nu^2 raises NumericalError, a negative one NegativeNuSquared,
+    and a rho outside (-1, 1), NaN included, RhoOutOfRange."""
+    if not nu2 < math.inf:
+        raise NumericalError(f"prices imply nu^2 = {nu2!r}, not a finite number")
+    if nu2 < 0.0:
+        raise NegativeNuSquared(f"prices imply nu^2 = {nu2:.3e} < 0")
+    nu = math.sqrt(nu2)
+    rho = two_rho_nu / (2.0 * nu) if nu > 0.0 else 0.0
+    if not abs(rho) < 1.0:
+        raise RhoOutOfRange(f"prices imply |rho| = {abs(rho):.6f} >= 1")
+    return nu, rho
+
+
+def _solve_nu_rho(alpha, beta, b, j2_m, j2_p, y_m, y_p, **diag) -> CalibrationResult:
     """The linear 2x2 system in (nu^2, 2*rho*nu) from J(y)^2 at both
-    neighbours, with its guards.  Each J^2 = 1 - 2*rho*nu*y + nu^2*y^2 pins
-    one relation; subtracting the two isolates nu^2.  Returns nu, rho and
-    the CalibDiagnostics made of `diag`, the y values and the relative
-    residual of each relation.  A zero or non-finite y (alpha overflowed) or a
-    non-finite nu^2 raises NumericalError."""
+    neighbours.  Each J^2 = 1 - 2*rho*nu*y + nu^2*y^2 pins one relation;
+    subtracting the two isolates nu^2, and _nu_rho checks the pair.  Returns
+    the calibration at (alpha, beta, b) with the CalibDiagnostics made of
+    `diag`, the y values and the relative residual of each relation.  A zero
+    or non-finite y (alpha overflowed) raises NumericalError."""
     if not (0.0 < abs(y_m) < math.inf and 0.0 < abs(y_p) < math.inf):
         raise NumericalError(f"y at the neighbours is {y_m!r} and {y_p!r}; "
                              "the 2x2 system needs both finite and nonzero")
     r_m = (j2_m - 1.0) / y_m
     r_p = (j2_p - 1.0) / y_p
     nu2 = (r_m - r_p) / (y_m - y_p)
-    if not nu2 < math.inf:
-        raise NumericalError(f"quotes imply nu^2 = {nu2!r}, outside the double range")
-    if nu2 < 0.0:
-        raise NegativeNuSquared(f"quotes imply nu^2 = {nu2:.3e} < 0")
-    nu = math.sqrt(nu2)
-    rho = (nu2 * y_m - r_m) / (2.0 * nu) if nu > 0.0 else 0.0
-    if not abs(rho) < 1.0:
-        raise RhoOutOfRange(f"quotes imply |rho| = {abs(rho):.6f} >= 1")
-    return nu, rho, CalibDiagnostics(
+    nu, rho = _nu_rho(nu2, nu2 * y_m - r_m)
+    params = SabrParams(alpha=alpha, beta=beta, rho=rho, nu=nu, shift=b)
+    return CalibrationResult(params, CalibDiagnostics(
         y_minus=y_m, y_plus=y_p,
         residual_minus=(nu2 * y_m - 2.0 * rho * nu - r_m) / max(abs(r_m), 1e-300),
         residual_plus=(nu2 * y_p - 2.0 * rho * nu - r_p) / max(abs(r_p), 1e-300),
         **diag,
-    )
+    ))
 
 
 def calibrate(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
@@ -146,12 +155,10 @@ def calibrate(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
     j2_p = z_plus * q.h_plus_np1 * hp / (
         T * kap_p * alpha**2 * (k_p + b) ** (2.0 * beta)
     )
-    nu, rho, diag = _solve_nu_rho(
-        j2_m, j2_p, y_m, y_p, z_minus=z_minus, z_plus=z_plus,
+    return _solve_nu_rho(
+        alpha, beta, b, j2_m, j2_p, y_m, y_p, z_minus=z_minus, z_plus=z_plus,
         kappa_minus=kap_m, kappa_plus=kap_p, sigma_atm=q.sigma_atm,
     )
-    params = SabrParams(alpha=alpha, beta=beta, rho=rho, nu=nu, shift=b)
-    return CalibrationResult(params=params, diagnostics=diag)
 
 
 def calibrate_uniform(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
@@ -193,12 +200,11 @@ def calibrate_uniform(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
 
     j2_m = zh_minus * h * h / (T * kap_half_m * alpha**2 * (k_m + b) ** (2.0 * beta))
     j2_p = zh_plus * h * h / (T * kap_half_p * alpha**2 * (k_p + b) ** (2.0 * beta))
-    nu, rho, diag = _solve_nu_rho(
-        j2_m, j2_p, y_m, y_p, z_minus=2.0 * zh_minus, z_plus=2.0 * zh_plus,
-        kappa_minus=kap_m, kappa_plus=kap_p, sigma_atm=q.sigma_atm,
+    return _solve_nu_rho(
+        alpha, beta, b, j2_m, j2_p, y_m, y_p, z_minus=2.0 * zh_minus,
+        z_plus=2.0 * zh_plus, kappa_minus=kap_m, kappa_plus=kap_p,
+        sigma_atm=q.sigma_atm,
     )
-    params = SabrParams(alpha=alpha, beta=beta, rho=rho, nu=nu, shift=b)
-    return CalibrationResult(params=params, diagnostics=diag)
 
 
 @dataclass(frozen=True)
@@ -228,14 +234,14 @@ def limiting_params(
 ) -> LimitingResult:
     """h -> 0 limit of the analytic calibration on a smooth price source.
 
-    price_fn is an out-of-the-money source, as for quote_set_from_curve; one
-    whose price at F - h0 is not below its ATM price (a call curve) raises
-    ValueError.  alpha comes from the ATM price and the ATM density, the
-    second strike derivative of the call price_fn(k) + max(F - k, 0); nu and
-    rho from first/second derivatives in the y coordinate of
-    G(k) = price_fn(k) / (kappa(k) * pdf(k) * (k+b)^(2*beta)), by central
-    differences at steps h0 and h0/2 with Richardson extrapolation.  Raises
-    UnstableDifferences when halving h0 moves any output by more than 10%.
+    price_fn is an out-of-the-money source, as for quote_set_from_curve; a
+    call curve (price at F - h0 not below ATM) or an h0 that is not positive
+    and finite raises ValueError.  alpha comes from the ATM price and density,
+    the second strike derivative of the call price_fn(k) + max(F - k, 0); nu
+    and rho from y-derivatives of G = price_fn(k) / (kappa pdf (k+b)^(2 beta))
+    through _nu_rho, by Richardson-extrapolated central differences at steps
+    h0 and h0/2, each checked.  Raises UnstableDifferences when halving h0
+    moves any output by more than 10%.
     """
 
     def call(k: float) -> float:
@@ -247,6 +253,8 @@ def limiting_params(
         fine = _second_difference(call, k, 0.5 * h)
         return (4.0 * fine - coarse) / 3.0
 
+    if not 0.0 < h0 < math.inf:
+        raise ValueError(f"h0 must be positive and finite, got {h0!r}")
     level = _cev_level(F, beta, b)
     atm = price_fn(F)
     if not price_fn(F - h0) < atm:
@@ -256,7 +264,7 @@ def limiting_params(
 
     def evaluate(h: float):
         pdf_atm = pdf(F, h)
-        if pdf_atm <= 0.0:
+        if not pdf_atm > 0.0:
             raise DegenerateStraddle("price curve has non-positive ATM density")
         alpha = math.sqrt(atm / (T * pdf_atm)) / level
         params0 = SabrParams(alpha=alpha, beta=beta, rho=0.0, nu=0.0, shift=b)
@@ -296,11 +304,7 @@ def limiting_params(
         d2_left = (g0 - 2.0 * gm1 + gm2) / (delta * delta)
         d2_right = (g0 - 2.0 * gp1 + gp2) / (delta * delta)
 
-        nu2 = d2 / (2.0 * T * alpha**2)
-        if nu2 < 0.0:
-            raise NegativeNuSquared(f"price curve implies nu^2 = {nu2:.3e} < 0")
-        nu = math.sqrt(nu2)
-        rho = -d1 / (2.0 * T * alpha**2 * nu) if nu > 0.0 else 0.0
+        nu, rho = _nu_rho(d2 / (2.0 * T * alpha**2), -d1 / (T * alpha**2))
         return alpha, nu, rho, pdf_atm, (d1_left, d1_right, d2_left, d2_right)
 
     a1, n1, r1, pdf1, _ = evaluate(h0)
@@ -311,9 +315,7 @@ def limiting_params(
             raise UnstableDifferences(
                 f"halving h0 moved an output from {coarse:.6e} to {fine:.6e}"
             )
-    if abs(r2) >= 1.0:
-        raise RhoOutOfRange(f"price curve implies |rho| = {abs(r2):.6f} >= 1")
-    params = SabrParams(alpha=a2, beta=beta, rho=r2, nu=max(n2, 0.0), shift=b)
+    params = SabrParams(alpha=a2, beta=beta, rho=r2, nu=n2, shift=b)
     return LimitingResult(params, pdf2, *sided)
 
 

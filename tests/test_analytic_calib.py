@@ -30,6 +30,7 @@ from ahsabr.errors import (
     DegenerateButterfly,
     DegenerateStraddle,
     NegativeNuSquared,
+    NumericalError,
     PriceOutOfBounds,
     RhoOutOfRange,
     UnstableDifferences,
@@ -88,7 +89,8 @@ class TestQuoteSet:
         ("atm", 0.0), ("p_minus2", -0.001), ("h_plus_n", 0.0),
         ("expiry", -1.0), ("atm", math.nan), ("h_plus_n", math.nan),
         ("expiry", math.nan), ("forward", math.nan), ("forward", math.inf),
-        ("forward", -math.inf),
+        ("forward", -math.inf), ("atm", math.inf), ("c_plus2", math.inf),
+        ("h_minus_n", math.inf), ("expiry", math.inf),
     ])
     def test_positivity(self, field, value):
         with pytest.raises(ValueError):
@@ -356,6 +358,37 @@ class TestLimitingParams:
 
         with pytest.raises(error, match=message):
             limiting_params(price, F, T, 0.0, 0.03, 2e-4)
+
+    @pytest.mark.parametrize("broken, bad, error, message", [
+        (lambda k, F, h0: k > F + 1.5 * h0, math.nan, NumericalError, r"nu\^2"),
+        (lambda k, F, h0: k < F - 1.5 * h0, math.nan, NumericalError, r"nu\^2"),
+        (lambda k, F, h0: k > F + 1.5 * h0, math.inf, NumericalError, r"nu\^2"),
+        # NaN at F + h0 alone breaks the ATM density's coarser difference
+        (lambda k, F, h0: k == F + h0, math.nan, DegenerateStraddle,
+         "non-positive ATM density"),
+    ], ids=["nan_above", "nan_below", "inf_above", "nan_at_f_plus_h0"])
+    def test_broken_source_is_a_typed_error(self, broken, bad, error, message):
+        # a source that breaks down off the forward ends in the error of the
+        # check it breaks, the nu^2 one or the ATM density's, never in
+        # SabrParams' ValueError or an UnstableDifferences that a NaN fakes
+        params = SabrParams(**HAGAN_SOURCE)
+        F, T, h0 = 0.02, 0.5, 2e-4
+
+        def price(k):
+            return bad if broken(k, F, h0) else hagan_price(k, F, T, params)
+
+        with pytest.raises(error, match=message):
+            limiting_params(price, F, T, params.beta, params.shift, h0)
+
+    @pytest.mark.parametrize("h0", [0.0, -2e-4, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, h0):
+        # rejected before any price is requested, so not blamed on the
+        # price convention, run mirrored, or priced at an infinite strike
+        def price(k):
+            raise AssertionError(f"priced strike {k!r} before checking h0")
+
+        with pytest.raises(ValueError, match="h0 must be positive and finite"):
+            limiting_params(price, 0.02, 0.5, 0.4, 0.03, h0)
 
 
 class TestOnePriceConvention:
