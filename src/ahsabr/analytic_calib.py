@@ -235,13 +235,14 @@ def limiting_params(
     """h -> 0 limit of the analytic calibration on a smooth price source.
 
     price_fn is an out-of-the-money source, as for quote_set_from_curve; a
-    call curve (price at F - h0 not below ATM) or an h0 that is not positive
-    and finite raises ValueError.  alpha comes from the ATM price and density,
-    the second strike derivative of the call price_fn(k) + max(F - k, 0); nu
-    and rho from y-derivatives of G = price_fn(k) / (kappa pdf (k+b)^(2 beta))
-    through _nu_rho, by Richardson-extrapolated central differences at steps
-    h0 and h0/2, each checked.  Raises UnstableDifferences when halving h0
-    moves any output by more than 10%.
+    call curve (price at F - h0 not below ATM), a non-finite F, or an h0 or T
+    not positive and finite raises ValueError.  alpha comes from the ATM price
+    and density, the second strike derivative of price_fn(k) + max(F - k, 0);
+    nu and rho from y-derivatives of G = price_fn(k) / (kappa pdf (k+b)^(2 beta))
+    through _nu_rho, by Richardson-extrapolated central differences on a
+    stencil uniform in y, step h / (alpha (F+b)^beta) and centre G(0) = T alpha^2,
+    at h = h0 and h0/2.  Raises UnstableDifferences when halving h0 moves any
+    output by more than 10%.
     """
 
     def call(k: float) -> float:
@@ -255,6 +256,10 @@ def limiting_params(
 
     if not 0.0 < h0 < math.inf:
         raise ValueError(f"h0 must be positive and finite, got {h0!r}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T!r}")
+    if not abs(F) < math.inf:
+        raise ValueError(f"F must be finite, got {F!r}")
     level = _cev_level(F, beta, b)
     atm = price_fn(F)
     if not price_fn(F - h0) < atm:
@@ -267,23 +272,20 @@ def limiting_params(
         if not pdf_atm > 0.0:
             raise DegenerateStraddle("price curve has non-positive ATM density")
         alpha = math.sqrt(atm / (T * pdf_atm)) / level
-        params0 = SabrParams(alpha=alpha, beta=beta, rho=0.0, nu=0.0, shift=b)
-
-        def k_of_y(y: float) -> float:
-            if abs(1.0 - beta) < 1e-12:
-                return (F + b) * math.exp(-alpha * y) - b
-            om = 1.0 - beta
-            return ((F + b) ** om - alpha * om * y) ** (1.0 / om) - b
+        g0 = T * alpha**2
 
         def g(y: float) -> float:
-            k = k_of_y(y)
+            # k(y) = (F+b) (1+x)^(1/(1-beta)) - b, x = -(1-beta) a, at every beta
+            # as an exp of -a log1p(x)/x, which is 1 at x = 0 (beta = 1)
+            a = alpha * y * (F + b) ** (beta - 1.0)
+            x = -(1.0 - beta) * a
+            k = (F + b) * math.exp(-a * (math.log1p(x) / x if x else 1.0)) - b
             # the halved coefficient kappa/2 makes G(y) = T alpha^2 J(y)^2
             kap_half = 0.5 * kappa(k, F, sigma_atm, T)
             return price_fn(k) / (kap_half * pdf(k, h) * (k + b) ** (2.0 * beta))
 
-        # y-space step matching the rate-space step h
-        delta = y_of_k(F - h, F, params0)
-        g0 = g(0.0)
+        # y-space step matching the rate-space step h: dy/dk = -1/(alpha (F+b)^beta)
+        delta = h / (alpha * level)
         gm1, gp1 = g(delta), g(-delta)  # y > 0 is the put side (k < F)
         gm2, gp2 = g(2.0 * delta), g(-2.0 * delta)
 
@@ -304,7 +306,7 @@ def limiting_params(
         d2_left = (g0 - 2.0 * gm1 + gm2) / (delta * delta)
         d2_right = (g0 - 2.0 * gp1 + gp2) / (delta * delta)
 
-        nu, rho = _nu_rho(d2 / (2.0 * T * alpha**2), -d1 / (T * alpha**2))
+        nu, rho = _nu_rho(d2 / (2.0 * g0), -d1 / g0)
         return alpha, nu, rho, pdf_atm, (d1_left, d1_right, d2_left, d2_right)
 
     a1, n1, r1, pdf1, _ = evaluate(h0)

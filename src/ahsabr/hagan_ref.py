@@ -25,7 +25,10 @@ def _z_over_x(z: float, rho: float) -> float:
 def hagan_implied_vol(strike: float, forward: float, expiry: float,
                       params: SabrParams) -> float:
     """Lognormal implied vol of the shifted rate, standard SABR expansion
-    applied in shifted coordinates (F+b, k+b)."""
+    applied in shifted coordinates (F+b, k+b).  An expiry that is not
+    positive and finite raises ValueError."""
+    if not 0.0 < expiry < math.inf:
+        raise ValueError(f"expiry must be positive and finite, got {expiry!r}")
     alpha, beta, rho, nu = params.alpha, params.beta, params.rho, params.nu
     f = forward + params.shift
     K = strike + params.shift

@@ -295,8 +295,8 @@ class TestCalibrateUniform:
 class TestLimitingParams:
     def test_matches_small_step_calibration(self):
         # on a smooth price curve the h -> 0 limit and the discrete
-        # calibration at small h must agree; a target beta of 1 takes the
-        # log branch of k(y)
+        # calibration at small h must agree; a target beta of 1 takes k(y)
+        # at x = 0, where log1p(x)/x is 1
         params = SabrParams(**HAGAN_SOURCE)
         F, T = 0.02, 0.5
         price = hagan_price_fn(params, F, T)
@@ -389,6 +389,55 @@ class TestLimitingParams:
 
         with pytest.raises(ValueError, match="h0 must be positive and finite"):
             limiting_params(price, 0.02, 0.5, 0.4, 0.03, h0)
+
+    @pytest.mark.parametrize("F, T, message", [
+        (0.02, 0.0, "T must be positive and finite"),
+        (0.02, -1.0, "T must be positive and finite"),
+        (0.02, math.nan, "T must be positive and finite"),
+        (0.02, math.inf, "T must be positive and finite"),
+        (math.inf, 0.5, "F must be finite"),
+        (-math.inf, 0.5, "F must be finite"),
+        (math.nan, 0.5, "F must be finite"),
+    ], ids=["T_zero", "T_negative", "T_nan", "T_inf", "F_inf", "F_minus_inf",
+            "F_nan"])
+    def test_expiry_and_forward_checked_first(self, F, T, message):
+        # rejected as input before any price is requested, never as a
+        # ZeroDivisionError, a math domain error or SabrParams' alpha check
+        def price(k):
+            raise AssertionError(f"priced strike {k!r} before checking T and F")
+
+        with pytest.raises(ValueError, match=message):
+            limiting_params(price, F, T, 0.4, 0.03, 2e-4)
+
+    def test_prices_the_stencil_once(self):
+        # ATM and F - h0 for the convention check, then at each of h0 and
+        # h0/2 the ATM density (6 prices) and four stencil points, each a
+        # price and a density (7 prices); the centre is T alpha^2, unpriced
+        params = SabrParams(**HAGAN_SOURCE)
+        source = hagan_price_fn(params, 0.02, 0.5)
+        strikes = []
+
+        def price(k):
+            strikes.append(k)
+            return source(k)
+
+        limiting_params(price, 0.02, 0.5, params.beta, params.shift, 2e-4)
+        assert len(strikes) == 2 + 2 * (6 + 4 * 7)
+
+    @pytest.mark.parametrize("source, F, T", [
+        (HAGAN_SOURCE, 0.02, 0.5),
+        (ED_PARAMS, ED_FORWARD, ED_EXPIRY),
+    ], ids=["hagan", "ed"])
+    def test_continuous_in_beta_at_one(self, source, F, T):
+        # k(y) has no switch at beta = 1, so nu and rho approach their
+        # beta = 1 values without a jump from cancellation in (F+b)^(1-beta)
+        params = SabrParams(**source)
+        price = hagan_price_fn(params, F, T)
+        at_one = limiting_params(price, F, T, 1.0, params.shift, 2e-4).params
+        for beta in (1.0 - 1e-9, 1.0 - 1e-11):
+            near = limiting_params(price, F, T, beta, params.shift, 2e-4).params
+            assert abs(near.nu - at_one.nu) <= 1e-5, beta
+            assert abs(near.rho - at_one.rho) <= 1e-5, beta
 
 
 class TestOnePriceConvention:
@@ -483,6 +532,13 @@ class TestRecalibrate:
         assert result.params.alpha == pytest.approx(0.0206, abs=0.001)
         assert result.params.rho == pytest.approx(-0.2684, abs=0.02)
         assert result.params.nu == pytest.approx(0.2754, abs=0.02)
+
+    @pytest.mark.parametrize("expiry", [0.0, -1.0, math.nan, math.inf])
+    def test_hagan_source_rejects_an_unpriceable_expiry(self, expiry):
+        # bad input, not the source's breakdown (PriceOutOfBounds)
+        price = hagan_price_fn(SabrParams(**HAGAN_SOURCE), 0.02, expiry)
+        with pytest.raises(ValueError, match="expiry must be positive and finite"):
+            recalibrate(price, 0.02, expiry, 0.5, 0.03, 0.001)
 
     @pytest.mark.parametrize("bad", [0.0, -1e-18, math.nan, math.inf])
     def test_unusable_source_price_is_numerical(self, bad):

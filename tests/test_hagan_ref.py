@@ -120,6 +120,16 @@ class TestHaganImpliedVol:
         with pytest.raises(NonpositiveShiftedStrike, match=r"k \+ shift > 0"):
             hagan_price(*quote(-0.031))
 
+    @pytest.mark.parametrize("expiry", [0.0, -1.0, math.nan, math.inf])
+    def test_expiry_must_be_positive_and_finite(self, expiry):
+        # rejected as input, never a ZeroDivisionError, a math domain error
+        # or a NaN price that reads as a model breakdown
+        q = quote(0.018, expiry=expiry)
+        with pytest.raises(ValueError, match="expiry must be positive and finite"):
+            hagan_implied_vol(*q)
+        with pytest.raises(ValueError, match="expiry must be positive and finite"):
+            hagan_price(*q)
+
     def test_black_limit(self):
         # beta = 1, nu = 0: the shifted rate is exactly lognormal at vol alpha
         q = quote(0.015, expiry=5.0, beta=1.0, nu=0.0, rho=0.0, alpha=0.25)
