@@ -23,7 +23,8 @@ from .errors import (
     NumericalError,
     SingularPivot,
 )
-from .numerics import atm_normal_vol, bachelier_otm_vols, is_scalar, one_minus_x_mills
+from .numerics import (atm_normal_vol, bachelier_otm_vols, is_scalar,
+                       one_minus_x_mills, one_minus_x_mills_1d)
 
 FIXED_POINT_TOL = 1e-13  # relative change of sigma that ends the ATM fixed point
 FIXED_POINT_MAX_ITER = 50  # evaluations: 6 on ED, 4 to 6 on A1 grids; the surface adds none
@@ -110,10 +111,10 @@ class Grid:
         """The part of the one-step rows (_OneStepRows) that depends on the
         grid alone, computed on first use and read-only: the interior strikes
         k, h+ h-, the couplings lo and up, the products c_left and c_right
-        that the pivot sweeps subtract, the forward's row n and its source.
-        The absorbing first and last rows have no outer coupling.  A sweep
-        subtracts c_j / p_{j-1} from row j's diagonal: c_j is lo_j up_{j-1}
-        from row 0 up to row n, up_j lo_{j+1} from the last row down."""
+        that the pivot sweeps subtract, the forward's row n, its source and
+        the distances |k - F|.  The first and last rows absorb: no outer
+        coupling.  A sweep subtracts c_j / p_{j-1} from row j's diagonal:
+        c_j is lo_j up_{j-1} up to row n, up_j lo_{j+1} from the last row down."""
         h_minus, h_plus = self.steps()
         hh, hs = h_plus * h_minus, h_plus + h_minus
         lo, up = h_plus / hs, h_minus / hs
@@ -121,10 +122,11 @@ class Grid:
         n = self.forward_index - 1
         c_left = (0.0, *(lo[1:n + 1] * up[:n]).tolist())
         c_right = (0.0, *(up[-2:n - 1:-1] * lo[:n:-1]).tolist())
-        for a in (hh, lo, up):
+        distance = np.abs(self.strikes[1:-1] - self.forward)
+        for a in (hh, lo, up, distance):
             a.flags.writeable = False
         return (self.strikes[1:-1], hh, lo, up, c_left, c_right, n,
-                hh.item(n) / hs.item(n))
+                hh.item(n) / hs.item(n), distance)
 
 
 def build_uniform_grid(lo, hi, count, F) -> Grid:
@@ -212,7 +214,14 @@ def kappa(k, F, sigma, T):
         d = abs(float(k) - float(F))
         # sigma sqrt(T) can underflow to 0.0; numpy then divides to inf or NaN
         return 2.0 * one_minus_x_mills(d / s if s > 0.0 else d * math.inf)
-    return 2.0 * one_minus_x_mills(np.abs(np.asarray(k, dtype=float) - F) / s)
+    k = np.asarray(k, dtype=float)
+    return _kappa_at(np.abs(k.ravel() - F), s).reshape(k.shape)
+
+
+def _kappa_at(distance: np.ndarray, s: float) -> np.ndarray:
+    """kappa at a 1-d array of distances |k - F|, s = sigma sqrt(T): the array
+    form, which the one-step rows call on their grid's distances."""
+    return 2.0 * one_minus_x_mills_1d(distance / s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,17 +280,17 @@ class _OneStepRows:
             raise NonpositiveShiftedStrike(
                 f"lowest strike {grid.strikes[0]} violates k + shift > 0"
             )
-        (self.k, self.hh, self.lo, self.up, self.c_left, self.c_right,
-         self.n, self.source) = grid.row_geometry
-        self.F, self.expiry = grid.forward, expiry
+        (k, self.hh, self.lo, self.up, self.c_left, self.c_right,
+         self.n, self.source, self.distance) = grid.row_geometry
+        self.expiry = expiry
         with np.errstate(all="ignore"):
-            self.a = self.hh / (expiry * local_vol(self.k, self.F, params) ** 2)
+            self.a = self.hh / (expiry * local_vol(k, grid.forward, params) ** 2)
         self.last = (None, None)
 
     def diagonal(self, sigma: float):
         """(r, 1 + r) at ATM vol sigma, as arrays."""
         with np.errstate(all="ignore"):
-            r = self.a / kappa(self.k, self.F, sigma, self.expiry)
+            r = self.a / _kappa_at(self.distance, sigma * math.sqrt(self.expiry))
         # the density multiplies by r, so z past the double range fails at
         # either end, as r = 0 or inf; a NaN fails both comparisons
         if not (r.min() > 0.0 and r.max() < math.inf):
@@ -353,8 +362,11 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
     r, tv_n, p, q = rows.eliminate(slice_.atm_normal_vol)
     n = rows.n
     tv = np.zeros(grid.size)
-    tv[1:n + 2] = np.cumprod(np.append(tv_n, (rows.up[:n] / p)[::-1]))[::-1]
-    tv[n + 2:-1] = np.cumprod(np.append(tv_n, (rows.lo[:n:-1] / q)[::-1]))[1:]
+    tv[n + 1] = tv_n
+    np.divide(rows.up[:n], p, out=tv[1:n + 1])
+    np.divide(rows.lo[n + 1:], q[::-1], out=tv[n + 2:-1])
+    for side in (tv[n + 1:0:-1], tv[n + 1:-1]):  # the ratios' products outward
+        np.cumprod(side, out=side)
     density = 2.0 * tv[1:-1] * r / rows.hh
     return PriceSurface(grid=grid, slice=slice_, time_value=tv, density=density)
 

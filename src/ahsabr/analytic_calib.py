@@ -235,8 +235,9 @@ def limiting_params(
     """h -> 0 limit of the analytic calibration on a smooth price source.
 
     price_fn is an out-of-the-money source, as for quote_set_from_curve; a
-    call curve (price at F - h0 not below ATM), a non-finite F, or an h0 or T
-    not positive and finite raises ValueError.  alpha comes from the ATM price
+    call curve (price at F - h0 not below ATM), a non-finite F, an h0 or T
+    not positive and finite, or an h0 whose stencil (to about F - 3 h0)
+    reaches k + b <= 0 raises ValueError.  alpha comes from the ATM price
     and density, the second strike derivative of price_fn(k) + max(F - k, 0);
     nu and rho from y-derivatives of G = price_fn(k) / (kappa pdf (k+b)^(2 beta))
     through _nu_rho, by Richardson-extrapolated central differences on a
@@ -261,6 +262,9 @@ def limiting_params(
     if not abs(F) < math.inf:
         raise ValueError(f"F must be finite, got {F!r}")
     level = _cev_level(F, beta, b)
+    reach = f"h0 {h0!r} takes the stencil to k + b <= 0 from F + b = {F + b!r}"
+    if F - h0 + b <= 0.0:
+        raise ValueError(reach)
     atm = price_fn(F)
     if not price_fn(F - h0) < atm:
         raise ValueError("price_fn must give out-of-the-money prices, the put "
@@ -279,15 +283,20 @@ def limiting_params(
             # as an exp of -a log1p(x)/x, which is 1 at x = 0 (beta = 1)
             a = alpha * y * (F + b) ** (beta - 1.0)
             x = -(1.0 - beta) * a
+            if x <= -1.0:  # k(y) <= -b
+                raise ValueError(reach)
             k = (F + b) * math.exp(-a * (math.log1p(x) / x if x else 1.0)) - b
+            if k - h + b <= 0.0:  # pdf(k, h) prices at k - h
+                raise ValueError(reach)
             # the halved coefficient kappa/2 makes G(y) = T alpha^2 J(y)^2
             kap_half = 0.5 * kappa(k, F, sigma_atm, T)
             return price_fn(k) / (kap_half * pdf(k, h) * (k + b) ** (2.0 * beta))
 
         # y-space step matching the rate-space step h: dy/dk = -1/(alpha (F+b)^beta)
         delta = h / (alpha * level)
-        gm1, gp1 = g(delta), g(-delta)  # y > 0 is the put side (k < F)
+        # y > 0 is the put side (k < F), whose lowest strike comes first
         gm2, gp2 = g(2.0 * delta), g(-2.0 * delta)
+        gm1, gp1 = g(delta), g(-delta)
 
         def derivs(step, gm, gp):
             d1 = (gm - gp) / (2.0 * step)  # d/dy, noting y decreases with k

@@ -108,13 +108,6 @@ def _polynomials(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     return rows @ powers
 
 
-def _cody_ratios(t: np.ndarray) -> np.ndarray:
-    """The three ranges' ratios, rows 0 to 2, at every element of a 1-d t
-    (each at most 4)."""
-    values = _polynomials(_CODY_ROWS, t)
-    return values[:3] / values[3:]
-
-
 def one_minus_x_mills(x):
     """q(x) = 1 - x M(x) for x >= 0: 1 at x = 0, falling to 0 like 1/x^2.
 
@@ -122,7 +115,7 @@ def one_minus_x_mills(x):
     sqrt(pi) t R(t), t = 2/x^2, with no subtraction.  Up to y = 4 it is
     1 - x M(x) with M(x) = sqrt(pi/2) erfcx(y); that difference gives up
     log10(1/q) digits, about 1.5 at y = 4.  An infinite x gives 0.
-    A scalar stays on floats and the math module.
+    A scalar stays on floats and the math module, an array on the 1-d kernel.
     """
     if is_scalar(x):
         x = float(x)
@@ -132,17 +125,25 @@ def one_minus_x_mills(x):
             return _SQRT_PI * t * _cody_ratio(_CODY[2], t)
         return 1.0 - x * (_SQRT_HALF_PI * _erfcx(y))
     x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    y = flat * _INV_SQRT2
-    small = y <= 0.46875
-    big = y > 4.0
-    far = np.where(big, flat, 1.0)  # x wherever 2/x^2 is used
-    t = np.where(big, 2.0 / far / far, y)
-    t = np.where(small, t * t, t)  # at most 4, so no power overflows
-    r = _cody_ratios(t)
-    erfcx = np.where(small, np.exp(t) * (1.0 - y * r[0]), r[1])
-    q = np.where(big, _SQRT_PI * t * r[2], 1.0 - flat * (_SQRT_HALF_PI * erfcx))
-    return q.reshape(x.shape)
+    return one_minus_x_mills_1d(x.ravel()).reshape(x.shape)
+
+
+def one_minus_x_mills_1d(x: np.ndarray) -> np.ndarray:
+    """one_minus_x_mills over a 1-d float array in few numpy calls, whose
+    fixed cost, not the arithmetic, dominates at a few hundred elements.
+    Each element takes its range's t (y^2, y or 2/x^2, at most 4, so no
+    power overflows; 2/x^2 is formed only where y > 4, so x = 0 divides
+    nothing), all three ratios are formed at every element, and each element
+    reads its own range's."""
+    y = x * _INV_SQRT2
+    small, big = y <= 0.46875, y > 4.0
+    t = y * np.where(small, y, 1.0)
+    np.divide(2.0, x, out=t, where=big)
+    np.divide(t, x, out=t, where=big)
+    values = _polynomials(_CODY_ROWS, t)
+    r = values[:3] / values[3:]
+    np.multiply(np.exp(t), 1.0 - y * r[0], out=r[1], where=small)  # erfcx(y)
+    return np.where(big, _SQRT_PI * t * r[2], 1.0 - x * (_SQRT_HALF_PI * r[1]))
 
 
 def atm_normal_vol(price, T):

@@ -1,6 +1,7 @@
 """Oracles that the tests compare the package against: the normal density,
-the Mills ratio M(x) = Phi(-x)/phi(x) with its array erfcx path, and the
-Bachelier pricer.  No module of the package calls them; they build on the
+the Mills ratio M(x) = Phi(-x)/phi(x) with its array erfcx path, the
+three-range array form of 1 - x M(x) that numerics' 1-d kernel replaced, and
+the Bachelier pricer.  No module of the package calls them; they build on the
 package's own Cody kernels and norm_cdf.
 """
 
@@ -10,11 +11,13 @@ import numpy as np
 
 from ahsabr.numerics import (
     SQRT_2PI,
+    _CODY_ROWS,
     _INV_SQRT2,
     _INV_SQRT_PI,
     _SQRT_HALF_PI,
-    _cody_ratios,
+    _SQRT_PI,
     _erfcx,
+    _polynomials,
     is_scalar,
     norm_cdf,
 )
@@ -25,6 +28,13 @@ def norm_pdf(x):
     with np.errstate(over="ignore"):
         # x^2 overflowing to inf still maps to the correct density of 0
         return np.exp(-0.5 * np.square(x)) / SQRT_2PI
+
+
+def _cody_ratios(t: np.ndarray) -> np.ndarray:
+    """Cody's three ratios, rows 0 to 2, at every element of a 1-d t, as
+    numerics' kernel forms them."""
+    values = _polynomials(_CODY_ROWS, t)
+    return values[:3] / values[3:]
 
 
 def _erfcx_array(y: np.ndarray) -> np.ndarray:
@@ -52,6 +62,24 @@ def mills_ratio(x):
         return _SQRT_HALF_PI * _erfcx(float(x) * _INV_SQRT2)
     x = np.asarray(x, dtype=float)
     return _SQRT_HALF_PI * _erfcx_array(x.ravel() * _INV_SQRT2).reshape(x.shape)
+
+
+def one_minus_x_mills_reference(x):
+    """1 - x M(x) over an array of any shape, as numerics formed it before its
+    1-d kernel: each range's t and result chosen by np.where over every
+    element.  The kernel must reproduce it bit for bit."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    y = flat * _INV_SQRT2
+    small = y <= 0.46875
+    big = y > 4.0
+    far = np.where(big, flat, 1.0)  # x wherever 2/x^2 is used
+    t = np.where(big, 2.0 / far / far, y)
+    t = np.where(small, t * t, t)  # at most 4, so no power overflows
+    r = _cody_ratios(t)
+    erfcx = np.where(small, np.exp(t) * (1.0 - y * r[0]), r[1])
+    q = np.where(big, _SQRT_PI * t * r[2], 1.0 - flat * (_SQRT_HALF_PI * erfcx))
+    return q.reshape(x.shape)
 
 
 def bachelier_price(F, k, sigma, T, kind="call"):

@@ -585,9 +585,9 @@ class TestSolveOneStep:
 
     def test_one_elimination_for_calls_and_puts(self, monkeypatch):
         # one elimination, for the time value that calls and puts share: one
-        # kappa call, then one pivot sweep over the interior rows from each
-        # end towards the forward's row; each call is logged with the length
-        # of its first argument
+        # kappa call on the grid's distances (_kappa_at), then one pivot sweep
+        # over the interior rows from each end towards the forward's row; each
+        # call is logged with the length of its first argument
         calls = []
 
         def counted(name, fn):
@@ -596,12 +596,12 @@ class TestSolveOneStep:
                 return fn(*args)
             monkeypatch.setattr(ah_engine, name, wrapper)
 
-        counted("kappa", kappa)
+        counted("_kappa_at", ah_engine._kappa_at)
         counted("_pivots", ah_engine._pivots)
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         solve_one_step(grid, MarketSlice(5.0, 0.0095), make_params())
         n, m = grid.forward_index - 1, grid.size - 2
-        assert calls == [("kappa", m), ("_pivots", n), ("_pivots", m - 1 - n)]
+        assert calls == [("_kappa_at", m), ("_pivots", n), ("_pivots", m - 1 - n)]
         assert not hasattr(ah_engine, "thomas_solve")
 
     def test_density_against_extended_precision_solve(self):
@@ -821,7 +821,7 @@ class TestSelfConsistentSlice:
             n = grid.forward_index - 1
             want = dict(
                 a=h_plus * h_minus / (T * local_vol(k[1:-1], k[n + 1], params) ** 2),
-                lo=lo, up=up, n=n,
+                lo=lo, up=up, n=n, distance=np.abs(k[1:-1] - k[n + 1]),
                 c_left=[0.0, *(lo[j] * up[j - 1] for j in range(1, n + 1))],
                 c_right=[0.0, *(up[j] * lo[j + 1] for j in range(len(lo) - 2, n - 1, -1))],
                 source=h_plus[n] * h_minus[n] / hs[n],
@@ -830,6 +830,21 @@ class TestSelfConsistentSlice:
                 rows = _OneStepRows(grid, params, T)
                 for name, value in want.items():
                     assert np.array_equal(getattr(rows, name), value), name
+
+    def test_rows_read_kappa_at_the_grid_distances(self):
+        # r = a / kappa bit for bit: the rows take xi from the distances the
+        # grid holds, kappa from the strikes and the forward, on the ED
+        # fixture, the first 10 A1 grids and a graded beta = 1 grid
+        ed = build_uniform_grid(*ED_GRID, ED_FORWARD)
+        beta1 = make_params(alpha=0.4, beta=1.0)
+        cases = [(ed, SabrParams(**ED_PARAMS), ED_EXPIRY), *self.a1_grids(10),
+                 (stretched_grid(0.02, beta1, 5.0)[0], beta1, 5.0)]
+        assert any(params.beta == 1.0 for _, params, _ in cases[1:-1])
+        for grid, params, T in cases:
+            sigma = self_consistent_slice(grid, params, T).atm_normal_vol
+            rows = _OneStepRows(grid, params, T)
+            want = rows.a / kappa(grid.strikes[1:-1], grid.forward, sigma, T)
+            assert np.array_equal(rows.diagonal(sigma)[0], want)
 
     def test_vol_curve_reads_the_quote_sets_sigma_atm(self):
         # the vol curve at the forward and the calibration's sigma_ATM are one
@@ -861,9 +876,9 @@ class TestSelfConsistentSlice:
 
     def test_one_full_solve_per_surface(self, monkeypatch):
         # one build of the rows; each of the fixed point's six evaluations
-        # calls kappa once for the diagonal and sweeps the pivots once from
-        # each end, and solve_one_step carries the last one's ratios outward
-        # with no evaluation of its own
+        # calls kappa's array form (_kappa_at) once for the diagonal and
+        # sweeps the pivots once from each end, and solve_one_step carries the
+        # last one's ratios outward with no evaluation of its own
         calls = []
 
         def counted(name, fn):
@@ -874,11 +889,11 @@ class TestSelfConsistentSlice:
 
         counted("_OneStepRows", _OneStepRows)
         counted("solve_one_step", solve_one_step)
-        counted("kappa", kappa)
+        counted("_kappa_at", ah_engine._kappa_at)
         counted("_pivots", ah_engine._pivots)
         grid = build_uniform_grid(*ED_GRID, ED_FORWARD)
         price_self_consistent(grid, SabrParams(**ED_PARAMS), ED_EXPIRY)
-        evaluation = ["kappa", "_pivots", "_pivots"]
+        evaluation = ["_kappa_at", "_pivots", "_pivots"]
         assert calls == ["_OneStepRows", *6 * evaluation, "solve_one_step"]
 
     def test_surface_is_the_fixed_points_last_evaluation(self):
@@ -947,15 +962,17 @@ class TestSelfConsistentSlice:
         assert np.array_equal(again.density, surface.density)
 
     def test_secant_evaluation_count(self, monkeypatch):
-        # one kappa call per evaluation; the damped iteration took 19 on ED,
-        # and the secant on ATM vol - sigma 6 on ED and up to 7 on these grids
+        # one kappa call (_kappa_at) per evaluation; the damped iteration took
+        # 19 on ED, and the secant on ATM vol - sigma 6 on ED and up to 7 on
+        # these grids
         evaluations = []
+        kappa_at = ah_engine._kappa_at
 
         def counting(*args):
             evaluations[-1] += 1
-            return kappa(*args)
+            return kappa_at(*args)
 
-        monkeypatch.setattr(ah_engine, "kappa", counting)
+        monkeypatch.setattr(ah_engine, "_kappa_at", counting)
         ed = build_uniform_grid(*ED_GRID, ED_FORWARD)
         for grid, params, T in [(ed, SabrParams(**ED_PARAMS), ED_EXPIRY),
                                 *self.a1_grids(200)]:

@@ -409,6 +409,28 @@ class TestLimitingParams:
         with pytest.raises(ValueError, match=message):
             limiting_params(price, F, T, 0.4, 0.03, 2e-4)
 
+    # F 0.1% with b 3%: the Hagan source and Bachelier prices at 80 bp, whose
+    # stencil at h0 1.6% reaches about F - 3 h0 < -b, and an h0 of 3.2% that
+    # puts F - h0 itself below -b
+    @pytest.mark.parametrize("source, beta, h0", [
+        ("hagan", 0.4, 0.016), ("bachelier", 0.0, 0.016), ("bachelier", 0.0, 0.032),
+    ], ids=["hagan", "bachelier", "f_minus_h0"])
+    def test_stencil_keeps_k_plus_b_positive(self, source, beta, h0):
+        # a ValueError naming h0 and F + b before any price at k + b <= 0,
+        # where the Hagan source raised NonpositiveShiftedStrike at a strike
+        # the caller never named and the inverse k(y) a math domain error
+        F, T, b = 0.001, 0.5, 0.03
+        hagan = hagan_price_fn(SabrParams(**HAGAN_SOURCE), F, T)
+
+        def price(k):
+            assert k + b > 0.0, f"priced strike {k!r} below -b"
+            if source == "hagan":
+                return hagan(k)
+            return bachelier_price(F, k, 0.008, T, "put" if k < F else "call")
+
+        with pytest.raises(ValueError, match=rf"h0 {h0!r} .* F \+ b = 0\.031"):
+            limiting_params(price, F, T, beta, b, h0)
+
     def test_prices_the_stencil_once(self):
         # ATM and F - h0 for the convention check, then at each of h0 and
         # h0/2 the ATM density (6 prices) and four stencil points, each a

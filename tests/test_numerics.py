@@ -16,16 +16,24 @@ import ahsabr as ah
 from ahsabr import numerics
 from ahsabr.errors import PriceOutOfBounds, SingularPivot
 from ahsabr.numerics import (
+    _INV_SQRT2,
     _erfcx,
     bachelier_implied_vol,
     bachelier_otm_vols,
     norm_cdf,
     one_minus_x_mills,
+    one_minus_x_mills_1d,
     thomas_solve,
 )
 
 from conftest import ED_EXPIRY, ED_FORWARD, ED_GRID, ED_PARAMS
-from oracles import _erfcx_array, bachelier_price, mills_ratio, norm_pdf
+from oracles import (
+    _erfcx_array,
+    bachelier_price,
+    mills_ratio,
+    norm_pdf,
+    one_minus_x_mills_reference,
+)
 
 # 40-digit mpmath values, frozen
 CDF_CASES = [
@@ -189,6 +197,47 @@ class TestOneMinusXMills:
         assert out[3] == pytest.approx(1e-300, rel=1e-14, abs=0.0)
         assert one_minus_x_mills(1e150) == pytest.approx(1e-300, rel=1e-14, abs=0.0)
         assert one_minus_x_mills(np.ones((2, 3))).shape == (2, 3)
+
+    @staticmethod
+    def near_joins():
+        """Each x within 3 ulps of a range join, y = x / sqrt(2) at 0.46875
+        and at 4, where the kernel's masks change."""
+        out = []
+        for join in (0.46875, 4.0):
+            x = join / _INV_SQRT2
+            below, above = [x], [x]
+            for _ in range(3):
+                below.append(np.nextafter(below[-1], 0.0))
+                above.append(np.nextafter(above[-1], math.inf))
+            out += [*below[:0:-1], x, *above[1:]]
+        return np.array(out)
+
+    def test_kernel_matches_the_reference_bit_for_bit(self):
+        # the 1-d kernel, alone and behind one_minus_x_mills, against the
+        # three-range form it replaced (oracles): a dense sweep through all
+        # three ranges, 40 decades, both joins within 3 ulps, 0, inf, NaN
+        # and 1e150
+        joins = self.near_joins()
+        for near, join in ((joins[:7], 0.46875), (joins[7:], 4.0)):
+            y = near * _INV_SQRT2
+            assert (y <= join).any() and (y > join).any()
+        x = np.concatenate([
+            np.linspace(0.0, 40.0, 400_001), np.geomspace(1e-20, 1e20, 4001),
+            joins, [0.0, math.inf, math.nan, 1e150],
+        ])
+        want = one_minus_x_mills_reference(x).tobytes()
+        assert one_minus_x_mills_1d(x).tobytes() == want
+        assert one_minus_x_mills(x).tobytes() == want
+
+    def test_kernel_shapes(self):
+        # a (2, 3) array through one_minus_x_mills, bit for bit with the
+        # reference, and an empty one through it and through the kernel
+        x = np.array([[0.0, 0.5, 1.0], [5.0, 6.0, math.inf]])
+        assert one_minus_x_mills(x).shape == (2, 3)
+        assert (one_minus_x_mills(x).tobytes()
+                == one_minus_x_mills_reference(x).tobytes())
+        for got in (one_minus_x_mills(np.empty(0)), one_minus_x_mills_1d(np.empty(0))):
+            assert got.shape == (0,)
 
 
 class TestBachelierOtmVols:
