@@ -29,6 +29,9 @@ from .numerics import atm_normal_vol
 
 @dataclass(frozen=True)
 class CalibDiagnostics:
+    """The z, y and kappa the inversion read at k_{n-1} (minus) and k_{n+1}
+    (plus), and the ATM normal vol sigma_atm that kappa was taken at."""
+
     z_minus: float
     z_plus: float
     y_minus: float
@@ -36,8 +39,6 @@ class CalibDiagnostics:
     kappa_minus: float
     kappa_plus: float
     sigma_atm: float
-    residual_minus: float
-    residual_plus: float
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,14 @@ def _neighbours(q: QuoteSet, alpha, beta, b):
 def _nu_rho(nu2: float, two_rho_nu: float) -> tuple[float, float]:
     """Checked (nu, rho) from nu^2 and 2*rho*nu, the coefficients of J(y)^2:
     a NaN or +inf nu^2 raises NumericalError, a negative one NegativeNuSquared,
-    and a rho outside (-1, 1), NaN included, RhoOutOfRange."""
+    and a rho outside (-1, 1), NaN included, RhoOutOfRange.  At nu^2 = 0, rho
+    is 0 if 2*rho*nu is, and inf if not: J^2 = 1 - 2*rho*nu*y fits no rho."""
     if not nu2 < math.inf:
         raise NumericalError(f"prices imply nu^2 = {nu2!r}, not a finite number")
     if nu2 < 0.0:
         raise NegativeNuSquared(f"prices imply nu^2 = {nu2:.3e} < 0")
     nu = math.sqrt(nu2)
-    rho = two_rho_nu / (2.0 * nu) if nu > 0.0 else 0.0
+    rho = two_rho_nu / (2.0 * nu) if nu > 0.0 else (math.inf if two_rho_nu else 0.0)
     if not abs(rho) < 1.0:
         raise RhoOutOfRange(f"prices imply |rho| = {abs(rho):.6f} >= 1")
     return nu, rho
@@ -110,8 +112,8 @@ def _solve_nu_rho(alpha, beta, b, j2_m, j2_p, y_m, y_p, **diag) -> CalibrationRe
     neighbours.  Each J^2 = 1 - 2*rho*nu*y + nu^2*y^2 pins one relation;
     subtracting the two isolates nu^2, and _nu_rho checks the pair.  Returns
     the calibration at (alpha, beta, b) with the CalibDiagnostics made of
-    `diag`, the y values and the relative residual of each relation.  A zero
-    or non-finite y (alpha overflowed) raises NumericalError."""
+    `diag` and the y values; the solve is exact, so no residual is kept.  A
+    zero or non-finite y (alpha overflowed) raises NumericalError."""
     if not (0.0 < abs(y_m) < math.inf and 0.0 < abs(y_p) < math.inf):
         raise NumericalError(f"y at the neighbours is {y_m!r} and {y_p!r}; "
                              "the 2x2 system needs both finite and nonzero")
@@ -120,12 +122,7 @@ def _solve_nu_rho(alpha, beta, b, j2_m, j2_p, y_m, y_p, **diag) -> CalibrationRe
     nu2 = (r_m - r_p) / (y_m - y_p)
     nu, rho = _nu_rho(nu2, nu2 * y_m - r_m)
     params = SabrParams(alpha=alpha, beta=beta, rho=rho, nu=nu, shift=b)
-    return CalibrationResult(params, CalibDiagnostics(
-        y_minus=y_m, y_plus=y_p,
-        residual_minus=(nu2 * y_m - 2.0 * rho * nu - r_m) / max(abs(r_m), 1e-300),
-        residual_plus=(nu2 * y_p - 2.0 * rho * nu - r_p) / max(abs(r_p), 1e-300),
-        **diag,
-    ))
+    return CalibrationResult(params, CalibDiagnostics(y_minus=y_m, y_plus=y_p, **diag))
 
 
 def calibrate(q: QuoteSet, beta: float, b: float) -> CalibrationResult:

@@ -19,7 +19,7 @@ from .ah_engine import QuoteSet, SabrParams
 from .analytic_calib import CalibDiagnostics, quote_set_from_curve
 from .errors import MalformedRow, MissingStrike, SchemaMismatch
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 QUOTE_HEADER = ["contract", "quote_date", "kind", "strike_price", "last"]
 
 

@@ -193,9 +193,9 @@ def _fitted_log_u(log_target):
 
 def _halley_step(w, log_target):
     """The residual g = log h(e^w) - log_target and the Halley step in w,
-    from one evaluation of q = 1 - u M(u)."""
+    from one evaluation of q = 1 - u M(u) by the 1-d kernel: w is 1-d."""
     u = np.exp(w)
-    q = one_minus_x_mills(u)
+    q = one_minus_x_mills_1d(u)
     g = np.log(q) - 0.5 * u * u - w - _LOG_SQRT_2PI - log_target
     return g, g * q / (1.0 - 0.5 * g * (q * (1.0 + u * u) - 1.0))
 

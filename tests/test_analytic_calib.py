@@ -20,6 +20,7 @@ from ahsabr.ah_engine import (
 )
 from ahsabr.analytic_calib import (
     QuoteSet,
+    _nu_rho,
     calibrate,
     calibrate_uniform,
     limiting_params,
@@ -127,14 +128,20 @@ class TestZCoefficients:
 
 
 class TestNuRhoFromZ:
-    def test_recovery_and_residuals(self):
+    def test_recovery(self):
         params = SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.30, shift=0.03)
         q, _ = solved_quotes(params)
         result = calibrate(q, params.beta, params.shift)
         assert result.params.nu == pytest.approx(0.30, abs=1e-8)
         assert result.params.rho == pytest.approx(-0.25, abs=1e-8)
-        assert abs(result.diagnostics.residual_minus) < 1e-12
-        assert abs(result.diagnostics.residual_plus) < 1e-12
+
+    def test_nu_zero_needs_two_rho_nu_zero(self):
+        # at nu^2 = 0 the relations read J^2 = 1 - 2*rho*nu*y: 2*rho*nu = 0
+        # gives the flat model, anything else fits no rho
+        assert _nu_rho(0.0, 0.0) == (0.0, 0.0)
+        for two_rho_nu in (0.25, -0.25):
+            with pytest.raises(RhoOutOfRange, match=r"\|rho\| = inf >= 1"):
+                _nu_rho(0.0, two_rho_nu)
 
     def test_symmetric_smile_zero_rho(self):
         params = SabrParams(alpha=0.015, beta=0.0, rho=0.0, nu=0.4, shift=0.03)
@@ -246,15 +253,12 @@ class TestCalibrateUniform:
         assert uniform.nu == general.nu
         assert uniform.rho == general.rho
 
-    def test_residuals_computed_and_equal_to_general_form(self):
-        # a case whose residuals are not exactly zero
+    def test_diagnostics_equal_to_general_form(self):
         params = SabrParams(alpha=0.015, beta=0.0, rho=0.3, nu=0.6, shift=0.03)
         q, _ = solved_quotes(params)
         general = calibrate(q, 0.0, 0.03).diagnostics
         uniform = calibrate_uniform(q, 0.0, 0.03).diagnostics
         assert uniform == general
-        assert abs(uniform.residual_minus) < 1e-12
-        assert abs(uniform.residual_plus) < 1e-12
 
     def test_rejects_unequal_steps(self):
         q = dataclasses.replace(uniform_quote_set(), h_minus_nm1=0.004)

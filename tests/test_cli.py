@@ -232,6 +232,10 @@ class TestCalibrate:
         assert doc["params"]["nu"] == pytest.approx(0.30, abs=1e-8)
         assert doc["params"]["rho"] == pytest.approx(-0.25, abs=1e-8)
         assert doc["vol_curve"], "report must carry the implied-vol curve"
+        assert doc["schema_version"] == 4
+        assert sorted(doc["diagnostics"]) == sorted([
+            "z_minus", "z_plus", "y_minus", "y_plus", "kappa_minus",
+            "kappa_plus", "sigma_atm"])
 
     def test_butterfly_violation_exit_3(self, tmp_path, capsys):
         # concave call wing: negative implied density at F+h

@@ -332,14 +332,18 @@ class TestReportRoundTrip:
             read_report(path)
 
     def test_version_1_report_refused(self, solved, tmp_path):
-        # version 1 carried the retired kappa_sigma in its quotes block, and
-        # versions 1 and 2 named the two inner gaps twice
-        for version, extra in ((1, {"kappa_sigma": "total"}), (2, {})):
+        # version 1 carried the retired kappa_sigma in its quotes block,
+        # versions 1 and 2 named the two inner gaps twice, and versions 1 to 3
+        # carried the two roundoff residuals in their diagnostics
+        for version, extra in ((1, {"kappa_sigma": "total"}), (2, {}), (3, None)):
             doc = report_to_dict(sample_report(solved))
             quotes = doc["quotes"]
             doc["schema_version"] = version
-            quotes.update(h_plus_nm1=quotes["h_minus_n"],
-                          h_minus_np1=quotes["h_plus_n"], **extra)
+            doc["diagnostics"].update(residual_minus=-1.1e-15,
+                                      residual_plus=-1.4e-16)
+            if extra is not None:
+                quotes.update(h_plus_nm1=quotes["h_minus_n"],
+                              h_minus_np1=quotes["h_plus_n"], **extra)
             path = tmp_path / "report.json"
             path.write_text(json.dumps(doc))
             with pytest.raises(SchemaMismatch, match=f"schema_version {version}"):

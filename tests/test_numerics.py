@@ -286,9 +286,9 @@ class TestBachelierOtmVols:
 
         def counted(x):
             calls.append(np.size(x))
-            return one_minus_x_mills(x)
+            return one_minus_x_mills_1d(x)
 
-        monkeypatch.setattr(numerics, "one_minus_x_mills", counted)
+        monkeypatch.setattr(numerics, "one_minus_x_mills_1d", counted)
         return calls
 
     def test_kernel_evaluations(self, monkeypatch):
