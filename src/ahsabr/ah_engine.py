@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -52,21 +52,6 @@ class SabrParams:
             raise ValueError(f"nu must be nonnegative, got {self.nu}")
         if not self.shift >= 0.0:
             raise ValueError(f"shift must be nonnegative, got {self.shift}")
-
-
-@dataclass(frozen=True)
-class MarketSlice:
-    """Expiry and the ATM normal vol, which fixes the ATM price by the one-step
-    ATM identity price = vol * sqrt(T / (2*pi)) (numerics.atm_normal_vol)."""
-
-    expiry: float
-    atm_normal_vol: float
-
-    def __post_init__(self):
-        if not self.expiry > 0.0:
-            raise ValueError("expiry must be positive")
-        if not self.atm_normal_vol > 0.0:
-            raise ValueError("atm_normal_vol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,20 +257,20 @@ class _OneStepRows:
     the grid alone and come from Grid.row_geometry, computed once per grid.
     Only r depends on the ATM vol, as a / kappa with
     a = h+ h- / (T local_vol^2), so a is the one array built per set of rows.
-    The rows keep their last evaluation, (sigma, eliminate(sigma)), as one
-    tuple, so the surface at the fixed point's last sigma repeats none."""
+    They keep no result: a MarketSlice holds the elimination a surface reads."""
 
     def __init__(self, grid: Grid, params: SabrParams, expiry: float):
         if grid.strikes[0] + params.shift <= 0.0:
             raise NonpositiveShiftedStrike(
                 f"lowest strike {grid.strikes[0]} violates k + shift > 0"
             )
+        if not expiry > 0.0:
+            raise ValueError("expiry must be positive")
         (k, self.hh, self.lo, self.up, self.c_left, self.c_right,
          self.n, self.source, self.distance) = grid.row_geometry
         self.expiry = expiry
         with np.errstate(all="ignore"):
             self.a = self.hh / (expiry * local_vol(k, grid.forward, params) ** 2)
-        self.last = (None, None)
 
     def diagonal(self, sigma: float):
         """(r, 1 + r) at ATM vol sigma, as arrays."""
@@ -301,11 +286,8 @@ class _OneStepRows:
         """(r, tv_n, p, q) at ATM vol sigma.  Eliminating towards row n from
         each end leaves tv_j = (up_j / p_j) tv_{j+1} below it, with pivots p
         from row 0 up, and tv_j = (lo_j / q_j) tv_{j-1} above it, with pivots
-        q from the last row down; row n then gives tv_n.  A call at the last
-        sigma returns the last result; r is read-only, so it cannot go stale."""
-        last = self.last
-        if last[0] == sigma:
-            return last[1]
+        q from the last row down; row n then gives tv_n.  r is read-only: the
+        slice keeps it and the surface's density reads it."""
         r, d = self.diagonal(sigma)
         d, n = d.tolist(), self.n
         p = _pivots(d[:n], self.c_left)
@@ -314,21 +296,7 @@ class _OneStepRows:
         if abs(piv) < 1e-300:
             raise SingularPivot("zero pivot at the forward's row")
         r.flags.writeable = False
-        result = r, self.source / piv, p, q
-        self.last = (sigma, result)
-        return result
-
-    def atm_time_value(self, sigma: float) -> float:
-        """tv_n alone, with no back substitution."""
-        return self.eliminate(sigma)[1]
-
-
-@lru_cache(maxsize=1)
-def _rows(grid: Grid, params: SabrParams, expiry: float) -> _OneStepRows:
-    """The rows of the last (grid, params, expiry) asked for, so the fixed
-    point and the surface at its last sigma share one build.  The memo holds
-    the grid itself, which hashes by identity, and the params by value."""
-    return _OneStepRows(grid, params, expiry)
+        return r, self.source / piv, p, q
 
 
 def _pivots(diag, coupling) -> list:
@@ -343,8 +311,36 @@ def _pivots(diag, coupling) -> list:
     return pivots
 
 
-def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> PriceSurface:
-    """Price calls and puts on the grid with the one-step method
+@dataclass(frozen=True, eq=False)
+class MarketSlice:
+    """The one-step rows of a grid, params and expiry at one ATM normal vol,
+    which fixes the ATM price by the ATM identity price = vol * sqrt(T / (2*pi))
+    (numerics.atm_normal_vol), and their elimination there: (r, tv_n, p, q)
+    of _OneStepRows.eliminate.  self_consistent_slice returns the fixed
+    point's last evaluation, and at_vol the rows at a vol the caller gives.
+    A slice, like a grid, equals and hashes as itself only."""
+
+    grid: Grid
+    rows: _OneStepRows
+    atm_normal_vol: float
+    elimination: tuple
+
+    @property
+    def expiry(self) -> float:
+        return self.rows.expiry
+
+    @classmethod
+    def at_vol(cls, grid: Grid, params: SabrParams, expiry: float,
+               atm_normal_vol: float) -> MarketSlice:
+        """The rows built and eliminated at the given ATM normal vol."""
+        rows = _OneStepRows(grid, params, expiry)
+        if not atm_normal_vol > 0.0:
+            raise ValueError("atm_normal_vol must be positive")
+        return cls(grid, rows, atm_normal_vol, rows.eliminate(atm_normal_vol))
+
+
+def solve_one_step(slice_: MarketSlice) -> PriceSurface:
+    """Price calls and puts on the slice's grid with the one-step method
     c - (T/2) theta^2 c'' = (F - k)^+ and read the density off its rows.
 
     Calls and puts are their intrinsic plus one time value tv.  The intrinsic
@@ -352,14 +348,12 @@ def solve_one_step(grid: Grid, slice_: MarketSlice, params: SabrParams) -> Price
     one-step matrix with a single source, at the forward's row, and every
     row gives the density exactly: c''_j = 2 tv_j r_j / (h+_j h-_j).  The
     boundary rows give tv = 0 at the first and last interior nodes, and the
-    end nodes, which have no row, stay at intrinsic too.  The elimination of
-    the fixed point gives tv at the forward, and the ratios of its pivots
-    carry it outward to every other interior node.  At the last sigma of a
-    fixed point on the same grid, params and expiry, the rows and their
-    elimination are the fixed point's own (_rows, _OneStepRows.eliminate).
+    end nodes, which have no row, stay at intrinsic too.  The slice's
+    elimination gives tv at the forward, and the ratios of its pivots carry
+    it outward to every other interior node: the solve eliminates nothing.
     """
-    rows = _rows(grid, params, slice_.expiry)
-    r, tv_n, p, q = rows.eliminate(slice_.atm_normal_vol)
+    grid, rows = slice_.grid, slice_.rows
+    r, tv_n, p, q = slice_.elimination
     n = rows.n
     tv = np.zeros(grid.size)
     tv[n + 1] = tv_n
@@ -377,22 +371,23 @@ def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> Mark
     calibration assumes.  After the local-vol guess and one plain fixed-point
     step come secant steps on the vol ratio G(sigma) = 1 - sigma / ATM vol,
     which take fewer evaluations than steps on ATM vol - sigma, or the plain
-    step where a secant one is not positive and finite.  Each evaluation
-    reads tv at the forward alone (_OneStepRows.atm_time_value).  The slice
-    carries the last sigma evaluated, whose residual
-    |ATM vol - sigma| <= FIXED_POINT_TOL sigma the loop checked, so its
-    rows and elimination serve solve_one_step as they are."""
-    # the rows reject k_0 + b <= 0 first, and k_0 < F, so the guess is real
-    rows = _rows(grid, params, expiry)
+    step where a secant one is not positive and finite.  The rows are built
+    once, and each evaluation (_OneStepRows.eliminate) reads tv at the forward
+    alone.  The slice is the last evaluation, whose residual
+    |ATM vol - sigma| <= FIXED_POINT_TOL sigma the loop checked: its sigma,
+    rows and elimination, which solve_one_step carries outward as they are."""
+    # the rows reject k_0 + b <= 0 and an expiry that is not positive first,
+    # and k_0 < F, so the guess is real
+    rows = _OneStepRows(grid, params, expiry)
     sigma = params.alpha * (grid.forward + params.shift) ** params.beta
-    MarketSlice(expiry, sigma)  # rejects an expiry that is not positive
     last = None  # (sigma, G) of the evaluation before
     for _ in range(FIXED_POINT_MAX_ITER):
-        vol = atm_normal_vol(rows.atm_time_value(sigma), expiry)
+        elimination = rows.eliminate(sigma)
+        vol = atm_normal_vol(elimination[1], expiry)
         if not 0.0 < vol < math.inf:
             raise ConvergenceError("ATM fixed point left the positive domain")
         if abs(vol - sigma) <= FIXED_POINT_TOL * sigma:
-            return MarketSlice(expiry, sigma)
+            return MarketSlice(grid, rows, sigma, elimination)
         g = 1.0 - sigma / vol
         step = vol  # the plain step, unless a secant step is positive and finite
         if last is not None and g != last[1]:
@@ -404,11 +399,10 @@ def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> Mark
 
 
 def price_self_consistent(grid, params, expiry) -> PriceSurface:
-    """solve_one_step at the self-consistent ATM volatility.  The fixed point
-    builds the rows once and its last evaluation is the surface's: the solve
-    only carries tv outward from the forward, and eliminates nothing again."""
-    slice_ = self_consistent_slice(grid, params, expiry)
-    return solve_one_step(grid, slice_, params)
+    """solve_one_step at the self-consistent ATM volatility: the surface
+    carries the fixed point's last evaluation outward, so the rows are built
+    once and nothing is eliminated again."""
+    return solve_one_step(self_consistent_slice(grid, params, expiry))
 
 
 def otm_vol_curve(strikes, prices, F, T) -> np.ndarray:

@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .market_io import (
     parse_quotes,
     to_rate_space,
     write_csv,
-    write_json,
+    write_recalibration,
     write_report,
 )
 
@@ -264,14 +263,7 @@ def cmd_recalibrate(config: dict) -> int:
         {"strike": k, "source_vol_bp": sv, "target_vol_bp": target_vols[k]}
         for k, sv in zip(strikes, source_vols.tolist()) if not math.isnan(sv)
     ]
-
-    doc = {
-        "schema_version": 2,
-        "source": {"kind": source_kind, **asdict(source_params)},
-        "target": asdict(result.params),
-        "smile": smile,
-    }
-    write_json(doc, out)
+    write_recalibration(source_kind, source_params, result.params, smile, out)
     return 0
 
 

@@ -20,6 +20,7 @@ from .analytic_calib import CalibDiagnostics, quote_set_from_curve
 from .errors import MalformedRow, MissingStrike, SchemaMismatch
 
 SCHEMA_VERSION = 4
+RECALIBRATION_SCHEMA_VERSION = 2
 QUOTE_HEADER = ["contract", "quote_date", "kind", "strike_price", "last"]
 
 
@@ -221,6 +222,18 @@ def report_to_dict(report: CalibrationReport) -> dict:
 
 def write_report(report: CalibrationReport, path) -> None:
     write_json(report_to_dict(report), path)
+
+
+def write_recalibration(source_kind: str, source: SabrParams, target: SabrParams,
+                        smile: list, path) -> None:
+    """The recalibrate document: the source model and its kind, the target
+    model and the smile rows [{strike, source_vol_bp, target_vol_bp}]."""
+    write_json({
+        "schema_version": RECALIBRATION_SCHEMA_VERSION,
+        "source": {"kind": source_kind, **asdict(source)},
+        "target": asdict(target),
+        "smile": smile,
+    }, path)
 
 
 def read_report(path) -> CalibrationReport:

@@ -2,8 +2,10 @@
 and its arbitrage properties, and the self-consistent ATM fixed point."""
 
 import dataclasses
+import gc
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -74,7 +76,9 @@ class TestMarketSlice:
     def test_atm_identity_links_fields(self):
         # numerics.atm_normal_vol and its inverse, price = vol * sqrt(T / 2 pi)
         price = 0.0095 * math.sqrt(2.0 / (2.0 * math.pi))
-        vol = MarketSlice(2.0, atm_normal_vol(price, 2.0)).atm_normal_vol
+        grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
+        vol = MarketSlice.at_vol(grid, make_params(), 2.0,
+                                 atm_normal_vol(price, 2.0)).atm_normal_vol
         assert vol == pytest.approx(price / math.sqrt(2.0 / (2.0 * math.pi)),
                                     rel=1e-15, abs=0.0)
         assert vol == pytest.approx(0.0095, rel=1e-14, abs=0.0)
@@ -85,14 +89,13 @@ class TestMarketSlice:
             vol, atm_normal_vol(2.0 * price, 2.0)]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MarketSlice(-1.0, 0.0095)
-        with pytest.raises(ValueError):
-            MarketSlice(2.0, 0.0)
-        with pytest.raises(ValueError):
-            MarketSlice(math.nan, 0.0095)
-        with pytest.raises(ValueError):
-            MarketSlice(2.0, math.nan)
+        grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
+        for expiry, vol, name in [(-1.0, 0.0095, "expiry"),
+                                  (2.0, 0.0, "atm_normal_vol"),
+                                  (math.nan, 0.0095, "expiry"),
+                                  (2.0, math.nan, "atm_normal_vol")]:
+            with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+                MarketSlice.at_vol(grid, make_params(), expiry, vol)
 
 
 class TestBuildUniformGrid:
@@ -574,8 +577,7 @@ class TestSolveOneStep:
         prices = []
         for count in (41, 81, 161):
             grid = build_uniform_grid(-0.02, 0.08, count, F)
-            slice_ = MarketSlice(T, 0.0095)
-            surface = solve_one_step(grid, slice_, params)
+            surface = solve_one_step(MarketSlice.at_vol(grid, params, T, 0.0095))
             # the same physical strike on every refinement level
             j = int(np.argmin(np.abs(grid.strikes - 0.025)))
             prices.append(surface.calls[j])
@@ -599,7 +601,7 @@ class TestSolveOneStep:
         counted("_kappa_at", ah_engine._kappa_at)
         counted("_pivots", ah_engine._pivots)
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
-        solve_one_step(grid, MarketSlice(5.0, 0.0095), make_params())
+        solve_one_step(MarketSlice.at_vol(grid, make_params(), 5.0, 0.0095))
         n, m = grid.forward_index - 1, grid.size - 2
         assert calls == [("_kappa_at", m), ("_pivots", n), ("_pivots", m - 1 - n)]
         assert not hasattr(ah_engine, "thomas_solve")
@@ -628,7 +630,7 @@ class TestSolveOneStep:
                                   for i in range(len(z))])
                 exact_tv = np.array([float(v) for v in tv])
             exact[0] = exact[-1] = 0.0
-            surface = solve_one_step(grid, slice_, params)
+            surface = solve_one_step(slice_)
             assert np.max(np.abs(surface.density - exact)) <= 5e-14 * np.max(exact)
             miss = np.abs(surface.time_value[1:-1] - exact_tv)
             assert np.all(miss[1:-1] <= 3e-14 * exact_tv[1:-1])
@@ -716,9 +718,8 @@ class TestSolveOneStep:
 
     def test_coefficients_past_double_range_rejected(self):
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
-        slice_ = MarketSlice(5.0, 0.0095)
         with pytest.raises(NumericalError, match="double range"):
-            solve_one_step(grid, slice_, make_params(alpha=1e200))
+            MarketSlice.at_vol(grid, make_params(alpha=1e200), 5.0, 0.0095)
 
     def test_nonpositive_shifted_strike(self):
         params = make_params(shift=0.01)
@@ -776,7 +777,7 @@ class TestSelfConsistentSlice:
         params = make_params()
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         slice_ = self_consistent_slice(grid, params, 5.0)
-        surface = solve_one_step(grid, slice_, params)
+        surface = solve_one_step(slice_)
         atm = surface.time_value[grid.forward_index]
         assert atm_normal_vol(atm, 5.0) == pytest.approx(
             slice_.atm_normal_vol, rel=1e-12, abs=0.0)
@@ -800,8 +801,8 @@ class TestSelfConsistentSlice:
                  (stretched_grid(0.02, beta1, 5.0)[0], beta1, 5.0)]
         for grid, params, T in cases:
             sigma = self_consistent_slice(grid, params, T).atm_normal_vol
-            surface = solve_one_step(grid, MarketSlice(T, sigma), params)
-            atm = _OneStepRows(grid, params, T).atm_time_value(sigma)
+            surface = solve_one_step(MarketSlice.at_vol(grid, params, T, sigma))
+            atm = _OneStepRows(grid, params, T).eliminate(sigma)[1]
             assert atm == surface.time_value[grid.forward_index]
 
     def test_rows_match_a_from_scratch_build(self):
@@ -897,69 +898,32 @@ class TestSelfConsistentSlice:
         assert calls == ["_OneStepRows", *6 * evaluation, "solve_one_step"]
 
     def test_surface_is_the_fixed_points_last_evaluation(self):
-        # bit for bit: price_self_consistent, solve_one_step at the slice on
-        # the same grid, and a solve at that slice on a fresh grid with the
-        # same strikes, which shares no memo: the ED fixture and the first
-        # 10 A1 grids
+        # bit for bit: price_self_consistent, solve_one_step at the fixed
+        # point's slice, and a slice at its vol on a fresh grid with the same
+        # strikes, which shares no rows: the ED fixture and the first 10 A1
+        # grids.  r, which the slice keeps and the density reads, is read-only
         ed = build_uniform_grid(*ED_GRID, ED_FORWARD)
         for grid, params, T in [(ed, SabrParams(**ED_PARAMS), ED_EXPIRY),
                                 *self.a1_grids(10)]:
             surface = price_self_consistent(grid, params, T)
             slice_ = self_consistent_slice(grid, params, T)
             fresh = Grid(grid.strikes, grid.forward_index)
-            for other in (solve_one_step(grid, slice_, params),
-                          solve_one_step(fresh, slice_, params)):
-                assert other.slice == surface.slice
+            at_vol = MarketSlice.at_vol(fresh, params, T, slice_.atm_normal_vol)
+            for other in (solve_one_step(slice_), solve_one_step(at_vol)):
+                assert other.slice.atm_normal_vol == surface.slice.atm_normal_vol
                 assert np.array_equal(other.time_value, surface.time_value)
                 assert np.array_equal(other.density, surface.density)
+                assert not other.slice.elimination[0].flags.writeable
 
-    def test_memo_never_stale(self):
-        # after a fixed point, solves on the same grid object in turn: at
-        # another vol, with other params, at another expiry and at the slice
-        # again, each against a solve on a fresh grid with the same strikes
+    def test_priced_grid_is_not_kept_alive(self):
+        # the engine keeps no rows or slices between calls, so nothing holds
+        # a grid once its caller drops it and the surface priced on it
         grid = build_uniform_grid(*ED_GRID, ED_FORWARD)
-        params = SabrParams(**ED_PARAMS)
-        slice_ = self_consistent_slice(grid, params, ED_EXPIRY)
-        cases = [
-            (MarketSlice(ED_EXPIRY, 1.1 * slice_.atm_normal_vol), params),
-            (slice_, dataclasses.replace(params, nu=1.5 * params.nu)),
-            (MarketSlice(2.0 * ED_EXPIRY, slice_.atm_normal_vol), params),
-            (slice_, params),
-        ]
-        wants = [solve_one_step(Grid(grid.strikes, grid.forward_index), s, p)
-                 for s, p in cases]
-        assert self_consistent_slice(grid, params, ED_EXPIRY) == slice_
-        for (s, p), want in zip(cases, wants):
-            got = solve_one_step(grid, s, p)
-            assert np.array_equal(got.time_value, want.time_value)
-            assert np.array_equal(got.density, want.density)
-
-    def test_failed_evaluation_leaves_the_memo(self, monkeypatch):
-        # a NumericalError (z past the double range at a tiny vol) and a
-        # SingularPivot (a patched zero diagonal) on the fixed point's rows
-        # keep those rows and their last evaluation, so the surface after
-        # them is the one before
-        grid = build_uniform_grid(*ED_GRID, ED_FORWARD)
-        params = SabrParams(**ED_PARAMS)
-        surface = price_self_consistent(grid, params, ED_EXPIRY)
-        rows = ah_engine._rows(grid, params, ED_EXPIRY)
-        last = rows.last
-        assert last[0] == surface.slice.atm_normal_vol
-        assert not last[1][0].flags.writeable  # r, which the density reads
-        with pytest.raises(NumericalError):
-            rows.eliminate(1e-300)
-        diag = np.ones(grid.size - 2)
-        diag[0] = 0.0
-        with monkeypatch.context() as m:
-            m.setattr(rows, "c_left", [0.0] * len(rows.c_left))
-            m.setattr(rows, "diagonal", lambda sigma: (None, diag))
-            with pytest.raises(SingularPivot):
-                rows.eliminate(0.01)
-        assert ah_engine._rows(grid, params, ED_EXPIRY) is rows
-        assert rows.last is last
-        again = solve_one_step(grid, surface.slice, params)
-        assert np.array_equal(again.time_value, surface.time_value)
-        assert np.array_equal(again.density, surface.density)
+        surface = price_self_consistent(grid, SabrParams(**ED_PARAMS), ED_EXPIRY)
+        ref = weakref.ref(grid)
+        del grid, surface
+        gc.collect()
+        assert ref() is None
 
     def test_secant_evaluation_count(self, monkeypatch):
         # one kappa call (_kappa_at) per evaluation; the damped iteration took
@@ -992,9 +956,9 @@ class TestSelfConsistentSlice:
 
         def scripted(self, sigma):
             asked.append(sigma)
-            return atm[sigma]
+            return None, atm[sigma], None, None
 
-        monkeypatch.setattr(_OneStepRows, "atm_time_value", scripted)
+        monkeypatch.setattr(_OneStepRows, "eliminate", scripted)
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         params = make_params(alpha=8.0, beta=0.0)
         slice_ = self_consistent_slice(grid, params, 2.0 * math.pi)
@@ -1002,15 +966,16 @@ class TestSelfConsistentSlice:
 
     @pytest.mark.parametrize("vol", [-1.0, 0.0, math.inf, math.nan])
     def test_atm_vol_off_the_positive_domain(self, monkeypatch, vol):
-        monkeypatch.setattr(_OneStepRows, "atm_time_value", lambda self, sigma: vol)
+        monkeypatch.setattr(_OneStepRows, "eliminate",
+                            lambda self, sigma: (None, vol, None, None))
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         with pytest.raises(ConvergenceError, match="positive domain"):
             self_consistent_slice(grid, make_params(), 5.0)
 
     def test_evaluation_cap(self, monkeypatch):
         # g grows with sigma: every secant step is negative, every plain one up
-        monkeypatch.setattr(_OneStepRows, "atm_time_value",
-                            lambda self, sigma: 2.0 * sigma + 1.0)
+        monkeypatch.setattr(_OneStepRows, "eliminate",
+                            lambda self, sigma: (None, 2.0 * sigma + 1.0, None, None))
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         with pytest.raises(ConvergenceError, match="in 50 evaluations"):
             self_consistent_slice(grid, make_params(), 5.0)
@@ -1029,7 +994,7 @@ class TestSelfConsistentSlice:
             diag[row] = 0.0
             monkeypatch.setattr(rows, "diagonal", lambda sigma, d=diag: (None, d))
             with pytest.raises(SingularPivot):
-                rows.atm_time_value(0.01)
+                rows.eliminate(0.01)
 
     @pytest.mark.parametrize("expiry", [0.0, -1.0, math.nan])
     def test_expiry_not_positive(self, expiry):

@@ -452,6 +452,21 @@ class TestRecalibrate:
         row = doc["smile"][0]
         assert set(row) == {"strike", "source_vol_bp", "target_vol_bp"}
 
+    @pytest.mark.parametrize("source", ["hagan", "onestep"])
+    def test_document_layout(self, tmp_path, source):
+        # schema 2, its sections in this order, the source's kind first
+        out = tmp_path / "recal.json"
+        cfg = recal_config(tmp_path, out, pct(0.60), pct(0.03), source=source)
+        assert main(["recalibrate", "--config", cfg]) == 0
+        doc = json.loads(out.read_text())
+        assert list(doc) == ["schema_version", "source", "target", "smile"]
+        assert doc["schema_version"] == 2
+        model = ["alpha", "beta", "rho", "nu", "shift"]
+        assert list(doc["source"]) == ["kind", *model]
+        assert doc["source"]["kind"] == source
+        assert list(doc["target"]) == model
+        assert list(doc["smile"][0]) == ["strike", "source_vol_bp", "target_vol_bp"]
+
     def test_identity_on_one_step_source(self, tmp_path):
         out = tmp_path / "recal.json"
         cfg = write_config(
