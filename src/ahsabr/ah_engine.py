@@ -162,24 +162,39 @@ def y_of_k(k, F, params: SabrParams):
         raise NonpositiveShiftedStrike(
             f"smallest k + shift {min(np.min(kb), F + b)} is not positive"
         )
+    return _y_at(kb, F + b, params)
+
+
+def _y_at(kb: np.ndarray, Fb: float, params: SabrParams) -> np.ndarray:
+    """y_of_k's array form at kb = k + b and Fb = F + b, unchecked."""
     if abs(1.0 - params.beta) < 1e-12:
-        return np.log((F + b) / kb) / params.alpha
+        return np.log(Fb / kb) / params.alpha
     om = 1.0 - params.beta
-    return ((F + b) ** om - kb**om) / (params.alpha * om)
+    return (Fb**om - kb**om) / (params.alpha * om)
 
 
 def local_vol(k, F, params: SabrParams):
     """Shifted-SABR local volatility alpha * J(y(k)) * (k+b)^beta with
     J(y) = sqrt(1 - 2*rho*nu*y + nu^2*y^2)."""
     y = y_of_k(k, F, params)
-    ny = params.nu * y
-    j2 = 1.0 - 2.0 * params.rho * params.nu * y + ny * ny
     if is_scalar(k):
         # math.sqrt passes NaN through; J^2 >= 1 - rho^2 > 0 keeps it from
         # the negative numbers on which it would raise
+        j2 = _j_squared(y, params)
         return params.alpha * math.sqrt(j2) * (float(k) + params.shift) ** params.beta
-    kb = np.asarray(k, dtype=float) + params.shift
-    return params.alpha * np.sqrt(j2) * kb**params.beta
+    return _local_vol_at(np.asarray(k, dtype=float) + params.shift, y, params)
+
+
+def _local_vol_at(kb: np.ndarray, y: np.ndarray, params: SabrParams) -> np.ndarray:
+    """local_vol's array form at kb = k + b and y = y(k), unchecked: the
+    one-step rows call it, and _y_at, on their grid's strikes."""
+    return params.alpha * np.sqrt(_j_squared(y, params)) * kb**params.beta
+
+
+def _j_squared(y, params: SabrParams):
+    """J(y)^2 = 1 - 2*rho*nu*y + nu^2*y^2 at a float or an array."""
+    ny = params.nu * y
+    return 1.0 - 2.0 * params.rho * params.nu * y + ny * ny
 
 
 def kappa(k, F, sigma, T):
@@ -257,7 +272,9 @@ class _OneStepRows:
     the grid alone and come from Grid.row_geometry, computed once per grid.
     Only r depends on the ATM vol, as a / kappa with
     a = h+ h- / (T local_vol^2), so a is the one array built per set of rows.
-    They keep no result: a MarketSlice holds the elimination a surface reads."""
+    They keep no result: a MarketSlice holds the elimination a surface reads.
+    Their callers hold one np.errstate(all="ignore") around the build and
+    every evaluation: diagonal's range check, not a warning, catches z."""
 
     def __init__(self, grid: Grid, params: SabrParams, expiry: float):
         if grid.strikes[0] + params.shift <= 0.0:
@@ -269,13 +286,14 @@ class _OneStepRows:
         (k, self.hh, self.lo, self.up, self.c_left, self.c_right,
          self.n, self.source, self.distance) = grid.row_geometry
         self.expiry = expiry
-        with np.errstate(all="ignore"):
-            self.a = self.hh / (expiry * local_vol(k, grid.forward, params) ** 2)
+        # k_0 + b > 0 and increasing strikes give k + b, F + b > 0: rounding is monotone
+        kb = k + params.shift
+        lv = _local_vol_at(kb, _y_at(kb, grid.forward + params.shift, params), params)
+        self.a = self.hh / (expiry * lv**2)
 
     def diagonal(self, sigma: float):
         """(r, 1 + r) at ATM vol sigma, as arrays."""
-        with np.errstate(all="ignore"):
-            r = self.a / _kappa_at(self.distance, sigma * math.sqrt(self.expiry))
+        r = self.a / _kappa_at(self.distance, sigma * math.sqrt(self.expiry))
         # the density multiplies by r, so z past the double range fails at
         # either end, as r = 0 or inf; a NaN fails both comparisons
         if not (r.min() > 0.0 and r.max() < math.inf):
@@ -333,10 +351,11 @@ class MarketSlice:
     def at_vol(cls, grid: Grid, params: SabrParams, expiry: float,
                atm_normal_vol: float) -> MarketSlice:
         """The rows built and eliminated at the given ATM normal vol."""
-        rows = _OneStepRows(grid, params, expiry)
-        if not atm_normal_vol > 0.0:
-            raise ValueError("atm_normal_vol must be positive")
-        return cls(grid, rows, atm_normal_vol, rows.eliminate(atm_normal_vol))
+        with np.errstate(all="ignore"):
+            rows = _OneStepRows(grid, params, expiry)
+            if not atm_normal_vol > 0.0:
+                raise ValueError("atm_normal_vol must be positive")
+            return cls(grid, rows, atm_normal_vol, rows.eliminate(atm_normal_vol))
 
 
 def solve_one_step(slice_: MarketSlice) -> PriceSurface:
@@ -376,26 +395,27 @@ def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> Mark
     alone.  The slice is the last evaluation, whose residual
     |ATM vol - sigma| <= FIXED_POINT_TOL sigma the loop checked: its sigma,
     rows and elimination, which solve_one_step carries outward as they are."""
-    # the rows reject k_0 + b <= 0 and an expiry that is not positive first,
-    # and k_0 < F, so the guess is real
-    rows = _OneStepRows(grid, params, expiry)
-    sigma = params.alpha * (grid.forward + params.shift) ** params.beta
-    last = None  # (sigma, G) of the evaluation before
-    for _ in range(FIXED_POINT_MAX_ITER):
-        elimination = rows.eliminate(sigma)
-        vol = atm_normal_vol(elimination[1], expiry)
-        if not 0.0 < vol < math.inf:
-            raise ConvergenceError("ATM fixed point left the positive domain")
-        if abs(vol - sigma) <= FIXED_POINT_TOL * sigma:
-            return MarketSlice(grid, rows, sigma, elimination)
-        g = 1.0 - sigma / vol
-        step = vol  # the plain step, unless a secant step is positive and finite
-        if last is not None and g != last[1]:
-            step = sigma - g * (sigma - last[0]) / (g - last[1])
-        last, sigma = (sigma, g), step if 0.0 < step < math.inf else vol
-    raise ConvergenceError(
-        f"ATM vol fixed point did not converge in {FIXED_POINT_MAX_ITER} evaluations"
-    )
+    with np.errstate(all="ignore"):
+        # the rows reject k_0 + b <= 0 and an expiry that is not positive first,
+        # and k_0 < F, so the guess is real
+        rows = _OneStepRows(grid, params, expiry)
+        sigma = params.alpha * (grid.forward + params.shift) ** params.beta
+        last = None  # (sigma, G) of the evaluation before
+        for _ in range(FIXED_POINT_MAX_ITER):
+            elimination = rows.eliminate(sigma)
+            vol = atm_normal_vol(elimination[1], expiry)
+            if not 0.0 < vol < math.inf:
+                raise ConvergenceError("ATM fixed point left the positive domain")
+            if abs(vol - sigma) <= FIXED_POINT_TOL * sigma:
+                return MarketSlice(grid, rows, sigma, elimination)
+            g = 1.0 - sigma / vol
+            step = vol  # the plain step, unless a secant step is positive and finite
+            if last is not None and g != last[1]:
+                step = sigma - g * (sigma - last[0]) / (g - last[1])
+            last, sigma = (sigma, g), step if 0.0 < step < math.inf else vol
+        raise ConvergenceError(
+            f"ATM vol fixed point did not converge in {FIXED_POINT_MAX_ITER} evaluations"
+        )
 
 
 def price_self_consistent(grid, params, expiry) -> PriceSurface:

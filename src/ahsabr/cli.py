@@ -7,6 +7,9 @@ output: identical config and inputs give byte-identical files.
 
 Exit codes: 0 success, 2 input error (configuration, files, quote data),
 3 numerical/model error.
+
+A command imports the calibration, the Hagan reference and the quote and
+report formats when it runs, so price and density load none of them.
 """
 
 from __future__ import annotations
@@ -26,18 +29,8 @@ from .ah_engine import (
     otm_vol_curve,
     price_self_consistent,
 )
-from .analytic_calib import calibrate, recalibrate
 from .errors import AhSabrError, ConfigError
-from .hagan_ref import hagan_price_fn
-from .market_io import (
-    CalibrationReport,
-    assemble_quote_set,
-    parse_quotes,
-    to_rate_space,
-    write_csv,
-    write_recalibration,
-    write_report,
-)
+from .market_io import write_csv
 
 PCT = 0.01
 BP = 0.0001
@@ -194,6 +187,10 @@ def _vols_bp(surface) -> dict:
 
 
 def cmd_calibrate(config: dict) -> int:
+    from .analytic_calib import calibrate
+    from .market_io import (CalibrationReport, assemble_quote_set, parse_quotes,
+                            to_rate_space, write_report)
+
     lo, hi, count, h = _parse_grid(config)
     F, T = _parse_market(config)
     beta = _require(config["model"], "beta_pct", "model") * PCT
@@ -220,6 +217,10 @@ def cmd_calibrate(config: dict) -> int:
 
 
 def cmd_recalibrate(config: dict) -> int:
+    from .analytic_calib import calibrate, recalibrate
+    from .hagan_ref import hagan_price_fn
+    from .market_io import write_recalibration
+
     lo, hi, count, h = _parse_grid(config)
     F, T = _parse_market(config)
     source_params = _parse_model(config)
@@ -280,12 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ahsabr",
         description="One-step shifted-SABR pricing and analytic calibration",
     )
+    # the flags every subcommand shares, declared once
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON config file; flags override it")
+    for flag, (type_, help_, _, _) in _FLAGS.items():
+        shared.add_argument(flag, type=type_, help=help_)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        for flag, (type_, help_, _, _) in _FLAGS.items():
-            p.add_argument(flag, type=type_, help=help_)
+        sub.add_parser(name, help=fn.__doc__, parents=[shared])
     return parser
 
 

@@ -4,7 +4,8 @@ Quotes arrive in futures-price space (strike 99.50 means a 0.50% rate) and
 are flipped into rate space before the five-quote set is assembled.  Files
 are LF-terminated CSV (write_csv) or indented JSON (write_json; reports are
 versioned).  Both write a float as Python's shortest repr that reads back to
-the same double, so the write/read round trip is lossless.
+the same double, so the write/read round trip is lossless.  The two
+functions that need analytic_calib import it, so writing a CSV does not.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .ah_engine import QuoteSet, SabrParams
-from .analytic_calib import CalibDiagnostics, quote_set_from_curve
 from .errors import MalformedRow, MissingStrike, SchemaMismatch
 
 SCHEMA_VERSION = 4
@@ -134,6 +134,8 @@ def assemble_quote_set(
     a strike is completed by parity from the other kind.  Quotes match a
     target strike when within grid_step/10 of it.
     """
+    from .analytic_calib import quote_set_from_curve
+
     h = grid_step
     tol = h / 10.0
 
@@ -237,6 +239,8 @@ def write_recalibration(source_kind: str, source: SabrParams, target: SabrParams
 
 
 def read_report(path) -> CalibrationReport:
+    from .analytic_calib import CalibDiagnostics
+
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -205,11 +205,15 @@ class TestYofK:
         assert np.all(np.diff(ys) < 0.0)
 
     def test_nonpositive_shifted_strike(self):
-        # a scalar and an array strike, each on its own path
-        for k in (-0.03, np.array([0.01, -0.03])):
-            with pytest.raises(NonpositiveShiftedStrike,
-                               match=r"smallest k \+ shift 0\.0 is not positive"):
-                y_of_k(k, 0.02, make_params())
+        # a scalar and an array strike, each on its own path, below the
+        # shift, and an array strike with the forward below it; the public
+        # local_vol checks through y_of_k
+        for form in (y_of_k, local_vol):
+            for k, F in ((-0.03, 0.02), (np.array([0.01, -0.03]), 0.02),
+                         (np.array([0.01, 0.02]), -0.03)):
+                with pytest.raises(NonpositiveShiftedStrike,
+                                   match=r"smallest k \+ shift 0\.0 is not positive"):
+                    form(k, F, make_params())
 
 
 class TestLocalVol:
@@ -807,12 +811,16 @@ class TestSelfConsistentSlice:
 
     def test_rows_match_a_from_scratch_build(self):
         # the rows on a grid's cached geometry, built twice, against the rows
-        # formed inline from the strikes, bit for bit: the ED fixture, the
-        # first 10 A1 grids and a graded beta = 1 grid
+        # formed inline from the strikes, bit for bit, a from the public
+        # local_vol: the ED fixture, the first 10 A1 grids, A1 grids at beta
+        # 0, 0.4 and 1 (the log branch) and a graded beta = 1 grid
         ed = build_uniform_grid(*ED_GRID, ED_FORWARD)
         beta1 = make_params(alpha=0.4, beta=1.0)
+        at_beta = [(grid, params, 5.0) for params, grid in (
+            inversion_setup(0.02, 0.01, beta, -0.3, 0.6, 5.0)
+            for beta in (0.0, 0.4, 1.0))]
         cases = [(ed, SabrParams(**ED_PARAMS), ED_EXPIRY), *self.a1_grids(10),
-                 (stretched_grid(0.02, beta1, 5.0)[0], beta1, 5.0)]
+                 *at_beta, (stretched_grid(0.02, beta1, 5.0)[0], beta1, 5.0)]
         for grid, params, T in cases:
             k = np.array(grid.strikes.tolist())
             h_minus, h_plus = k[1:-1] - k[:-2], k[2:] - k[1:-1]
@@ -874,6 +882,25 @@ class TestSelfConsistentSlice:
             n = rows.n
             assert np.all(np.array(p) >= rows.up[:n] * (1.0 - 1e-12))
             assert np.all(np.array(q) >= rows.lo[:n:-1] * (1.0 - 1e-12))
+
+    def test_one_errstate_scope_per_slice(self, monkeypatch):
+        # the fixed point and at_vol each hold one np.errstate scope around
+        # the rows' build and every evaluation, which enter none of their own
+        entered = []
+        errstate = np.errstate
+
+        def counted(**kwargs):
+            if sys._getframe(1).f_globals["__name__"] == ah_engine.__name__:
+                entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counted)
+        grid = build_uniform_grid(*ED_GRID, ED_FORWARD)
+        params = SabrParams(**ED_PARAMS)
+        surface = price_self_consistent(grid, params, ED_EXPIRY)
+        assert entered == [{"all": "ignore"}]
+        MarketSlice.at_vol(grid, params, ED_EXPIRY, surface.slice.atm_normal_vol)
+        assert entered == 2 * [{"all": "ignore"}]
 
     def test_one_full_solve_per_surface(self, monkeypatch):
         # one build of the rows; each of the fixed point's six evaluations

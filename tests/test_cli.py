@@ -1,6 +1,7 @@
 """CLI tests, run in-process through main(argv): exit codes, determinism,
 the published fixtures, and the quote-file calibration workflow."""
 
+import argparse
 import json
 import math
 import os
@@ -415,6 +416,39 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+# the body of the console script that pip generates for ahsabr.cli:main
+CONSOLE_SCRIPT = "import sys; from ahsabr.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("command", ["price", "density", "calibrate"])
+def test_fresh_process_matches_in_process(tmp_path, capsys, command):
+    """A fresh process imports each module when a command first needs it,
+    which no in-process test sees once the suite has imported them all: its
+    files and stdout are the in-process run's, byte for byte, and price and
+    density load neither the calibration nor the Hagan reference."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ah.__file__)))
+    fresh, here = tmp_path / "fresh.out", tmp_path / "here.out"
+    cfg = ed_config(tmp_path, fresh, quotes=ed_quotes(tmp_path))
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(here)]) == 0
+    stdout = capsys.readouterr().out
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", CONSOLE_SCRIPT, command,
+         "--config", cfg], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True)
+    assert result.stdout == stdout
+    assert fresh.read_bytes() == here.read_bytes()
+    # -X importtime names each module the process imports on stderr
+    loaded = {line.rsplit("|", 1)[-1].strip()
+              for line in result.stderr.splitlines()}
+    assert {"ahsabr.cli", "ahsabr.ah_engine", "ahsabr.market_io"} <= loaded
+    lazy = {"ahsabr.analytic_calib", "ahsabr.hagan_ref"}
+    if command == "calibrate":
+        assert "ahsabr.analytic_calib" in loaded
+    else:
+        assert not lazy & loaded
+
+
 def recal_config(tmp_path, out, target_beta_pct, target_shift_pct,
                  source="hagan"):
     return write_config(
@@ -596,6 +630,21 @@ class TestRecalibrate:
 
 
 class TestConfigHandling:
+    def test_every_subcommand_takes_the_shared_flags(self):
+        # --config and every _FLAGS entry, in order, with its type and help,
+        # after each subcommand's own -h
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        want = [(["-h", "--help"], None, "show this help message and exit"),
+                (["--config"], None, "JSON config file; flags override it"),
+                *(([flag], type_, help_)
+                  for flag, (type_, help_, _, _) in cli._FLAGS.items())]
+        assert list(sub.choices) == list(cli._COMMANDS)
+        for name, command in sub.choices.items():
+            got = [(a.option_strings, a.type, a.help) for a in command._actions]
+            assert got == want, name
+
     def test_invalid_json_exit_2(self, tmp_path):
         # not JSON, or JSON that is not an object
         path = tmp_path / "bad.json"
