@@ -14,12 +14,12 @@ _EXPORTS = {
     "ah_engine": (
         "Grid", "MarketSlice", "PriceSurface", "QuoteSet", "SabrParams",
         "build_uniform_grid", "extract_quote_set", "implied_vol_curve", "kappa",
-        "local_vol", "price_self_consistent", "self_consistent_slice",
-        "solve_one_step", "y_of_k",
+        "local_vol", "price_self_consistent", "quote_set_from_curve",
+        "self_consistent_slice", "solve_one_step", "y_of_k",
     ),
     "analytic_calib": (
         "CalibrationResult", "calibrate", "calibrate_uniform", "limiting_params",
-        "quote_set_from_curve", "recalibrate",
+        "recalibrate",
     ),
     "hagan_ref": ("hagan_implied_vol", "hagan_price", "hagan_price_fn"),
     "market_io": (

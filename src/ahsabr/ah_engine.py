@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -502,3 +503,14 @@ def extract_quote_set(surface: PriceSurface) -> QuoteSet:
         *np.diff(grid.strikes[n - 2:n + 3]).tolist(),
         grid.forward, surface.slice.expiry,
     )
+
+
+def quote_set_from_curve(price_fn: Callable[[float], float], F: float,
+                         T: float, h: float) -> QuoteSet:
+    """Sample the five calibration quotes at spacing h from a price source.
+
+    price_fn(strike) must return the undiscounted out-of-the-money price: the
+    put below F, the call at and above it.
+    """
+    strikes = (F - 2.0 * h, F - h, F, F + h, F + 2.0 * h)
+    return QuoteSet(*[price_fn(k) for k in strikes], h, h, h, h, F, T)

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .ah_engine import QuoteSet, SabrParams, kappa, y_of_k
+from .ah_engine import (QuoteSet, SabrParams, kappa, quote_set_from_curve,
+                         y_of_k)
 from .errors import (
     DegenerateButterfly,
     DegenerateStraddle,
@@ -325,21 +326,6 @@ def limiting_params(
             )
     params = SabrParams(alpha=a2, beta=beta, rho=r2, nu=n2, shift=b)
     return LimitingResult(params, pdf2, *sided)
-
-
-def quote_set_from_curve(
-    price_fn: Callable[[float], float],
-    F: float,
-    T: float,
-    h: float,
-) -> QuoteSet:
-    """Sample the five calibration quotes at spacing h from a price source.
-
-    price_fn(strike) must return the undiscounted out-of-the-money price: the
-    put below F, the call at and above it.
-    """
-    strikes = (F - 2.0 * h, F - h, F, F + h, F + 2.0 * h)
-    return QuoteSet(*[price_fn(k) for k in strikes], h, h, h, h, F, T)
 
 
 def recalibrate(

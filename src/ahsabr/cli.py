@@ -8,8 +8,9 @@ output: identical config and inputs give byte-identical files.
 Exit codes: 0 success, 2 input error (configuration, files, quote data),
 3 numerical/model error.
 
-A command imports the calibration, the Hagan reference and the quote and
-report formats when it runs, so price and density load none of them.
+The calibration and the Hagan reference load only in the commands that
+use them, so price and density load neither; market_io, which writes every
+file, loads with this module.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from .ah_engine import (
     price_self_consistent,
 )
 from .errors import AhSabrError, ConfigError
-from .market_io import write_csv
+from .market_io import (CalibrationReport, assemble_quote_set, parse_quotes,
+                        to_rate_space, write_csv, write_recalibration,
+                        write_report)
 
 PCT = 0.01
 BP = 0.0001
@@ -153,6 +156,7 @@ def _build_surface(config: dict):
 
 
 def cmd_price(config: dict) -> int:
+    """Write calls, puts, density and normal vols to a CSV."""
     out = _path(config, "out", "output")
     surface = _build_surface(config)
     vols = implied_vol_curve(surface)
@@ -166,6 +170,7 @@ def cmd_price(config: dict) -> int:
 
 
 def cmd_density(config: dict) -> int:
+    """Write the density to a CSV; print mass, mean, minimum."""
     out = _path(config, "out", "output")
     surface = _build_surface(config)
     strikes = surface.grid.strikes[1:-1]
@@ -187,9 +192,8 @@ def _vols_bp(surface) -> dict:
 
 
 def cmd_calibrate(config: dict) -> int:
+    """Fit alpha, rho and nu to five quotes into a report."""
     from .analytic_calib import calibrate
-    from .market_io import (CalibrationReport, assemble_quote_set, parse_quotes,
-                            to_rate_space, write_report)
 
     lo, hi, count, h = _parse_grid(config)
     F, T = _parse_market(config)
@@ -217,9 +221,9 @@ def cmd_calibrate(config: dict) -> int:
 
 
 def cmd_recalibrate(config: dict) -> int:
+    """Recalibrate a source model at a target beta and shift."""
     from .analytic_calib import calibrate, recalibrate
     from .hagan_ref import hagan_price_fn
-    from .market_io import write_recalibration
 
     lo, hi, count, h = _parse_grid(config)
     F, T = _parse_market(config)

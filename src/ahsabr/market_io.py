@@ -4,8 +4,8 @@ Quotes arrive in futures-price space (strike 99.50 means a 0.50% rate) and
 are flipped into rate space before the five-quote set is assembled.  Files
 are LF-terminated CSV (write_csv) or indented JSON (write_json; reports are
 versioned).  Both write a float as Python's shortest repr that reads back to
-the same double, so the write/read round trip is lossless.  The two
-functions that need analytic_calib import it, so writing a CSV does not.
+the same double, so the write/read round trip is lossless.  read_report
+alone needs analytic_calib and imports it, so writing a CSV does not.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
-from .ah_engine import QuoteSet, SabrParams
+from .ah_engine import QuoteSet, SabrParams, quote_set_from_curve
 from .errors import MalformedRow, MissingStrike, SchemaMismatch
 
 SCHEMA_VERSION = 4
@@ -80,7 +80,13 @@ def to_rate_space(q: FuturesOptionQuote) -> RateQuote:
 
 
 def to_price_space(q: RateQuote) -> FuturesOptionQuote:
-    """Exact inverse of to_rate_space."""
+    """Inverse of to_rate_space up to the roundings of the two maps.
+
+    A strike_price in [50, 200) comes back exactly; below 50 either
+    100 - strike_price or the division by 100 rounds, and it comes back
+    within half an ulp of 100 (7.1e-15).  The premium comes back exactly or
+    one ulp off wherever last / 100 is a normal double (last >= 2.3e-306).
+    """
     return FuturesOptionQuote(
         contract=q.contract,
         quote_date=q.quote_date,
@@ -134,8 +140,6 @@ def assemble_quote_set(
     a strike is completed by parity from the other kind.  Quotes match a
     target strike when within grid_step/10 of it.
     """
-    from .analytic_calib import quote_set_from_curve
-
     h = grid_step
     tol = h / 10.0
 
@@ -260,5 +264,5 @@ def read_report(path) -> CalibrationReport:
             params=params, diagnostics=diagnostics, quotes=quotes,
             grid=doc["grid"], vol_curve=doc["vol_curve"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"malformed report document: {exc}") from None

@@ -416,6 +416,27 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_quote_set_builders_load_no_calibration():
+    """Building a five-quote set, from a price curve or from quotes, loads
+    neither the calibration nor the Hagan reference."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ah.__file__)))
+    code = (
+        "import sys, ahsabr\n"
+        "from ahsabr import market_io\n"
+        "q = ahsabr.quote_set_from_curve(lambda k: 0.001, 0.02, 1.0, 0.001)\n"
+        "quotes = [market_io.RateQuote('ED', 'd', kind, 0.02 + 0.001 * j, 0.001)\n"
+        "          for j in range(-2, 3) for kind in ('put', 'call')]\n"
+        "assert market_io.assemble_quote_set(quotes, 0.02, 1.0, 0.001).atm == 0.001\n"
+        "assert q.atm == 0.001\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m in ('ahsabr.analytic_calib', 'ahsabr.hagan_ref')))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 # the body of the console script that pip generates for ahsabr.cli:main
 CONSOLE_SCRIPT = "import sys; from ahsabr.cli import main; sys.exit(main())"
 
@@ -644,6 +665,19 @@ class TestConfigHandling:
         for name, command in sub.choices.items():
             got = [(a.option_strings, a.type, a.help) for a in command._actions]
             assert got == want, name
+
+    def test_every_subcommand_has_help_text(self):
+        # `ahsabr --help` lists each subcommand with its one-line docstring
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        helps = {action.dest: action.help for action in sub._choices_actions}
+        assert list(helps) == list(cli._COMMANDS)
+        for name, text in helps.items():
+            assert text, name
+            assert text == cli._COMMANDS[name].__doc__, name
+        listing = parser.format_help()
+        assert all(text in listing for text in helps.values())
 
     def test_invalid_json_exit_2(self, tmp_path):
         # not JSON, or JSON that is not an object

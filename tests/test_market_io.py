@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import random
 import re
 import tempfile
 
@@ -96,6 +97,27 @@ class TestRateConversion:
         for kind in ("C", "P"):
             q = make_quote(kind=kind, strike_price=99.875, last=0.0825)
             assert to_price_space(to_rate_space(q)) == q
+
+    def test_round_trip_within_the_two_roundings(self):
+        # a strike_price in [50, 200) maps back exactly; below it within half
+        # an ulp of 100; a premium whose last / 100 is normal within one ulp
+        rng = random.Random(20260)
+        for _ in range(20000):
+            q = make_quote(
+                contract=rng.choice(["EDH3", "SFRZ4"]),
+                quote_date=rng.choice(["2021-01-04", "2024-06-28"]),
+                kind=rng.choice("CP"),
+                strike_price=rng.uniform(1e-9, 200.0),
+                last=rng.choice([0.0, rng.uniform(0.0, 100.0),
+                                 10.0 ** rng.uniform(-305.0, 300.0)]),
+            )
+            back = to_price_space(to_rate_space(q))
+            assert (back.contract, back.quote_date, back.kind) == (
+                q.contract, q.quote_date, q.kind)
+            if q.strike_price >= 50.0:
+                assert back.strike_price == q.strike_price
+            assert abs(back.strike_price - q.strike_price) <= 0.5 * math.ulp(100.0)
+            assert abs(back.last - q.last) <= math.ulp(q.last)
 
     def test_spacing_preserved(self):
         qs = [make_quote(strike_price=99.0 + 0.125 * j) for j in range(5)]
@@ -367,6 +389,17 @@ class TestReportRoundTrip:
         del doc["params"]
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaMismatch):
+            read_report(path)
+
+    @pytest.mark.parametrize("section,field", [("params", "alpha"),
+                                               ("quotes", "p_minus2")])
+    def test_out_of_range_field(self, solved, tmp_path, section, field):
+        # a value the record's own check rejects is a malformed report too
+        doc = report_to_dict(sample_report(solved))
+        doc[section][field] = -1.0
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatch, match=f"malformed report.*{field}"):
             read_report(path)
 
     def test_nan_rejected_at_write(self, solved, tmp_path):
