@@ -143,27 +143,33 @@ def y_of_k(k, F, params: SabrParams):
     Strictly decreasing in k with y(F) = 0.  Accepts scalars or arrays; a
     scalar runs on Python floats and returns a float.
     """
-    b = params.shift
     if is_scalar(k):
-        kb, Fb = float(k) + b, float(F) + b
-        if kb <= 0.0 or Fb <= 0.0:
-            raise NonpositiveShiftedStrike(
-                f"smallest k + shift {min(kb, Fb)} is not positive"
-            )
-        # beta within 1e-12 of 1 is routed to the log branch to avoid cancellation
-        if abs(1.0 - params.beta) < 1e-12:
-            ratio = Fb / kb  # 0.0 only by underflow, where numpy's log is -inf
-            return (math.log(ratio) if ratio > 0.0 else -math.inf) / params.alpha
-        om = 1.0 - params.beta
-        num, den = Fb**om - kb**om, params.alpha * om
-        # alpha * om can underflow to 0.0; numpy then divides to inf or NaN
-        return num / den if den > 0.0 else num * math.inf
+        return _y(float(k), float(F), params.alpha, params.beta, params.shift)
+    b = params.shift
     kb = np.asarray(k, dtype=float) + b
     if np.any(kb <= 0.0) or F + b <= 0.0:
         raise NonpositiveShiftedStrike(
             f"smallest k + shift {min(np.min(kb), F + b)} is not positive"
         )
     return _y_at(kb, F + b, params)
+
+
+def _y(k: float, F: float, alpha: float, beta: float, b: float) -> float:
+    """y_of_k's scalar form on Python floats; calibrate reads it at the two
+    neighbours without building a SabrParams."""
+    kb, Fb = k + b, F + b
+    if kb <= 0.0 or Fb <= 0.0:
+        raise NonpositiveShiftedStrike(
+            f"smallest k + shift {min(kb, Fb)} is not positive"
+        )
+    # beta within 1e-12 of 1 is routed to the log branch to avoid cancellation
+    if abs(1.0 - beta) < 1e-12:
+        ratio = Fb / kb  # 0.0 only by underflow, where numpy's log is -inf
+        return (math.log(ratio) if ratio > 0.0 else -math.inf) / alpha
+    om = 1.0 - beta
+    num, den = Fb**om - kb**om, alpha * om
+    # alpha * om can underflow to 0.0; numpy then divides to inf or NaN
+    return num / den if den > 0.0 else num * math.inf
 
 
 def _y_at(kb: np.ndarray, Fb: float, params: SabrParams) -> np.ndarray:
@@ -473,11 +479,17 @@ class QuoteSet:
     expiry: float
 
     def __post_init__(self):
-        for name in (
-            "p_minus2", "p_minus1", "atm", "c_plus1", "c_plus2",
-            "h_minus_nm1", "h_minus_n", "h_plus_n", "h_plus_np1", "expiry",
-        ):
-            if not 0.0 < getattr(self, name) < math.inf:
+        values = (self.p_minus2, self.p_minus1, self.atm, self.c_plus1,
+                  self.c_plus2, self.h_minus_nm1, self.h_minus_n,
+                  self.h_plus_n, self.h_plus_np1, self.expiry)
+        for value in values:
+            if not 0.0 < value < math.inf:
+                # index finds this value's own field: an earlier field equal
+                # to it, or holding the same NaN object, would have failed first
+                name = (
+                    "p_minus2", "p_minus1", "atm", "c_plus1", "c_plus2",
+                    "h_minus_nm1", "h_minus_n", "h_plus_n", "h_plus_np1", "expiry",
+                )[values.index(value)]
                 raise ValueError(f"{name} must be positive and finite")
         if not abs(self.forward) < math.inf:
             raise ValueError(f"forward must be finite, got {self.forward}")

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .ah_engine import (QuoteSet, SabrParams, kappa, quote_set_from_curve,
-                         y_of_k)
+from .ah_engine import (QuoteSet, SabrParams, _y, kappa,
+                         quote_set_from_curve)
 from .errors import (
     DegenerateButterfly,
     DegenerateStraddle,
@@ -80,13 +80,15 @@ def _cev_level(F: float, beta: float, b: float) -> float:
 
 def _neighbours(q: QuoteSet, alpha, beta, b):
     """Strike, y and kappa at k_{n-1} and k_{n+1}:
-    (k_m, k_p, y_m, y_p, kappa_m, kappa_p)."""
+    (k_m, k_p, y_m, y_p, kappa_m, kappa_p).  An alpha that is not positive
+    (the ATM row underflowed) raises SabrParams' ValueError."""
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     F, T, sigma_atm = q.forward, q.expiry, q.sigma_atm
-    params0 = SabrParams(alpha=alpha, beta=beta, rho=0.0, nu=0.0, shift=b)
     k_m = F - q.h_minus_n
     k_p = F + q.h_plus_n
     return (
-        k_m, k_p, y_of_k(k_m, F, params0), y_of_k(k_p, F, params0),
+        k_m, k_p, _y(k_m, F, alpha, beta, b), _y(k_p, F, alpha, beta, b),
         kappa(k_m, F, sigma_atm, T),
         kappa(k_p, F, sigma_atm, T),
     )

@@ -156,7 +156,6 @@ def _build_surface(config: dict):
 
 
 def cmd_price(config: dict) -> int:
-    """Write calls, puts, density and normal vols to a CSV."""
     out = _path(config, "out", "output")
     surface = _build_surface(config)
     vols = implied_vol_curve(surface)
@@ -170,7 +169,6 @@ def cmd_price(config: dict) -> int:
 
 
 def cmd_density(config: dict) -> int:
-    """Write the density to a CSV; print mass, mean, minimum."""
     out = _path(config, "out", "output")
     surface = _build_surface(config)
     strikes = surface.grid.strikes[1:-1]
@@ -192,7 +190,6 @@ def _vols_bp(surface) -> dict:
 
 
 def cmd_calibrate(config: dict) -> int:
-    """Fit alpha, rho and nu to five quotes into a report."""
     from .analytic_calib import calibrate
 
     lo, hi, count, h = _parse_grid(config)
@@ -221,7 +218,6 @@ def cmd_calibrate(config: dict) -> int:
 
 
 def cmd_recalibrate(config: dict) -> int:
-    """Recalibrate a source model at a target beta and shift."""
     from .analytic_calib import calibrate, recalibrate
     from .hagan_ref import hagan_price_fn
 
@@ -272,11 +268,14 @@ def cmd_recalibrate(config: dict) -> int:
     return 0
 
 
+# name -> (command, its line in `ahsabr --help`); the help is kept here, not
+# in docstrings, because python -OO strips those
 _COMMANDS = {
-    "price": cmd_price,
-    "calibrate": cmd_calibrate,
-    "recalibrate": cmd_recalibrate,
-    "density": cmd_density,
+    "price": (cmd_price, "Write calls, puts, density and normal vols to a CSV."),
+    "calibrate": (cmd_calibrate, "Fit alpha, rho and nu to five quotes into a report."),
+    "recalibrate": (cmd_recalibrate,
+                    "Recalibrate a source model at a target beta and shift."),
+    "density": (cmd_density, "Write the density to a CSV; print mass, mean, minimum."),
 }
 
 
@@ -291,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, (type_, help_, _, _) in _FLAGS.items():
         shared.add_argument(flag, type=type_, help=help_)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        sub.add_parser(name, help=fn.__doc__, parents=[shared])
+    for name, (_, help_) in _COMMANDS.items():
+        sub.add_parser(name, help=help_, parents=[shared])
     return parser
 
 
@@ -302,7 +301,7 @@ def main(argv=None) -> int:
     try:
         try:
             config = _load_config(args.config) if args.config else {}
-            return _COMMANDS[args.command](_merge(config, args))
+            return _COMMANDS[args.command][0](_merge(config, args))
         except OSError as exc:
             # no file is opened but --config, --quotes and --out
             raise ConfigError(f"cannot access file: {exc}") from None

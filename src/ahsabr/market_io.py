@@ -257,12 +257,34 @@ def read_report(path) -> CalibrationReport:
             f"unsupported schema_version {doc.get('schema_version')!r}"
         )
     try:
-        params = SabrParams(**doc["params"])
-        diagnostics = CalibDiagnostics(**doc["diagnostics"])
-        quotes = QuoteSet(**doc["quotes"])
+        params = SabrParams(**_numbers(doc["params"], "params"))
+        diagnostics = CalibDiagnostics(**_numbers(doc["diagnostics"], "diagnostics"))
+        quotes = QuoteSet(**_numbers(doc["quotes"], "quotes"))
+        grid = _numbers(doc["grid"], "grid", ("lo", "hi", "count", "forward"))
+        if not isinstance(grid["count"], int):
+            raise TypeError(f"grid.count must be an integer, got {grid['count']!r}")
+        vol_curve = doc["vol_curve"]
+        if not isinstance(vol_curve, list):
+            raise TypeError(f"vol_curve must be a list, got {vol_curve!r}")
+        for i, row in enumerate(vol_curve):
+            _numbers(row, f"vol_curve[{i}]", ("strike", "normal_vol_bp"))
         return CalibrationReport(
             params=params, diagnostics=diagnostics, quotes=quotes,
-            grid=doc["grid"], vol_curve=doc["vol_curve"],
+            grid=grid, vol_curve=vol_curve,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"malformed report document: {exc}") from None
+
+
+def _numbers(section, where: str, keys=None) -> dict:
+    """section, checked to be a JSON object of finite numbers (a bool is not
+    one) and, given keys, to hold exactly those; TypeError otherwise."""
+    if not isinstance(section, dict):
+        raise TypeError(f"{where} must be a JSON object, got {section!r}")
+    if keys is not None and sorted(section) != sorted(keys):
+        raise TypeError(f"{where} must hold {', '.join(keys)}, got {list(section)}")
+    for key, value in section.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise TypeError(f"{where}.{key} must be a finite number, got {value!r}")
+    return section

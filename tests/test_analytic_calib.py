@@ -97,6 +97,26 @@ class TestQuoteSet:
         with pytest.raises(ValueError):
             uniform_quote_set(**{field: value})
 
+    CHECKED = ("p_minus2", "p_minus1", "atm", "c_plus1", "c_plus2",
+               "h_minus_nm1", "h_minus_n", "h_plus_n", "h_plus_np1", "expiry")
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_each_checked_field_named_in_order(self, value):
+        # the checks run in declaration order: with this field and every
+        # later one out of range, the error names this one
+        assert [f.name for f in dataclasses.fields(QuoteSet)
+                if f.name in self.CHECKED] == list(self.CHECKED)
+        for i, name in enumerate(self.CHECKED):
+            bad = dict.fromkeys(self.CHECKED[i:], value)
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be positive and finite$"):
+                uniform_quote_set(**bad)
+
+    @pytest.mark.parametrize("forward", [math.nan, math.inf, -math.inf])
+    def test_non_finite_forward(self, forward):
+        with pytest.raises(ValueError, match=f"^forward must be finite, got {forward}$"):
+            uniform_quote_set(forward=forward)
+
 
 class TestAlphaFromStraddle:
     def test_recovers_z_row(self):
@@ -220,6 +240,20 @@ class TestCalibrate:
         q = uniform_quote_set(c_plus1=0.0088, c_plus2=0.0088)
         with pytest.raises(RhoOutOfRange, match=r"\|rho\| = 1\.020376 >= 1"):
             calib(q, 0.4, 0.03)
+
+
+class TestUnderflowedAlpha:
+    @pytest.mark.parametrize("calib", [calibrate, calibrate_uniform])
+    def test_raises_the_params_error(self, calib):
+        # steps of 1e-170 square to an ATM row that underflows alpha to 0:
+        # the error SabrParams raises, never a bare ZeroDivisionError
+        q = uniform_quote_set(
+            p_minus2=1.2e-3, p_minus1=1.0e-3, atm=0.9e-3, c_plus1=1.0e-3,
+            c_plus2=1.2e-3, h_minus_nm1=1e-170, h_minus_n=1e-170,
+            h_plus_n=1e-170, h_plus_np1=1e-170, forward=0.02, expiry=1.0,
+        )
+        with pytest.raises(ValueError, match=r"^alpha must be positive, got 0\.0$"):
+            calib(q, 0.5, 0.03)
 
 
 class TestLevelRange:

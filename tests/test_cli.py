@@ -441,6 +441,19 @@ def test_quote_set_builders_load_no_calibration():
 CONSOLE_SCRIPT = "import sys; from ahsabr.cli import main; sys.exit(main())"
 
 
+def test_help_survives_docstring_stripping():
+    """python -OO strips docstrings; `ahsabr --help` still lists every
+    subcommand with its help line."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ah.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-OO", "-c", CONSOLE_SCRIPT, "--help"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    listing = " ".join(result.stdout.split())
+    for name, (_, text) in cli._COMMANDS.items():
+        assert f"{name} {text}" in listing, name
+
+
 @pytest.mark.parametrize("command", ["price", "density", "calibrate"])
 def test_fresh_process_matches_in_process(tmp_path, capsys, command):
     """A fresh process imports each module when a command first needs it,
@@ -667,7 +680,8 @@ class TestConfigHandling:
             assert got == want, name
 
     def test_every_subcommand_has_help_text(self):
-        # `ahsabr --help` lists each subcommand with its one-line docstring
+        # `ahsabr --help` lists each subcommand with the help line that
+        # _COMMANDS holds beside its function
         parser = cli.build_parser()
         (sub,) = [a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction)]
@@ -675,7 +689,7 @@ class TestConfigHandling:
         assert list(helps) == list(cli._COMMANDS)
         for name, text in helps.items():
             assert text, name
-            assert text == cli._COMMANDS[name].__doc__, name
+            assert text == cli._COMMANDS[name][1], name
         listing = parser.format_help()
         assert all(text in listing for text in helps.values())
 

@@ -8,7 +8,8 @@ import pytest
 
 from ahsabr.ah_engine import SabrParams, build_uniform_grid
 from ahsabr.errors import NonpositiveShiftedStrike
-from ahsabr.hagan_ref import _z_over_x, hagan_implied_vol, hagan_price
+from ahsabr.hagan_ref import (_z_over_x, hagan_implied_vol, hagan_price,
+                              hagan_price_fn)
 from ahsabr.numerics import atm_normal_vol
 
 from conftest import (
@@ -186,3 +187,69 @@ class TestHaganPrice:
             black_put = float(K * mpmath.ncdf(s - d1) - f * mpmath.ncdf(-d1))
         put = hagan_price(*q)
         assert put == pytest.approx(black_put, rel=1e-12, abs=0.0)
+
+
+# (strike, vol, price) as float.hex on the published source at F 0.3%, T 10:
+# the strikes F, F +- h and F +- 2h of recalibrate's quotes for h in 5e-4,
+# 1.25e-3 and 2.5e-3, recorded before the strike-independent terms were
+# formed once per source
+PINNED_SMILE = [
+    (-0.002, "0x1.87ea84d9f1878p-3", "0x1.484c5ba57e556p-8"),
+    (0.0005, "0x1.766fc37178ed6p-3", "0x1.8bad482042504p-8"),
+    (0.00175, "0x1.6ece158968e76p-3", "0x1.b12fae92df9b0p-8"),
+    (0.002, "0x1.6d5ceee43a79ep-3", "0x1.b9008c6d85dc2p-8"),
+    (0.0025, "0x1.6a8faee6ab914p-3", "0x1.c8f36336ae526p-8"),
+    (0.003, "0x1.67de1025bba85p-3", "0x1.d952c947e0e60p-8"),
+    (0.0035, "0x1.65478c08f1037p-3", "0x1.c95a7b44d238ap-8"),
+    (0.004, "0x1.62cb9bfa9f768p-3", "0x1.b9cf3e1b5e348p-8"),
+    (0.00425, "0x1.6197714f663fap-3", "0x1.b23285b68f5e4p-8"),
+    (0.0055, "0x1.5bf1f9ef9d285p-3", "0x1.8dbabb7326080p-8"),
+    (0.008, "0x1.5268c824ecad3p-3", "0x1.4ca1aa8a34d50p-8"),
+]
+
+
+class TestPriceFn:
+    def test_pinned_bits(self):
+        # the closure and both one-strike forms give the recorded doubles
+        p, F, T = SabrParams(**HAGAN_SOURCE), HAGAN_FORWARD, HAGAN_EXPIRY
+        strikes = sorted({F + j * h for h in (5e-4, 1.25e-3, 2.5e-3)
+                          for j in (-2, -1, 0, 1, 2)})
+        assert strikes == [k for k, _, _ in PINNED_SMILE]
+        price = hagan_price_fn(p, F, T)
+        for k, vol, want in PINNED_SMILE:
+            assert hagan_implied_vol(k, F, T, p).hex() == vol, k
+            assert hagan_price(k, F, T, p).hex() == want, k
+            assert price(k).hex() == want, k
+
+    @pytest.mark.parametrize("forward,expiry,error,message", [
+        (0.02, 0.0, ValueError, "expiry must be positive and finite, got 0.0"),
+        (0.02, -1.0, ValueError, "expiry must be positive and finite, got -1.0"),
+        (0.02, math.nan, ValueError, "expiry must be positive and finite, got nan"),
+        (0.02, math.inf, ValueError, "expiry must be positive and finite, got inf"),
+        (-0.03, 10.0, NonpositiveShiftedStrike,
+         "strike 0.018 or forward -0.03 violates k + shift > 0"),
+        (-0.04, 10.0, NonpositiveShiftedStrike,
+         "strike 0.018 or forward -0.04 violates k + shift > 0"),
+    ])
+    def test_built_without_raising(self, forward, expiry, error, message):
+        # the source is built whatever its inputs; each price raises what
+        # hagan_price raised before the closure, type and message
+        *_, p = quote(0.018)
+        price = hagan_price_fn(p, forward, expiry)
+        for fn in (price, lambda k: hagan_price(k, forward, expiry, p)):
+            with pytest.raises(error) as info:
+                fn(0.018)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("big", ["alpha", "nu"])
+    def test_overflowing_square_raised_per_price(self, big):
+        # alpha or nu past 1.3e154 overflows its square when the source is
+        # built; the OverflowError comes from each price, after its checks
+        *_, p = quote(0.018, **{big: 1e200})
+        price = hagan_price_fn(p, 0.02, 10.0)
+        with pytest.raises(OverflowError, match="Numerical result out of range"):
+            price(0.018)
+        with pytest.raises(NonpositiveShiftedStrike):
+            price(-0.031)
+        with pytest.raises(ValueError, match="expiry"):
+            hagan_price_fn(p, 0.02, -1.0)(0.018)

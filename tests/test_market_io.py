@@ -402,6 +402,27 @@ class TestReportRoundTrip:
         with pytest.raises(SchemaMismatch, match=f"malformed report.*{field}"):
             read_report(path)
 
+    @pytest.mark.parametrize("section,field,value,message", [
+        ("diagnostics", "z_minus", "abc", "diagnostics.z_minus must be a finite number"),
+        (None, "grid", [1, 2], "grid must be a JSON object"),
+        (None, "vol_curve", "x", "vol_curve must be a list"),
+        ("params", "alpha", True, "params.alpha must be a finite number"),
+        ("grid", "lo", math.nan, "grid.lo must be a finite number"),
+        ("grid", "count", 81.0, "grid.count must be an integer"),
+        (None, "vol_curve", [{"strike": 0.02}],
+         r"vol_curve\[0\] must hold strike, normal_vol_bp"),
+    ])
+    def test_mistyped_field(self, solved, tmp_path, section, field, value, message):
+        # a string, list, bool or NaN where the report holds finite numbers,
+        # a float count or a short row is malformed, though the records' own
+        # checks would let each one through
+        doc = report_to_dict(sample_report(solved))
+        (doc[section] if section else doc)[field] = value
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatch, match=f"malformed report.*{message}"):
+            read_report(path)
+
     def test_nan_rejected_at_write(self, solved, tmp_path):
         report = sample_report(solved)
         broken = CalibrationReport(
