@@ -214,15 +214,26 @@ def kappa(k, F, sigma, T):
     numerics.one_minus_x_mills forms 1 - xi*M(xi) without cancellation in the
     wings; a scalar strike stays on floats at every xi.
     """
-    if not sigma > 0.0:
-        raise ValueError("kappa requires sigma > 0")
-    s = sigma * math.sqrt(T)
+    s = _kappa_scale(sigma, T)
     if is_scalar(k):
-        d = abs(float(k) - float(F))
-        # sigma sqrt(T) can underflow to 0.0; numpy then divides to inf or NaN
-        return 2.0 * one_minus_x_mills(d / s if s > 0.0 else d * math.inf)
+        return _kappa_scalar(float(k), float(F), s)
     k = np.asarray(k, dtype=float)
     return _kappa_at(np.abs(k.ravel() - F), s).reshape(k.shape)
+
+
+def _kappa_scale(sigma: float, T: float) -> float:
+    """s = sigma sqrt(T), the unit of kappa's xi, for a positive sigma."""
+    if not sigma > 0.0:
+        raise ValueError("kappa requires sigma > 0")
+    return sigma * math.sqrt(T)
+
+
+def _kappa_scalar(k: float, F: float, s: float) -> float:
+    """kappa's scalar form on Python floats at s = _kappa_scale(sigma, T):
+    calibrate takes both neighbours' kappas from one s."""
+    d = abs(k - F)
+    # sigma sqrt(T) can underflow to 0.0; numpy then divides to inf or NaN
+    return 2.0 * one_minus_x_mills(d / s if s > 0.0 else d * math.inf)
 
 
 def _kappa_at(distance: np.ndarray, s: float) -> np.ndarray:
@@ -456,14 +467,16 @@ def implied_vol_curve(surface: PriceSurface) -> np.ndarray:
     return otm_vol_curve(grid.strikes, surface.time_value, grid.forward, T)
 
 
-@dataclass(frozen=True)
+@dataclass
 class QuoteSet:
     """The five near-ATM option prices plus their grid geometry.
 
     Put prices below the forward, call prices above.  The four gaps between
     the nodes k_{n-2} .. k_{n+2} are stored once, left to right.  The
     paper labels steps per node (h-_j, h+_j), which names each inner gap
-    twice: h+_{n-1} is `h_minus_n` and h-_{n+1} is `h_plus_n`.
+    twice: h+_{n-1} is `h_minus_n` and h-_{n+1} is `h_plus_n`.  A plain
+    record, unhashable: its values are checked when it is built, so change
+    one through dataclasses.replace, which checks the new set.
     """
 
     p_minus2: float

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .ah_engine import (QuoteSet, SabrParams, _y, kappa,
-                         quote_set_from_curve)
+from .ah_engine import (QuoteSet, SabrParams, _kappa_scalar, _kappa_scale,
+                         _y, kappa, quote_set_from_curve)
 from .errors import (
     DegenerateButterfly,
     DegenerateStraddle,
@@ -28,7 +28,7 @@ from .errors import (
 from .numerics import atm_normal_vol
 
 
-@dataclass(frozen=True)
+@dataclass
 class CalibDiagnostics:
     """The z, y and kappa the inversion read at k_{n-1} (minus) and k_{n+1}
     (plus), and the ATM normal vol sigma_atm that kappa was taken at."""
@@ -42,7 +42,7 @@ class CalibDiagnostics:
     sigma_atm: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class CalibrationResult:
     params: SabrParams
     diagnostics: CalibDiagnostics
@@ -79,19 +79,20 @@ def _cev_level(F: float, beta: float, b: float) -> float:
 
 
 def _neighbours(q: QuoteSet, alpha, beta, b):
-    """Strike, y and kappa at k_{n-1} and k_{n+1}:
-    (k_m, k_p, y_m, y_p, kappa_m, kappa_p).  An alpha that is not positive
-    (the ATM row underflowed) raises SabrParams' ValueError."""
+    """Strike, y and kappa at k_{n-1} and k_{n+1}, and the ATM normal vol
+    that kappa was taken at: (k_m, k_p, y_m, y_p, kappa_m, kappa_p,
+    sigma_atm).  sigma_atm is read once and sigma_atm sqrt(T) formed once
+    for both kappas.  An alpha that is not positive (the ATM row
+    underflowed) raises SabrParams' ValueError."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     F, T, sigma_atm = q.forward, q.expiry, q.sigma_atm
     k_m = F - q.h_minus_n
     k_p = F + q.h_plus_n
-    return (
-        k_m, k_p, _y(k_m, F, alpha, beta, b), _y(k_p, F, alpha, beta, b),
-        kappa(k_m, F, sigma_atm, T),
-        kappa(k_p, F, sigma_atm, T),
-    )
+    y_m, y_p = _y(k_m, F, alpha, beta, b), _y(k_p, F, alpha, beta, b)
+    s = _kappa_scale(sigma_atm, T)
+    return (k_m, k_p, y_m, y_p, _kappa_scalar(k_m, F, s),
+            _kappa_scalar(k_p, F, s), sigma_atm)
 
 
 def _nu_rho(nu2: float, two_rho_nu: float) -> tuple[float, float]:
@@ -147,7 +148,7 @@ def calibrate(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
     z_plus = _row_z(q.atm, q.c_plus1, q.c_plus2, hp, q.h_plus_np1, q.atm,
                     _NO_CALL_FLY_DENSITY)
 
-    k_m, k_p, y_m, y_p, kap_m, kap_p = _neighbours(q, alpha, beta, b)
+    k_m, k_p, y_m, y_p, kap_m, kap_p, sigma_atm = _neighbours(q, alpha, beta, b)
     # J^2 at the two neighbours, read off the z definition
     j2_m = z_minus * hm * q.h_minus_nm1 / (
         T * kap_m * alpha**2 * (k_m + b) ** (2.0 * beta)
@@ -157,7 +158,7 @@ def calibrate(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
     )
     return _solve_nu_rho(
         alpha, beta, b, j2_m, j2_p, y_m, y_p, z_minus=z_minus, z_plus=z_plus,
-        kappa_minus=kap_m, kappa_plus=kap_p, sigma_atm=q.sigma_atm,
+        kappa_minus=kap_m, kappa_plus=kap_p, sigma_atm=sigma_atm,
     )
 
 
@@ -194,7 +195,7 @@ def calibrate_uniform(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
         raise DegenerateButterfly(_NO_CALL_FLY_DENSITY)
     zh_plus = q.c_plus1 * h / denom_p
 
-    k_m, k_p, y_m, y_p, kap_m, kap_p = _neighbours(q, alpha, beta, b)
+    k_m, k_p, y_m, y_p, kap_m, kap_p, sigma_atm = _neighbours(q, alpha, beta, b)
     kap_half_m = 0.5 * kap_m
     kap_half_p = 0.5 * kap_p
 
@@ -203,7 +204,7 @@ def calibrate_uniform(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
     return _solve_nu_rho(
         alpha, beta, b, j2_m, j2_p, y_m, y_p, z_minus=2.0 * zh_minus,
         z_plus=2.0 * zh_plus, kappa_minus=kap_m, kappa_plus=kap_p,
-        sigma_atm=q.sigma_atm,
+        sigma_atm=sigma_atm,
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
@@ -22,6 +23,9 @@ from .errors import MalformedRow, MissingStrike, SchemaMismatch
 SCHEMA_VERSION = 4
 RECALIBRATION_SCHEMA_VERSION = 2
 QUOTE_HEADER = ["contract", "quote_date", "kind", "strike_price", "last"]
+# the smallest positive premium whose rate-space value last / 100 is a normal
+# double; below it the division would drop digits, and 5e-324 would map to 0
+MIN_PREMIUM = 100.0 * sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,9 @@ class FuturesOptionQuote:
             raise ValueError(f"strike_price out of range: {self.strike_price}")
         if not 0.0 <= self.last < math.inf:
             raise ValueError(f"premium must be finite and nonnegative: {self.last}")
+        if 0.0 < self.last < MIN_PREMIUM:
+            raise ValueError(f"premium must be 0 or at least {MIN_PREMIUM!r}, "
+                             f"where last / 100 is a normal double: {self.last}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,8 @@ def to_price_space(q: RateQuote) -> FuturesOptionQuote:
     A strike_price in [50, 200) comes back exactly; below 50 either
     100 - strike_price or the division by 100 rounds, and it comes back
     within half an ulp of 100 (7.1e-15).  The premium comes back exactly or
-    one ulp off wherever last / 100 is a normal double (last >= 2.3e-306).
+    one ulp off: a positive one is at least MIN_PREMIUM, so last / 100 is a
+    normal double.
     """
     return FuturesOptionQuote(
         contract=q.contract,

@@ -427,8 +427,8 @@ class TestScalarPath:
             with pytest.raises(NonpositiveShiftedStrike,
                                match=r"smallest k \+ shift 0\.0 is not positive"):
                 f(form(0.01), -0.03, p)
-        for sigma in (0.0, -0.01, math.nan):
-            with pytest.raises(ValueError, match="kappa requires sigma > 0"):
+        for sigma in (0.0, -0.01, -1.0, math.nan):
+            with pytest.raises(ValueError, match="^kappa requires sigma > 0$"):
                 kappa(form(0.019), self.F, sigma, 1.0)
 
     @pytest.mark.parametrize("k, F, params, args", [

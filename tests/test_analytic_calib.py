@@ -4,21 +4,26 @@ and the recalibration workflow."""
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import ahsabr as ah
+from ahsabr import ah_engine
 from ahsabr.ah_engine import (
     Grid,
     SabrParams,
     _OneStepRows,
     build_uniform_grid,
     extract_quote_set,
+    kappa,
     price_self_consistent,
     self_consistent_slice,
 )
 from ahsabr.analytic_calib import (
+    CalibDiagnostics,
+    CalibrationResult,
     QuoteSet,
     _nu_rho,
     calibrate,
@@ -47,8 +52,11 @@ from conftest import (
     HAGAN_FORWARD,
     HAGAN_SOURCE,
     HAGAN_STEP,
+    draw_parameters,
+    inversion_setup,
 )
 from oracles import bachelier_price
+from test_acceptance import FORWARD, N_DRAWS, SEED
 
 
 def solved_quotes(params, F=0.02, T=5.0, lo=-0.02, hi=0.08, count=81):
@@ -613,3 +621,206 @@ class TestRecalibrate:
 
         with pytest.raises(PriceOutOfBounds, match=f"at strike {k_bad!r}"):
             recalibrate(price, HAGAN_FORWARD, HAGAN_EXPIRY, 0.40, 0.03, HAGAN_STEP)
+
+
+# float.hex of (alpha, nu, rho) and the seven CalibDiagnostics fields in
+# declaration order, recorded before QuoteSet and the calibration records
+# became plain dataclasses and kappa took s = sigma sqrt(T) once per
+# calibration.  Keyed by (h, target beta, target shift) on the published
+# Hagan source: calibrate, calibrate_uniform and recalibrate give these bits.
+PINNED_RECALIBRATIONS = {
+    (0.0005, 0.4, 0.03): (
+        '0x1.52308b96097f7p-6', '0x1.1a39c6d7c5e2ap-2', '-0x1.12923040bc2dep-2',
+        '0x1.0d63b993b6bbcp+11', '0x1.0c603092c770dp+11', '0x1.857fff06bf5cfp-4',
+        '-0x1.83257b2623955p-4', '0x1.eea93e03c1fb5p+0', '0x1.eea93e03c1fb5p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+    (0.0005, 0.6, 0.03): (
+        '0x1.4e86300e33d33p-5', '0x1.2e47348f0c09ep-2', '-0x1.6f49245ef219cp-2',
+        '0x1.0d63b993b6bbcp+11', '0x1.0c603092c770dp+11', '0x1.8618274ba23d7p-4',
+        '-0x1.82905df02266dp-4', '0x1.eea93e03c1fb5p+0', '0x1.eea93e03c1fb5p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+    (0.0005, 0.2, 0.03): (
+        '0x1.55e52f4209697p-7', '0x1.08b79920ee73ap-2', '-0x1.4c220bd3623a6p-3',
+        '0x1.0d63b993b6bbcp+11', '0x1.0c603092c770dp+11', '0x1.84e825e8ecff6p-4',
+        '-0x1.83bae50897849p-4', '0x1.eea93e03c1fb5p+0', '0x1.eea93e03c1fb5p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+    (0.0005, 0.4, 0.0325): (
+        '0x1.487437a8bddb6p-6', '0x1.1655fd9975a3bp-2', '-0x1.0570142959d70p-2',
+        '0x1.0d63b993b6bbcp+11', '0x1.0c603092c770dp+11', '0x1.856a7d2b88f32p-4',
+        '-0x1.833a68ca468cfp-4', '0x1.eea93e03c1fb5p+0', '0x1.eea93e03c1fb5p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+    (0.0005, 0.4, 0.0275): (
+        '0x1.5d0437a402ad2p-6', '0x1.1f03833a587bfp-2', '-0x1.2125956b3476ap-2',
+        '0x1.0d63b993b6bbcp+11', '0x1.0c603092c770dp+11', '0x1.85990e7bc151cp-4',
+        '-0x1.830d25d5938e1p-4', '0x1.eea93e03c1fb5p+0', '0x1.eea93e03c1fb5p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+    (0.00125, 0.4, 0.03): (
+        '0x1.525079ee463abp-6', '0x1.1a8be0b51e053p-2', '-0x1.11e00df62ef29p-2',
+        '0x1.49b382113a5fep+8', '0x1.46b289a4e9328p+8', '0x1.e8f4fe0fd7d67p-3',
+        '-0x1.e19a30ed6a8b3p-3', '0x1.d6083807e5de0p+0', '0x1.d6083807e5de0p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+    (0.00125, 0.6, 0.03): (
+        '0x1.4ea5c5cd80784p-5', '0x1.2e9c44c6b483dp-2', '-0x1.6ed1eed3677d0p-2',
+        '0x1.49b382113a5fep+8', '0x1.46b289a4e9328p+8', '0x1.ead7b80c61877p-3',
+        '-0x1.dfcf3f23eb3d6p-3', '0x1.d6083807e5de0p+0', '0x1.d6083807e5de0p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+    (0.00125, 0.2, 0.03): (
+        '0x1.5605772bbb6dfp-7', '0x1.090b2cafcb0c6p-2', '-0x1.4a4581c30dea8p-3',
+        '0x1.49b382113a5fep+8', '0x1.46b289a4e9328p+8', '0x1.e714bd79bd88ap-3',
+        '-0x1.e3676baadff10p-3', '0x1.d6083807e5de0p+0', '0x1.d6083807e5de0p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+    (0.00125, 0.4, 0.0325): (
+        '0x1.48933aaf31c11p-6', '0x1.16a69fe1e77a0p-2', '-0x1.04b186a4b006cp-2',
+        '0x1.49b382113a5fep+8', '0x1.46b289a4e9328p+8', '0x1.e8b062ceb182bp-3',
+        '-0x1.e1da459da3b01p-3', '0x1.d6083807e5de0p+0', '0x1.d6083807e5de0p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+    (0.00125, 0.4, 0.0275): (
+        '0x1.5d252bae08154p-6', '0x1.1f57e3103bc0fp-2', '-0x1.20826d1d58b93p-2',
+        '0x1.49b382113a5fep+8', '0x1.46b289a4e9328p+8', '0x1.e945119157456p-3',
+        '-0x1.e14fccad253dap-3', '0x1.d6083807e5de0p+0', '0x1.d6083807e5de0p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+    (0.0025, 0.4, 0.03): (
+        '0x1.52c21df18cee4p-6', '0x1.1a70675ea2239p-2', '-0x1.11724234f3e3bp-2',
+        '0x1.344865fd95f19p+6', '0x1.2f25652d817fap+6', '0x1.ec3163d118a61p-2',
+        '-0x1.dd7c2cc04faa4p-2', '0x1.b05cf4e2a2995p+0', '0x1.b05cf4e2a2995p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+    (0.0025, 0.6, 0.03): (
+        '0x1.4f162e80a6ddbp-5', '0x1.2eaa511a04ee3p-2', '-0x1.6f5088138f2e3p-2',
+        '0x1.344865fd95f19p+6', '0x1.2f25652d817fap+6', '0x1.f00f646cb9defp-2',
+        '-0x1.d9fd670bc8b32p-2', '0x1.b05cf4e2a2995p+0', '0x1.b05cf4e2a2995p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+    (0.0025, 0.2, 0.03): (
+        '0x1.567859f39a8d0p-7', '0x1.08d4c8e98c7dap-2', '-0x1.47238b47d70edp-3',
+        '0x1.344865fd95f19p+6', '0x1.2f25652d817fap+6', '0x1.e85db109d73bfp-2',
+        '-0x1.e103bbda21e72p-2', '0x1.b05cf4e2a2995p+0', '0x1.b05cf4e2a2995p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+    (0.0025, 0.4, 0.0325): (
+        '0x1.490199357f06ap-6', '0x1.167fea2010c2cp-2', '-0x1.0414fc72f61fap-2',
+        '0x1.344865fd95f19p+6', '0x1.2f25652d817fap+6', '0x1.eba35bf28904fp-2',
+        '-0x1.ddf8113516745p-2', '0x1.b05cf4e2a2995p+0', '0x1.b05cf4e2a2995p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+    (0.0025, 0.4, 0.0275): (
+        '0x1.5d9a730c40610p-6', '0x1.1f4b9f0dd80b4p-2', '-0x1.204adbb1e3e88p-2',
+        '0x1.344865fd95f19p+6', '0x1.2f25652d817fap+6', '0x1.ecd7a9362240fp-2',
+        '-0x1.dcecb3073d944p-2', '0x1.b05cf4e2a2995p+0', '0x1.b05cf4e2a2995p+0',
+        '0x1.772fe59f8d03dp-8',
+    ),
+}
+
+# the same on the ED surface's own five quotes at the ED beta and shift; its
+# steps differ in the last bits, so the two forms differ there too
+PINNED_ED_CALIBRATIONS = {
+    'calibrate': (
+        '0x1.107faa044ae88p-9', '0x1.16113404ea4a6p+0', '0x1.6dab9f559b3c6p-2',
+        '0x1.86af851a97515p+2', '0x1.907d819887cc5p+3', '0x1.61cb30cf8e663p-1',
+        '-0x1.6170a897965f6p-1', '0x1.4c9d7347f249ap+0', '0x1.4c9d7347f2484p+0',
+        '0x1.2ecd34811f56fp-9',
+    ),
+    'calibrate_uniform': (
+        '0x1.107faa044ae66p-9', '0x1.16113404ea500p+0', '0x1.6dab9f559b2c9p-2',
+        '0x1.86af851a9755bp+2', '0x1.907d819887c9bp+3', '0x1.61cb30cf8e68fp-1',
+        '-0x1.6170a89796622p-1', '0x1.4c9d7347f249ap+0', '0x1.4c9d7347f2484p+0',
+        '0x1.2ecd34811f56fp-9',
+    ),
+}
+
+
+def _bits(result):
+    p = result.params
+    return tuple(x.hex() for x in (p.alpha, p.nu, p.rho,
+                                   *dataclasses.astuple(result.diagnostics)))
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("h,beta,b", list(PINNED_RECALIBRATIONS))
+    def test_hagan_recalibrations(self, h, beta, b):
+        F, T = HAGAN_FORWARD, HAGAN_EXPIRY
+        price = hagan_price_fn(SabrParams(**HAGAN_SOURCE), F, T)
+        q = quote_set_from_curve(price, F, T, h)
+        want = PINNED_RECALIBRATIONS[h, beta, b]
+        assert _bits(calibrate(q, beta, b)) == want
+        assert _bits(calibrate_uniform(q, beta, b)) == want
+        assert _bits(recalibrate(price, F, T, beta, b, h)) == want
+
+    @pytest.mark.parametrize("calib", [calibrate, calibrate_uniform])
+    def test_ed_quote_set(self, ed_surface, calib):
+        q = extract_quote_set(ed_surface)
+        result = calib(q, ED_PARAMS["beta"], ED_PARAMS["shift"])
+        assert _bits(result) == PINNED_ED_CALIBRATIONS[calib.__name__]
+
+
+def hagan_quote_set(h=HAGAN_STEP):
+    price = hagan_price_fn(SabrParams(**HAGAN_SOURCE), HAGAN_FORWARD, HAGAN_EXPIRY)
+    return quote_set_from_curve(price, HAGAN_FORWARD, HAGAN_EXPIRY, h)
+
+
+class TestOneKappaScale:
+    @pytest.mark.parametrize("calib", [calibrate, calibrate_uniform])
+    def test_calls_per_calibration(self, monkeypatch, calib):
+        # sigma_atm is read once and both kappas come from one scale:
+        # one ATM vol and one q(xi) per neighbour
+        q, calls = hagan_quote_set(), Counter()
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("atm_normal_vol", "one_minus_x_mills"):
+            monkeypatch.setattr(ah_engine, name, counted(getattr(ah_engine, name)))
+        calib(q, 0.6, 0.03)
+        assert calls == {"atm_normal_vol": 1, "one_minus_x_mills": 2}
+
+    def test_kappas_equal_public_kappa_on_a1_draws(self):
+        rng = np.random.default_rng(SEED)
+        for i in range(N_DRAWS):
+            d = draw_parameters(rng)
+            params, grid = inversion_setup(
+                FORWARD, d["alpha"], d["beta"], d["rho"], d["nu"], d["T"]
+            )
+            q = extract_quote_set(price_self_consistent(grid, params, d["T"]))
+            diag = calibrate(q, d["beta"], params.shift).diagnostics
+            F, sigma, T = q.forward, q.sigma_atm, q.expiry
+            want = (kappa(F - q.h_minus_n, F, sigma, T).hex(),
+                    kappa(F + q.h_plus_n, F, sigma, T).hex(), sigma.hex())
+            got = (diag.kappa_minus.hex(), diag.kappa_plus.hex(),
+                   diag.sigma_atm.hex())
+            assert got == want, i
+
+
+class TestRecords:
+    def test_params_stay_frozen_and_hashable(self):
+        p = SabrParams(**HAGAN_SOURCE)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.alpha = 0.03
+        assert hash(p) == hash(SabrParams(**HAGAN_SOURCE))
+        assert {p: 1}[SabrParams(**HAGAN_SOURCE)] == 1
+
+    def test_calibration_records_compare_by_value(self):
+        a, b = hagan_quote_set(), hagan_quote_set()
+        assert a == b and a is not b
+        assert a != dataclasses.replace(b, atm=b.atm * 2.0)
+        r, s = calibrate(a, 0.4, 0.03), calibrate(b, 0.4, 0.03)
+        assert isinstance(r, CalibrationResult)
+        assert isinstance(r.diagnostics, CalibDiagnostics)
+        assert r == s and r.diagnostics == s.diagnostics
+        assert r != calibrate(a, 0.6, 0.03)
+
+    def test_replace_runs_the_quote_set_checks(self):
+        with pytest.raises(ValueError, match=r"^atm must be positive and finite$"):
+            dataclasses.replace(hagan_quote_set(), atm=0.0)

@@ -2,6 +2,7 @@
 the published fixtures, and the quote-file calibration workflow."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -199,6 +200,15 @@ class TestDensity:
 
 
 class TestCalibrate:
+    def test_ed_report_bytes(self, tmp_path):
+        # the report of the ED quotes, recorded before QuoteSet and the
+        # calibration records became plain dataclasses
+        out = tmp_path / "report.json"
+        cfg = ed_config(tmp_path, out, quotes=ed_quotes(tmp_path))
+        assert main(["calibrate", "--config", cfg]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a78d468dcff782a276d73fd87e6c04b743503af9469e2d55844ee701a2e1d82e")
+
     def test_round_trip_from_generated_quotes(self, tmp_path):
         params = ah.SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.30,
                                shift=0.03)
@@ -397,6 +407,17 @@ class TestInputFiles:
         cfg = ed_config(tmp_path, tmp_path / "report.json", quotes=str(quotes))
         assert main(["calibrate", "--config", cfg]) == 2
         assert_one_line_error(capsys, "c_plus2 must be positive")
+
+    def test_subnormal_rate_premium_exit_2(self, tmp_path, capsys):
+        # a premium whose last / 100 would be subnormal is a malformed row
+        quotes = pathlib.Path(ed_quotes(tmp_path))
+        lines = quotes.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",1e-310"
+        quotes.write_text("\n".join(lines) + "\n")
+        cfg = ed_config(tmp_path, tmp_path / "report.json", quotes=str(quotes))
+        assert main(["calibrate", "--config", cfg]) == 2
+        assert_one_line_error(capsys, f"line {len(lines)}: premium must be 0 "
+                                      "or at least 2.2250738585072014e-306")
 
     def test_missing_required_strike_exit_2(self, tmp_path, capsys):
         cfg = ed_config(tmp_path, tmp_path / "report.json",

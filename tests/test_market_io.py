@@ -9,6 +9,7 @@ import math
 import pathlib
 import random
 import re
+import sys
 import tempfile
 
 import pytest
@@ -19,6 +20,7 @@ from ahsabr.ah_engine import build_uniform_grid, extract_quote_set, price_self_c
 from ahsabr.analytic_calib import calibrate
 from ahsabr.errors import MalformedRow, MissingStrike, SchemaMismatch
 from ahsabr.market_io import (
+    MIN_PREMIUM,
     SCHEMA_VERSION,
     CalibrationReport,
     FuturesOptionQuote,
@@ -119,6 +121,22 @@ class TestRateConversion:
             assert abs(back.strike_price - q.strike_price) <= 0.5 * math.ulp(100.0)
             assert abs(back.last - q.last) <= math.ulp(q.last)
 
+    @pytest.mark.parametrize("last", [1e-310, 5e-324, math.nextafter(MIN_PREMIUM, 0.0)])
+    def test_premium_below_the_floor_rejected(self, last):
+        # last / 100 would be subnormal: 1e-310 came back 9.9999999999847e-311
+        # and 5e-324 came back 0.0
+        with pytest.raises(ValueError, match=re.escape(
+                f"premium must be 0 or at least {MIN_PREMIUM!r}, where last / "
+                f"100 is a normal double: {last!r}")):
+            make_quote(last=last)
+
+    def test_smallest_premium_round_trips(self):
+        assert MIN_PREMIUM / 100.0 == sys.float_info.min
+        for last in (0.0, MIN_PREMIUM, math.nextafter(MIN_PREMIUM, 1.0)):
+            q = make_quote(last=last)
+            back = to_price_space(to_rate_space(q))
+            assert abs(back.last - last) <= math.ulp(last)
+
     def test_spacing_preserved(self):
         qs = [make_quote(strike_price=99.0 + 0.125 * j) for j in range(5)]
         rs = [to_rate_space(q) for q in qs]
@@ -168,6 +186,13 @@ class TestParseQuotes:
         with pytest.raises(MalformedRow) as err:
             parse_quotes(self.write(tmp_path, body))
         assert "3" in str(err.value)
+
+    @pytest.mark.parametrize("last", ["1e-310", "5e-324"])
+    def test_premium_below_the_floor_is_malformed(self, tmp_path, last):
+        path = self.write(tmp_path, f"EDH3,2021-01-04,C,99.50,{last}\n")
+        with pytest.raises(MalformedRow, match=re.escape(
+                f"line 2: premium must be 0 or at least {MIN_PREMIUM!r}")):
+            parse_quotes(path)
 
     def test_bad_field_count(self, tmp_path):
         with pytest.raises(MalformedRow):
