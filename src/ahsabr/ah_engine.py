@@ -24,8 +24,8 @@ from .errors import (
     NumericalError,
     SingularPivot,
 )
-from .numerics import (atm_normal_vol, bachelier_otm_vols, is_scalar,
-                       one_minus_x_mills, one_minus_x_mills_1d)
+from .numerics import (_A_ONE, _A_TWO, atm_normal_vol, bachelier_otm_vols,
+                       is_scalar, one_minus_x_mills, one_minus_x_mills_1d)
 
 FIXED_POINT_TOL = 1e-13  # relative change of sigma that ends the ATM fixed point
 FIXED_POINT_MAX_ITER = 50  # evaluations: 6 on ED, 4 to 6 on A1 grids; the surface adds none
@@ -239,7 +239,7 @@ def _kappa_scalar(k: float, F: float, s: float) -> float:
 def _kappa_at(distance: np.ndarray, s: float) -> np.ndarray:
     """kappa at a 1-d array of distances |k - F|, s = sigma sqrt(T): the array
     form, which the one-step rows call on their grid's distances."""
-    return 2.0 * one_minus_x_mills_1d(distance / s)
+    return _A_TWO * one_minus_x_mills_1d(distance / s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,7 +316,7 @@ class _OneStepRows:
         # either end, as r = 0 or inf; a NaN fails both comparisons
         if not (r.min() > 0.0 and r.max() < math.inf):
             raise NumericalError("one-step coefficients left the double range")
-        return r, 1.0 + r
+        return r, _A_ONE + r
 
     def eliminate(self, sigma: float):
         """(r, tv_n, p, q) at ATM vol sigma.  Eliminating towards row n from
@@ -354,12 +354,22 @@ class MarketSlice:
     (numerics.atm_normal_vol), and their elimination there: (r, tv_n, p, q)
     of _OneStepRows.eliminate.  self_consistent_slice returns the fixed
     point's last evaluation, and at_vol the rows at a vol the caller gives.
-    A slice, like a grid, equals and hashes as itself only."""
+    evaluations counts the eliminations that made it, 1 for at_vol.  A slice,
+    like a grid, equals and hashes as itself only."""
 
     grid: Grid
     rows: _OneStepRows
     atm_normal_vol: float
     elimination: tuple
+    evaluations: int
+
+    @property
+    def residual(self) -> float:
+        """|ATM(sigma) - sigma| / sigma at sigma = atm_normal_vol, ATM(sigma)
+        the ATM vol of the slice's tv_n: the fixed point's final relative
+        residual, which ends it at FIXED_POINT_TOL or below."""
+        sigma = self.atm_normal_vol
+        return abs(atm_normal_vol(self.elimination[1], self.expiry) - sigma) / sigma
 
     @property
     def expiry(self) -> float:
@@ -373,7 +383,7 @@ class MarketSlice:
             rows = _OneStepRows(grid, params, expiry)
             if not atm_normal_vol > 0.0:
                 raise ValueError("atm_normal_vol must be positive")
-            return cls(grid, rows, atm_normal_vol, rows.eliminate(atm_normal_vol))
+            return cls(grid, rows, atm_normal_vol, rows.eliminate(atm_normal_vol), 1)
 
 
 def solve_one_step(slice_: MarketSlice) -> PriceSurface:
@@ -398,7 +408,7 @@ def solve_one_step(slice_: MarketSlice) -> PriceSurface:
     np.divide(rows.lo[n + 1:], q[::-1], out=tv[n + 2:-1])
     for side in (tv[n + 1:0:-1], tv[n + 1:-1]):  # the ratios' products outward
         np.cumprod(side, out=side)
-    density = 2.0 * tv[1:-1] * r / rows.hh
+    density = _A_TWO * tv[1:-1] * r / rows.hh
     return PriceSurface(grid=grid, slice=slice_, time_value=tv, density=density)
 
 
@@ -412,20 +422,21 @@ def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> Mark
     once, and each evaluation (_OneStepRows.eliminate) reads tv at the forward
     alone.  The slice is the last evaluation, whose residual
     |ATM vol - sigma| <= FIXED_POINT_TOL sigma the loop checked: its sigma,
-    rows and elimination, which solve_one_step carries outward as they are."""
+    rows and elimination, which solve_one_step carries outward as they are,
+    and the number of evaluations."""
     with np.errstate(all="ignore"):
         # the rows reject k_0 + b <= 0 and an expiry that is not positive first,
         # and k_0 < F, so the guess is real
         rows = _OneStepRows(grid, params, expiry)
         sigma = params.alpha * (grid.forward + params.shift) ** params.beta
         last = None  # (sigma, G) of the evaluation before
-        for _ in range(FIXED_POINT_MAX_ITER):
+        for evaluations in range(1, FIXED_POINT_MAX_ITER + 1):
             elimination = rows.eliminate(sigma)
             vol = atm_normal_vol(elimination[1], expiry)
             if not 0.0 < vol < math.inf:
                 raise ConvergenceError("ATM fixed point left the positive domain")
             if abs(vol - sigma) <= FIXED_POINT_TOL * sigma:
-                return MarketSlice(grid, rows, sigma, elimination)
+                return MarketSlice(grid, rows, sigma, elimination, evaluations)
             g = 1.0 - sigma / vol
             step = vol  # the plain step, unless a secant step is positive and finite
             if last is not None and g != last[1]:

@@ -71,5 +71,10 @@ class MissingStrike(ConfigError):
         self.strike = strike
 
 
+class AmbiguousQuote(ConfigError):
+    """The quotes name more than one (contract, quote date), or two rows of
+    one kind match one target strike: a calibration would mix them."""
+
+
 class SchemaMismatch(ConfigError):
     """Report document carries an unsupported schema version or shape."""

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .ah_engine import QuoteSet, SabrParams, quote_set_from_curve
-from .errors import MalformedRow, MissingStrike, SchemaMismatch
+from .errors import AmbiguousQuote, MalformedRow, MissingStrike, SchemaMismatch
 
 SCHEMA_VERSION = 4
 RECALIBRATION_SCHEMA_VERSION = 2
@@ -146,16 +146,25 @@ def assemble_quote_set(
 
     OTM puts supply the low side, OTM calls the high side; a missing side at
     a strike is completed by parity from the other kind.  Quotes match a
-    target strike when within grid_step/10 of it.
+    target strike when within grid_step/10 of it.  One calibration takes
+    one contract on one quote date, and at most one row of a kind per
+    target strike: anything else raises AmbiguousQuote.
     """
     h = grid_step
     tol = h / 10.0
+    pairs = sorted({(q.contract, q.quote_date) for q in quotes})
+    if len(pairs) > 1:
+        raise AmbiguousQuote(
+            f"quotes name {len(pairs)} (contract, quote_date) pairs, among them "
+            f"{repr(pairs[0])[:60]} and {repr(pairs[1])[:60]}; give one per file")
 
     def find(target: float, kind: str):
-        for q in quotes:
-            if q.kind_rate == kind and abs(q.strike_rate - target) <= tol:
-                return q
-        return None
+        found = [q for q in quotes
+                 if q.kind_rate == kind and abs(q.strike_rate - target) <= tol]
+        if len(found) > 1:
+            raise AmbiguousQuote(
+                f"{len(found)} {kind} quotes match the strike {target:.6%}")
+        return found[0] if found else None
 
     # half the straddle where both kinds are quoted at the forward
     found = (find(F, "put"), find(F, "call"))

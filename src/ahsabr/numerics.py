@@ -68,6 +68,13 @@ _CODY_ROWS = np.zeros((6, 9))
 for _j, (_num, _den) in enumerate(_CODY):
     _CODY_ROWS[_j, :len(_num)] = _num[::-1]
     _CODY_ROWS[3 + _j, :len(_den)] = _den[::-1]
+# The scalar operands of the array passes as 0-d arrays, made read-only
+# below: numpy converts a Python float operand on every ufunc call and takes
+# a 0-d array as it is.  They hold the same doubles, so every element rounds
+# as it would against the float.
+(_A_ONE, _A_TWO, _A_HALF, _A_INV_SQRT2, _A_SQRT_PI, _A_SQRT_HALF_PI,
+ _A_LOG_SQRT_2PI, _A_Y_NEAR, _A_Y_FAR) = _KERNEL_OPERANDS = tuple(map(np.array, (
+    1.0, 2.0, 0.5, _INV_SQRT2, _SQRT_PI, _SQRT_HALF_PI, _LOG_SQRT_2PI, 0.46875, 4.0)))
 
 
 def _cody_ratio(pair, t: float) -> float:
@@ -93,16 +100,17 @@ def _erfcx(y: float) -> float:
     return (_INV_SQRT_PI - t * _cody_ratio(_CODY[2], t)) * inv
 
 
-def _polynomials(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _polynomials(rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """Each row of coefficients (column j multiplies t^j) evaluated at every
-    element of a 1-d t, |t| small enough that no power overflows.  One matrix
-    product evaluates them all: a few large numpy calls cost less than a
+    element of a 1-d t, |t| small enough that no power overflows.  The caller
+    allocates powers, one row per column of rows, and forms t in row 1, so t
+    is written once; rows 0 and 2 on are filled here.  One matrix product
+    evaluates every polynomial: a few large numpy calls cost less than a
     Horner loop of small ones.  The powers are built row by row,
     t^j = t^(j-1) t: np.cumprod along the short axis rounds the same and
     costs about twice as much."""
-    powers = np.empty((rows.shape[1], t.size))
     powers[0] = 1.0
-    powers[1] = t
+    t = powers[1]
     for j in range(2, rows.shape[1]):
         np.multiply(powers[j - 1], t, out=powers[j])
     return rows @ powers
@@ -134,16 +142,23 @@ def one_minus_x_mills_1d(x: np.ndarray) -> np.ndarray:
     Each element takes its range's t (y^2, y or 2/x^2, at most 4, so no
     power overflows; 2/x^2 is formed only where y > 4, so x = 0 divides
     nothing), all three ratios are formed at every element, and each element
-    reads its own range's."""
-    y = x * _INV_SQRT2
-    small, big = y <= 0.46875, y > 4.0
-    t = y * np.where(small, y, 1.0)
-    np.divide(2.0, x, out=t, where=big)
+    reads its own range's.  The operands are 0-d arrays, t is formed in the
+    powers' row 1, and each range's value is written over the one before
+    with where=, never selected into a third array by np.where."""
+    y = x * _A_INV_SQRT2
+    small, big = y <= _A_Y_NEAR, y > _A_Y_FAR
+    powers = np.empty((_CODY_ROWS.shape[1], x.size))
+    t = powers[1]
+    np.copyto(t, y)
+    np.multiply(y, y, out=t, where=small)
+    np.divide(_A_TWO, x, out=t, where=big)
     np.divide(t, x, out=t, where=big)
-    values = _polynomials(_CODY_ROWS, t)
+    values = _polynomials(_CODY_ROWS, powers)
     r = values[:3] / values[3:]
-    np.multiply(np.exp(t), 1.0 - y * r[0], out=r[1], where=small)  # erfcx(y)
-    return np.where(big, _SQRT_PI * t * r[2], 1.0 - x * (_SQRT_HALF_PI * r[1]))
+    np.multiply(np.exp(t), _A_ONE - y * r[0], out=r[1], where=small)  # erfcx(y)
+    q = _A_ONE - x * (_A_SQRT_HALF_PI * r[1])
+    np.multiply(_A_SQRT_PI * t, r[2], out=q, where=big)
+    return q
 
 
 def atm_normal_vol(price, T):
@@ -175,20 +190,33 @@ _START_ROWS = np.array([
      8.16661284990894e-05, 4.214446459433695e-06],
 ])
 _LOG_H_ONE = math.log(math.exp(_LOG_PDF_ONE) - 0.5 * math.erfc(_INV_SQRT2))
+# the start's operands, read-only 0-d arrays as the kernel's: the branch
+# split, the factor and clamps of s, p^2's clamp and the two y offsets
+(_A_LOG_H_ONE, _A_MINUS_TWO, _A_S_LO, _A_S_HI, _A_THREE, _A_NEAR_Y0,
+ _A_WING_Y0) = _START_OPERANDS = tuple(map(np.array, (
+    _LOG_H_ONE, -2.0, math.exp(1.1), math.exp(7.3), 3.0, 1.5, 4.2)))
+for _a in _KERNEL_OPERANDS + _START_OPERANDS:
+    _a.flags.writeable = False
 
 
 def _fitted_log_u(log_target):
     """The fitted start, w = log u, for a 1-d log_target = log h(u).  Both
     branches' y are formed at every element, held to the ranges where
     neither denominator vanishes: p^2 at most 3, log s from 1.1 to 7.3."""
-    near = log_target >= _LOG_H_ONE
-    inv_p = np.exp(log_target) + 0.5
+    near = log_target >= _A_LOG_H_ONE
+    inv_p = np.exp(log_target) + _A_HALF
     log_s = np.log(np.minimum(np.maximum(
-        -2.0 * (log_target + _LOG_SQRT_2PI), math.exp(1.1)), math.exp(7.3)))
-    y = np.where(near, np.minimum(1.0 / (inv_p * inv_p), 3.0) - 1.5, log_s - 4.2)
-    r = _polynomials(_START_ROWS, y)
-    base = np.where(near, -np.log(inv_p) - _LOG_SQRT_2PI, 0.5 * log_s)
-    return base + np.where(near, r[0], r[2]) / np.where(near, r[1], r[3])
+        _A_MINUS_TWO * (log_target + _A_LOG_SQRT_2PI), _A_S_LO), _A_S_HI))
+    powers = np.empty((_START_ROWS.shape[1], log_target.size))
+    y = powers[1]
+    np.subtract(log_s, _A_WING_Y0, out=y)
+    np.subtract(np.minimum(_A_ONE / (inv_p * inv_p), _A_THREE), _A_NEAR_Y0,
+                out=y, where=near)
+    r = _polynomials(_START_ROWS, powers)
+    base = _A_HALF * log_s
+    np.subtract(-np.log(inv_p), _A_LOG_SQRT_2PI, out=base, where=near)
+    np.copyto(r[2:], r[:2], where=near)  # the near rows over the wing rows
+    return base + r[2] / r[3]
 
 
 def _halley_step(w, log_target):
@@ -196,8 +224,8 @@ def _halley_step(w, log_target):
     from one evaluation of q = 1 - u M(u) by the 1-d kernel: w is 1-d."""
     u = np.exp(w)
     q = one_minus_x_mills_1d(u)
-    g = np.log(q) - 0.5 * u * u - w - _LOG_SQRT_2PI - log_target
-    return g, g * q / (1.0 - 0.5 * g * (q * (1.0 + u * u) - 1.0))
+    g = np.log(q) - _A_HALF * u * u - w - _A_LOG_SQRT_2PI - log_target
+    return g, g * q / (_A_ONE - _A_HALF * g * (q * (_A_ONE + u * u) - _A_ONE))
 
 
 def _bracketed_log_u(w, log_target):

@@ -33,7 +33,9 @@ def norm_pdf(x):
 def _cody_ratios(t: np.ndarray) -> np.ndarray:
     """Cody's three ratios, rows 0 to 2, at every element of a 1-d t, as
     numerics' kernel forms them."""
-    values = _polynomials(_CODY_ROWS, t)
+    powers = np.empty((_CODY_ROWS.shape[1], t.size))
+    powers[1] = t
+    values = _polynomials(_CODY_ROWS, powers)
     return values[:3] / values[3:]
 
 

@@ -972,6 +972,38 @@ class TestSelfConsistentSlice:
         assert evaluations[0] == 6
         assert max(evaluations) <= 6
 
+    def test_slice_records_its_evaluations_and_residual(self, monkeypatch):
+        # the count on the slice is the number of eliminations a wrapped
+        # _OneStepRows.eliminate sees: 6 on ED, 4 to 6 on the A1 grids, 1 for
+        # at_vol; the residual is |ATM(sigma) - sigma| / sigma at the slice's
+        # tv_n, the loop's stopping test, and at_vol at the fixed point's vol
+        # reports the same one
+        seen = []
+        eliminate = _OneStepRows.eliminate
+
+        def counting(rows, sigma):
+            seen[-1] += 1
+            return eliminate(rows, sigma)
+
+        monkeypatch.setattr(_OneStepRows, "eliminate", counting)
+        ed = build_uniform_grid(*ED_GRID, ED_FORWARD)
+        for grid, params, T in [(ed, SabrParams(**ED_PARAMS), ED_EXPIRY),
+                                *self.a1_grids(200)]:
+            seen.append(0)
+            slice_ = self_consistent_slice(grid, params, T)
+            assert slice_.evaluations == seen[-1]
+            sigma = slice_.atm_normal_vol
+            vol = atm_normal_vol(slice_.elimination[1], T)
+            assert slice_.residual == abs(vol - sigma) / sigma
+            assert abs(vol - sigma) <= ah_engine.FIXED_POINT_TOL * sigma
+            seen.append(0)
+            at_vol = MarketSlice.at_vol(grid, params, T, sigma)
+            assert at_vol.evaluations == seen[-1] == 1
+            assert at_vol.residual == slice_.residual
+        assert seen[0] == 6 and set(seen[2::2]) <= {4, 5, 6}
+        ed_slice = self_consistent_slice(ed, SabrParams(**ED_PARAMS), ED_EXPIRY)
+        assert ed_slice.residual <= 1e-13
+
     # at T = 2 pi the ATM vol is the time value, and at beta = 0 the start
     # is alpha; each map sends the vols the iteration asks for to ATM vols
     @pytest.mark.parametrize("atm, path", [

@@ -209,6 +209,28 @@ class TestCalibrate:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "a78d468dcff782a276d73fd87e6c04b743503af9469e2d55844ee701a2e1d82e")
 
+    # sha256 of the file and of stdout, from the same ED config, recorded
+    # before the array passes of the pricing path were rewritten
+    ED_OUTPUTS = {
+        "price": ("63991140d8a06a4567e8c1f78e6d20c1e189ca17cdf2bc26cccf9e5750ac95c3",
+                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "density": ("5b08f4ba33c2a4e10a7ec7ba9a3e0145dc2b7ec05217f6554c463d5f6baabfe1",
+                    "495e7a14f7d6fdbff488a1cd5b0c0379feb551a3707477d77aebff7f73f65566"),
+        "recalibrate": ("b225798acc19aa7002f60173960521109b56d2599bcfafa34f4e6807c03cb7fa",
+                        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(ED_OUTPUTS))
+    def test_ed_output_bytes(self, tmp_path, capsys, command):
+        # the other ED commands beside the report: price, density with its
+        # stdout, and recalibrate at target beta 60%
+        out = tmp_path / "out"
+        flags = ["--beta", "60"] if command == "recalibrate" else []
+        assert main([command, "--config", ed_config(tmp_path, out), *flags]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert (hashlib.sha256(out.read_bytes()).hexdigest(),
+                hashlib.sha256(stdout).hexdigest()) == self.ED_OUTPUTS[command]
+
     def test_round_trip_from_generated_quotes(self, tmp_path):
         params = ah.SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.30,
                                shift=0.03)
@@ -309,6 +331,57 @@ def assert_one_line_error(capsys, *fragments):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     for fragment in fragments:
         assert fragment in err
+
+
+def ed_quotes_with(tmp_path, row, first):
+    """The ED quote CSV with one more price-space row, listed before the
+    EDH3 rows or after them."""
+    path = pathlib.Path(ed_quotes(tmp_path))
+    header, *rows = path.read_text().splitlines()
+    rows = [row, *rows] if first else [*rows, row]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return str(path)
+
+
+class TestAmbiguousQuotes:
+    """One calibration takes one contract on one quote date, and one row of
+    a kind per target strike.  Without these checks, an EDM3 call (price
+    space) at the ATM strike with a premium 1% higher, listed before the
+    EDH3 rows, moved nu from 1.0862 to 0.9702 with exit 0; listed after
+    them it changed nothing.  A row on another quote date did the same."""
+
+    ATM_LAST = 0.136264698220935  # the EDH3 call at 99.75 in ed_quotes
+
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize("contract,date", [("EDM3", "2021-01-04"),
+                                               ("EDH3", "2021-01-05")])
+    def test_second_contract_or_date_exit_2(self, tmp_path, capsys, contract,
+                                            date, first):
+        row = f"{contract},{date},C,99.75,{self.ATM_LAST * 1.01!r}"
+        out = tmp_path / "report.json"
+        cfg = ed_config(tmp_path, out, quotes=ed_quotes_with(tmp_path, row, first))
+        assert main(["calibrate", "--config", cfg]) == 2
+        assert_one_line_error(capsys, "2 (contract, quote_date) pairs", "EDH3")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_two_rows_of_a_kind_at_a_strike_exit_2(self, tmp_path, capsys, first):
+        # a call on the price at 99.75 is a put on the rate at 0.25%
+        row = f"EDH3,2021-01-04,C,99.75,{self.ATM_LAST * 1.01!r}"
+        out = tmp_path / "report.json"
+        cfg = ed_config(tmp_path, out, quotes=ed_quotes_with(tmp_path, row, first))
+        assert main(["calibrate", "--config", cfg]) == 2
+        assert_one_line_error(capsys, "2 put quotes match the strike 0.250000%")
+        assert not out.exists()
+
+    def test_rows_off_the_targets_change_nothing(self, tmp_path):
+        # rows at other strikes are not read: the report keeps its bytes
+        row = f"EDH3,2021-01-04,C,99.0,{self.ATM_LAST!r}"
+        out = tmp_path / "report.json"
+        cfg = ed_config(tmp_path, out, quotes=ed_quotes_with(tmp_path, row, True))
+        assert main(["calibrate", "--config", cfg]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a78d468dcff782a276d73fd87e6c04b743503af9469e2d55844ee701a2e1d82e")
 
 
 class TestInputFiles:

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import ahsabr as ah
 from ahsabr.ah_engine import build_uniform_grid, extract_quote_set, price_self_consistent
 from ahsabr.analytic_calib import calibrate
-from ahsabr.errors import MalformedRow, MissingStrike, SchemaMismatch
+from ahsabr.errors import AmbiguousQuote, MalformedRow, MissingStrike, SchemaMismatch
 from ahsabr.market_io import (
     MIN_PREMIUM,
     SCHEMA_VERSION,
@@ -301,6 +301,48 @@ class TestAssembleQuoteSet:
         q = assemble_quote_set(quotes, 0.02, 5.0, h)
         direct = extract_quote_set(surface)
         assert q.c_plus1 == pytest.approx(direct.c_plus1, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("contract,date", [("U", "2021-01-04"), ("T", "2021-01-05")])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_one_contract_on_one_date(self, solved, contract, date, first):
+        # a row of another contract or quote date, at a strike the set does
+        # not read or at the forward, before the others or after them
+        _, surface = solved
+        h = float(surface.grid.strikes[1] - surface.grid.strikes[0])
+        for strike in (0.02 + 5.0 * h, 0.02):
+            extra = RateQuote(contract, date, "put", strike, 0.01)
+            quotes = surface_rate_quotes(surface)
+            quotes = [extra, *quotes] if first else [*quotes, extra]
+            with pytest.raises(AmbiguousQuote, match=r"2 \(contract, quote_date\) pairs"):
+                assemble_quote_set(quotes, 0.02, 5.0, h)
+
+    @pytest.mark.parametrize("kind,offset", [("put", -1), ("call", 0), ("call", 2)])
+    def test_two_rows_of_a_kind_at_a_strike(self, solved, kind, offset):
+        # a second row of a kind the set reads, within h/10 of its strike
+        _, surface = solved
+        h = float(surface.grid.strikes[1] - surface.grid.strikes[0])
+        strike = 0.02 + offset * h + h / 20.0
+        quotes = [*surface_rate_quotes(surface),
+                  RateQuote("T", "2021-01-04", kind, strike, 0.01)]
+        with pytest.raises(AmbiguousQuote, match=f"2 {kind} quotes match the strike"):
+            assemble_quote_set(quotes, 0.02, 5.0, h)
+
+    def test_parity_completion_beside_rows_off_the_targets(self, solved):
+        # the ITM call at F-h completes the put there, and rows of either
+        # kind at strikes the set does not read change nothing
+        _, surface = solved
+        n = surface.grid.forward_index
+        h = float(surface.grid.strikes[1] - surface.grid.strikes[0])
+        quotes = [
+            q for q in surface_rate_quotes(surface)
+            if not (q.kind_rate == "put" and abs(q.strike_rate - (0.02 - h)) < h / 10)
+        ]
+        quotes += [RateQuote("T", "2021-01-04", "call", 0.02 - h, float(surface.calls[n - 1])),
+                   RateQuote("T", "2021-01-04", "put", 0.02 + 3.0 * h, 0.01),
+                   RateQuote("T", "2021-01-04", "put", 0.02 + 3.0 * h, 0.02)]
+        q = assemble_quote_set(quotes, 0.02, 5.0, h)
+        assert q.p_minus1 == pytest.approx(extract_quote_set(surface).p_minus1,
+                                           rel=1e-10, abs=0.0)
 
     def test_missing_strike(self, solved):
         _, surface = solved

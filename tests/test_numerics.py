@@ -6,6 +6,7 @@ here; the dense erfcx grid is checked against mpmath as it runs, and the
 tridiagonal solver against a dense LU solve.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from ahsabr.errors import PriceOutOfBounds, SingularPivot
 from ahsabr.numerics import (
     _INV_SQRT2,
     _erfcx,
+    _fitted_log_u,
     bachelier_implied_vol,
     bachelier_otm_vols,
     norm_cdf,
@@ -238,6 +240,75 @@ class TestOneMinusXMills:
                 == one_minus_x_mills_reference(x).tobytes())
         for got in (one_minus_x_mills(np.empty(0)), one_minus_x_mills_1d(np.empty(0))):
             assert got.shape == (0,)
+
+
+def _hex_digest(values):
+    """sha256 of the comma-joined float.hex of a 1-d array."""
+    text = ",".join(v.hex() for v in values.tolist())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestKernelBits:
+    """float.hex of the array kernel q(x) = 1 - x M(x) and of the fitted
+    start of the vol inversion on fixed inputs, recorded before the array
+    passes were rewritten for fewer numpy calls: a rewrite must keep every
+    element's IEEE operations in the same order.  Single elements sit in
+    each Cody range, on both joins (y = 0.46875 and y = 4) and one ulp either
+    side, and at x = 0 and inf; the longer arrays sweep every range."""
+
+    KERNEL_POINTS = [  # (x, q(x)), each as a length-1 array
+        ("0x1.536948017480fp-1", "0x1.e63fc5a792654p-2"),  # y = 0.46875 - ulp
+        ("0x1.5369480174810p-1", "0x1.e63fc5a792652p-2"),  # y = 0.46875
+        ("0x1.5369480174811p-1", "0x1.e63fc5a792652p-2"),  # y = 0.46875 + ulp
+        ("0x1.6a09e667f3bccp+2", "0x1.d634e59b70bc0p-6"),  # y = 4 - ulp
+        ("0x1.6a09e667f3bcdp+2", "0x1.d634e59b70be0p-6"),  # y = 4
+        ("0x1.6a09e667f3bcep+2", "0x1.d634e59b70b95p-6"),  # y = 4 + ulp
+        ("0x0.0p+0", "0x1.0000000000000p+0"),
+        ("inf", "0x0.0p+0"),
+        ("0x1.3333333333333p-2", "0x1.661e268418f14p-1"),  # 0.3, first range
+        ("0x1.0000000000000p+1", "0x1.421256caac5d0p-3"),  # 2, second range
+        ("0x1.4000000000000p+3", "0x1.3e4f3becf7884p-7"),  # 10, third range
+    ]
+    # np.linspace(0, 12, n): all three ranges
+    KERNEL_SWEEPS = {
+        25: "906914c86a050655aed36a7455d776dc91a7e38f21c92a8b0fcb8dcd5775b423",
+        239: "b54de0fb7ae74db813ec1ddbcee47c4f4cc8a19c79016637114a42e8b53850e2",
+    }
+    START_POINTS = [  # (log h, w) of _fitted_log_u, each as a length-1 array
+        ("-0x1.3e18721e04d5bp+1", "0x1.5e11be0000000p-30"),  # log h(1) - ulp
+        ("-0x1.3e18721e04d5ap+1", "-0x1.da00000000000p-47"),  # log h(1)
+        ("-0x1.3e18721e04d59p+1", "-0x1.ec00000000000p-47"),  # log h(1) + ulp
+        ("-0x1.35e408b3b9a76p+1", "-0x1.6d3ede218f060p-6"),  # log s = 1.1
+        ("-0x1.7288d1ca99458p+9", "0x1.d23f745e81792p+1"),  # log s = 7.3
+        ("-inf", "0x1.d23f745e81792p+1"),
+        ("inf", "-inf"),
+        ("0x0.0p+0", "-0x1.4988fb69bba83p+0"),
+    ]
+    # np.linspace(-60, 6, n): both branches and both clamps of log s
+    START_SWEEPS = {
+        25: "f5573ffde7f33ed98d9a3f16d0b3956a5f2a34fd5109d61330a1fb68295c1872",
+        239: "b88c4b91330274fb4dc9f2bad0c8a58fe1bde432fbaebee6aed89a58f510c165",
+    }
+
+    @pytest.mark.parametrize("x,want", KERNEL_POINTS)
+    def test_kernel_points(self, x, want):
+        got = one_minus_x_mills_1d(np.array([float.fromhex(x)]))
+        assert got[0].hex() == want
+
+    @pytest.mark.parametrize("n", sorted(KERNEL_SWEEPS))
+    def test_kernel_sweeps(self, n):
+        got = one_minus_x_mills_1d(np.linspace(0.0, 12.0, n))
+        assert _hex_digest(got) == self.KERNEL_SWEEPS[n]
+
+    @pytest.mark.parametrize("log_h,want", START_POINTS)
+    def test_start_points(self, log_h, want):
+        got = _fitted_log_u(np.array([float.fromhex(log_h)]))
+        assert got[0].hex() == want
+
+    @pytest.mark.parametrize("n", sorted(START_SWEEPS))
+    def test_start_sweeps(self, n):
+        got = _fitted_log_u(np.linspace(-60.0, 6.0, n))
+        assert _hex_digest(got) == self.START_SWEEPS[n]
 
 
 class TestBachelierOtmVols:
