@@ -156,7 +156,8 @@ def y_of_k(k, F, params: SabrParams):
 
 def _y(k: float, F: float, alpha: float, beta: float, b: float) -> float:
     """y_of_k's scalar form on Python floats; calibrate reads it at the two
-    neighbours without building a SabrParams."""
+    neighbours without building a SabrParams, and local_vol's scalar path
+    calls it directly."""
     kb, Fb = k + b, F + b
     if kb <= 0.0 or Fb <= 0.0:
         raise NonpositiveShiftedStrike(
@@ -183,12 +184,14 @@ def _y_at(kb: np.ndarray, Fb: float, params: SabrParams) -> np.ndarray:
 def local_vol(k, F, params: SabrParams):
     """Shifted-SABR local volatility alpha * J(y(k)) * (k+b)^beta with
     J(y) = sqrt(1 - 2*rho*nu*y + nu^2*y^2)."""
-    y = y_of_k(k, F, params)
     if is_scalar(k):
+        k, b = float(k), params.shift
+        y = _y(k, float(F), params.alpha, params.beta, b)
         # math.sqrt passes NaN through; J^2 >= 1 - rho^2 > 0 keeps it from
         # the negative numbers on which it would raise
         j2 = _j_squared(y, params)
-        return params.alpha * math.sqrt(j2) * (float(k) + params.shift) ** params.beta
+        return params.alpha * math.sqrt(j2) * (k + b) ** params.beta
+    y = y_of_k(k, F, params)
     return _local_vol_at(np.asarray(k, dtype=float) + params.shift, y, params)
 
 

@@ -111,13 +111,15 @@ def _nu_rho(nu2: float, two_rho_nu: float) -> tuple[float, float]:
     return nu, rho
 
 
-def _solve_nu_rho(alpha, beta, b, j2_m, j2_p, y_m, y_p, **diag) -> CalibrationResult:
+def _solve_nu_rho(alpha, beta, b, j2_m, j2_p, y_m, y_p, z_m, z_p, kap_m,
+                  kap_p, sigma_atm) -> CalibrationResult:
     """The linear 2x2 system in (nu^2, 2*rho*nu) from J(y)^2 at both
     neighbours.  Each J^2 = 1 - 2*rho*nu*y + nu^2*y^2 pins one relation;
     subtracting the two isolates nu^2, and _nu_rho checks the pair.  Returns
-    the calibration at (alpha, beta, b) with the CalibDiagnostics made of
-    `diag` and the y values; the solve is exact, so no residual is kept.  A
-    zero or non-finite y (alpha overflowed) raises NumericalError."""
+    the calibration at (alpha, beta, b) with the CalibDiagnostics of the z,
+    y and kappa at both neighbours and sigma_atm; the solve is exact, so no
+    residual is kept.  A zero or non-finite y (alpha overflowed) raises
+    NumericalError."""
     if not (0.0 < abs(y_m) < math.inf and 0.0 < abs(y_p) < math.inf):
         raise NumericalError(f"y at the neighbours is {y_m!r} and {y_p!r}; "
                              "the 2x2 system needs both finite and nonzero")
@@ -125,8 +127,9 @@ def _solve_nu_rho(alpha, beta, b, j2_m, j2_p, y_m, y_p, **diag) -> CalibrationRe
     r_p = (j2_p - 1.0) / y_p
     nu2 = (r_m - r_p) / (y_m - y_p)
     nu, rho = _nu_rho(nu2, nu2 * y_m - r_m)
-    params = SabrParams(alpha=alpha, beta=beta, rho=rho, nu=nu, shift=b)
-    return CalibrationResult(params, CalibDiagnostics(y_minus=y_m, y_plus=y_p, **diag))
+    return CalibrationResult(
+        SabrParams(alpha, beta, rho, nu, b),
+        CalibDiagnostics(z_m, z_p, y_m, y_p, kap_m, kap_p, sigma_atm))
 
 
 def calibrate(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
@@ -156,10 +159,8 @@ def calibrate(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
     j2_p = z_plus * q.h_plus_np1 * hp / (
         T * kap_p * alpha**2 * (k_p + b) ** (2.0 * beta)
     )
-    return _solve_nu_rho(
-        alpha, beta, b, j2_m, j2_p, y_m, y_p, z_minus=z_minus, z_plus=z_plus,
-        kappa_minus=kap_m, kappa_plus=kap_p, sigma_atm=sigma_atm,
-    )
+    return _solve_nu_rho(alpha, beta, b, j2_m, j2_p, y_m, y_p, z_minus, z_plus,
+                         kap_m, kap_p, sigma_atm)
 
 
 def calibrate_uniform(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
@@ -201,11 +202,8 @@ def calibrate_uniform(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
 
     j2_m = zh_minus * h * h / (T * kap_half_m * alpha**2 * (k_m + b) ** (2.0 * beta))
     j2_p = zh_plus * h * h / (T * kap_half_p * alpha**2 * (k_p + b) ** (2.0 * beta))
-    return _solve_nu_rho(
-        alpha, beta, b, j2_m, j2_p, y_m, y_p, z_minus=2.0 * zh_minus,
-        z_plus=2.0 * zh_plus, kappa_minus=kap_m, kappa_plus=kap_p,
-        sigma_atm=sigma_atm,
-    )
+    return _solve_nu_rho(alpha, beta, b, j2_m, j2_p, y_m, y_p, 2.0 * zh_minus,
+                         2.0 * zh_plus, kap_m, kap_p, sigma_atm)
 
 
 @dataclass(frozen=True)

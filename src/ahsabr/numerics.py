@@ -77,12 +77,50 @@ for _j, (_num, _den) in enumerate(_CODY):
     1.0, 2.0, 0.5, _INV_SQRT2, _SQRT_PI, _SQRT_HALF_PI, _LOG_SQRT_2PI, 0.46875, 4.0)))
 
 
-def _cody_ratio(pair, t: float) -> float:
-    num = den = 0.0
-    for a, b in zip(*pair):  # Horner; both have the same degree
-        num = num * t + a
-        den = den * t + b
-    return num / den
+# The scalar path's three ratios num(t) / den(t), one unrolled Horner
+# function per range (_unrolled_d for degree d) with its coefficients bound
+# from _CODY, so that a call loops over nothing.  Each multiply and add
+# comes in the order of the generic Horner loop that tests/oracles.py keeps
+# as the reference; the loop's first step, 0 t + a0, is a0 exactly at a
+# finite t.
+def _unrolled_4(num, den):
+    a0, a1, a2, a3, a4 = num
+    b0, b1, b2, b3, b4 = den
+
+    def ratio(t: float) -> float:
+        n = (((a0 * t + a1) * t + a2) * t + a3) * t + a4
+        d = (((b0 * t + b1) * t + b2) * t + b3) * t + b4
+        return n / d
+    return ratio
+
+
+def _unrolled_5(num, den):
+    a0, a1, a2, a3, a4, a5 = num
+    b0, b1, b2, b3, b4, b5 = den
+
+    def ratio(t: float) -> float:
+        n = ((((a0 * t + a1) * t + a2) * t + a3) * t + a4) * t + a5
+        d = ((((b0 * t + b1) * t + b2) * t + b3) * t + b4) * t + b5
+        return n / d
+    return ratio
+
+
+def _unrolled_8(num, den):
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = num
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = den
+
+    def ratio(t: float) -> float:
+        n = (((a0 * t + a1) * t + a2) * t + a3) * t + a4
+        n = (((n * t + a5) * t + a6) * t + a7) * t + a8
+        d = (((b0 * t + b1) * t + b2) * t + b3) * t + b4
+        d = (((d * t + b5) * t + b6) * t + b7) * t + b8
+        return n / d
+    return ratio
+
+
+_cody_near = _unrolled_4(*_CODY[0])
+_cody_mid = _unrolled_8(*_CODY[1])
+_cody_far = _unrolled_5(*_CODY[2])
 
 
 def _erfcx(y: float) -> float:
@@ -92,12 +130,12 @@ def _erfcx(y: float) -> float:
         # only a negative y past -26.6, outside one_minus_x_mills' domain,
         # takes exp past the double range; numpy's exp gives inf there
         scale = math.exp(t) if t <= _LOG_MAX else math.inf
-        return scale * (1.0 - y * _cody_ratio(_CODY[0], t))
+        return scale * (1.0 - y * _cody_near(t))
     if y <= 4.0:
-        return _cody_ratio(_CODY[1], y)
+        return _cody_mid(y)
     inv = 1.0 / y
     t = inv * inv
-    return (_INV_SQRT_PI - t * _cody_ratio(_CODY[2], t)) * inv
+    return (_INV_SQRT_PI - t * _cody_far(t)) * inv
 
 
 def _polynomials(rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -130,7 +168,7 @@ def one_minus_x_mills(x):
         y = x * _INV_SQRT2
         if y > 4.0:
             t = 2.0 / x / x
-            return _SQRT_PI * t * _cody_ratio(_CODY[2], t)
+            return _SQRT_PI * t * _cody_far(t)
         return 1.0 - x * (_SQRT_HALF_PI * _erfcx(y))
     x = np.asarray(x, dtype=float)
     return one_minus_x_mills_1d(x.ravel()).reshape(x.shape)

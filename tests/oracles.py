@@ -1,4 +1,5 @@
 """Oracles that the tests compare the package against: the normal density,
+the generic Horner loop that numerics' unrolled scalar Cody ratios replaced,
 the Mills ratio M(x) = Phi(-x)/phi(x) with its array erfcx path, the
 three-range array form of 1 - x M(x) that numerics' 1-d kernel replaced, and
 the Bachelier pricer.  No module of the package calls them; they build on the
@@ -28,6 +29,18 @@ def norm_pdf(x):
     with np.errstate(over="ignore"):
         # x^2 overflowing to inf still maps to the correct density of 0
         return np.exp(-0.5 * np.square(x)) / SQRT_2PI
+
+
+def cody_ratio_reference(pair, t: float) -> float:
+    """One of Cody's ratios, a (numerator, denominator) pair of numerics._CODY,
+    at a float t by a Horner loop over both coefficient tuples at once, as
+    numerics formed it before each range's ratio was unrolled.  The unrolled
+    ratios must reproduce it bit for bit."""
+    num = den = 0.0
+    for a, b in zip(*pair):  # Horner; both have the same degree
+        num = num * t + a
+        den = den * t + b
+    return num / den
 
 
 def _cody_ratios(t: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import ahsabr as ah
 from ahsabr import numerics
+from ahsabr.ah_engine import SabrParams, kappa, local_vol
 from ahsabr.errors import PriceOutOfBounds, SingularPivot
 from ahsabr.numerics import (
     _INV_SQRT2,
@@ -32,6 +33,7 @@ from conftest import ED_EXPIRY, ED_FORWARD, ED_GRID, ED_PARAMS
 from oracles import (
     _erfcx_array,
     bachelier_price,
+    cody_ratio_reference,
     mills_ratio,
     norm_pdf,
     one_minus_x_mills_reference,
@@ -185,6 +187,28 @@ class TestErfcx:
         assert mills_ratio(x.reshape(20, 25)).shape == (20, 25)
 
 
+class TestCodyRatios:
+    """Each range's unrolled ratio against the generic Horner loop it
+    replaced (oracles), bit for bit: a dense sweep of t over the range, its
+    ends and an ulp either side, 0, inf and NaN."""
+
+    RANGES = [  # (ratio, its pair of _CODY, the range of t)
+        (numerics._cody_near, 0, 0.0, 0.46875**2),  # t = y^2
+        (numerics._cody_mid, 1, 0.46875, 4.0),  # t = y
+        (numerics._cody_far, 2, 0.0, 1.0 / 16.0),  # t = 1/y^2
+    ]
+
+    @pytest.mark.parametrize("ratio,j,lo,hi", RANGES, ids=["near", "mid", "far"])
+    def test_unrolled_ratio_matches_the_horner_loop(self, ratio, j, lo, hi):
+        ends = [math.nextafter(lo, -math.inf), lo, math.nextafter(lo, math.inf),
+                math.nextafter(hi, -math.inf), hi, math.nextafter(hi, math.inf)]
+        ts = (np.linspace(lo, hi, 100_001).tolist()
+              + ends + [0.0, math.inf, math.nan])
+        got = [ratio(t).hex() for t in ts]
+        assert got == [cody_ratio_reference(numerics._CODY[j], t).hex() for t in ts]
+        assert got[-2:] == ["nan", "nan"]
+
+
 class TestOneMinusXMills:
     def test_extremes(self):
         # 1 at 0, 0 at inf, NaN through, 1/x^2 far out, with no warning
@@ -309,6 +333,80 @@ class TestKernelBits:
     def test_start_sweeps(self, n):
         got = _fitted_log_u(np.linspace(-60.0, 6.0, n))
         assert _hex_digest(got) == self.START_SWEEPS[n]
+
+
+class TestScalarBits:
+    """float.hex of the scalar q(x) = 1 - x M(x) and erfcx, and digests of
+    scalar kappa and local_vol sweeps, recorded before the scalar Cody
+    ratios were unrolled: calibrate reads q through kappa, so a rewrite
+    must keep every IEEE operation of the float path in the same order."""
+
+    # (x, q(x)) at TestKernelBits' points, on floats; the scalar Horner
+    # rounds differently from the array kernel's matrix product
+    Q_POINTS = [
+        ("0x1.536948017480fp-1", "0x1.e63fc5a792652p-2"),  # y = 0.46875 - ulp
+        ("0x1.5369480174810p-1", "0x1.e63fc5a792652p-2"),  # y = 0.46875
+        ("0x1.5369480174811p-1", "0x1.e63fc5a792652p-2"),  # y = 0.46875 + ulp
+        ("0x1.6a09e667f3bccp+2", "0x1.d634e59b70b80p-6"),  # y = 4 - ulp
+        ("0x1.6a09e667f3bcdp+2", "0x1.d634e59b70b80p-6"),  # y = 4
+        ("0x1.6a09e667f3bcep+2", "0x1.d634e59b70b97p-6"),  # y = 4 + ulp
+        ("0x0.0p+0", "0x1.0000000000000p+0"),
+        ("inf", "0x0.0p+0"),
+        ("0x1.3333333333333p-2", "0x1.661e268418f14p-1"),  # 0.3, first range
+        ("0x1.0000000000000p+1", "0x1.421256caac5ccp-3"),  # 2, second range
+        ("0x1.4000000000000p+3", "0x1.3e4f3becf7885p-7"),  # 10, third range
+    ]
+    ERFCX_POINTS = [  # (y, erfcx(y)): each range, both joins and an ulp either side
+        ("0x0.0p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p-2", "0x1.8a6adcda2ea91p-1"),  # 0.25
+        ("0x1.dffffffffffffp-2", "0x1.439ea3683d4cdp-1"),  # 0.46875 - ulp
+        ("0x1.e000000000000p-2", "0x1.439ea3683d4cdp-1"),  # 0.46875
+        ("0x1.e000000000001p-2", "0x1.439ea3683d4ccp-1"),  # 0.46875 + ulp
+        ("0x1.0000000000000p+1", "0x1.058671b52c775p-2"),  # 2
+        ("0x1.fffffffffffffp+1", "0x1.18932bf08e155p-3"),  # 4 - ulp
+        ("0x1.0000000000000p+2", "0x1.18932bf08e155p-3"),  # 4
+        ("0x1.0000000000001p+2", "0x1.18932bf08e153p-3"),  # 4 + ulp
+        ("0x1.4000000000000p+3", "0x1.cbe831f997124p-5"),  # 10
+        ("0x1.4e718d7d7625ap+664", "0x1.ba394ce53f796p-666"),  # 1e200
+        ("inf", "0x0.0p+0"),
+    ]
+    # kappa at F + xi sigma sqrt(T), xi = 0 and np.geomspace(1e-12, 1e300, 3001),
+    # F = 0.02, sigma = 0.01, T = 2
+    KAPPA_SWEEP = "91cf9178291c0117ab6b359161524c98b9d505825456f309a83ccad9d07784f5"
+    # local_vol at np.linspace(-0.0299, F, 1001) and the same strikes, at
+    # alpha 0.02, rho -0.2, nu 0.3, shift 0.03 and each beta
+    LOCAL_VOL_SWEEPS = {
+        0.0: "39146384d392103504aa8d5c8e6673d7e2d12d3b8405aa59cf6f14d96422c336",
+        0.4: "e95239a8d5158e5a6d1a28201d3a4997ea0dcb4da9bf6f3ebf091108c320dcda",
+        1.0: "ff198817445f9d5ddd1695809e05d462cc1fadc11a0b6eb8bdc29cf35d1f7ac4",
+    }
+    F, SIGMA, T = 0.02, 0.01, 2.0
+
+    @classmethod
+    def strikes(cls):
+        s = cls.SIGMA * math.sqrt(cls.T)
+        xis = np.concatenate([[0.0], np.geomspace(1e-12, 1e300, 3001)])
+        return (cls.F + xis * s).tolist()
+
+    @pytest.mark.parametrize("x,want", Q_POINTS)
+    def test_q_points(self, x, want):
+        got = one_minus_x_mills(float.fromhex(x))
+        assert type(got) is float and got.hex() == want
+
+    @pytest.mark.parametrize("y,want", ERFCX_POINTS)
+    def test_erfcx_points(self, y, want):
+        assert _erfcx(float.fromhex(y)).hex() == want
+
+    def test_kappa_sweep(self):
+        got = [kappa(k, self.F, self.SIGMA, self.T) for k in self.strikes()]
+        assert _hex_digest(np.array(got)) == self.KAPPA_SWEEP
+
+    @pytest.mark.parametrize("beta", sorted(LOCAL_VOL_SWEEPS))
+    def test_local_vol_sweeps(self, beta):
+        p = SabrParams(alpha=0.02, beta=beta, rho=-0.2, nu=0.3, shift=0.03)
+        ks = np.linspace(-0.0299, self.F, 1001).tolist() + self.strikes()
+        got = [local_vol(k, self.F, p) for k in ks]
+        assert _hex_digest(np.array(got)) == self.LOCAL_VOL_SWEEPS[beta]
 
 
 class TestBachelierOtmVols:
