@@ -145,13 +145,17 @@ def y_of_k(k, F, params: SabrParams):
     """
     if is_scalar(k):
         return _y(float(k), float(F), params.alpha, params.beta, params.shift)
-    b = params.shift
+    return _y_at(_shifted(k, F, params.shift), F + params.shift, params)
+
+
+def _shifted(k, F, b) -> np.ndarray:
+    """k + b as a float array, checked with F + b to be positive."""
     kb = np.asarray(k, dtype=float) + b
     if np.any(kb <= 0.0) or F + b <= 0.0:
         raise NonpositiveShiftedStrike(
             f"smallest k + shift {min(np.min(kb), F + b)} is not positive"
         )
-    return _y_at(kb, F + b, params)
+    return kb
 
 
 def _y(k: float, F: float, alpha: float, beta: float, b: float) -> float:
@@ -191,8 +195,8 @@ def local_vol(k, F, params: SabrParams):
         # the negative numbers on which it would raise
         j2 = _j_squared(y, params)
         return params.alpha * math.sqrt(j2) * (k + b) ** params.beta
-    y = y_of_k(k, F, params)
-    return _local_vol_at(np.asarray(k, dtype=float) + params.shift, y, params)
+    kb = _shifted(k, F, params.shift)
+    return _local_vol_at(kb, _y_at(kb, F + params.shift, params), params)
 
 
 def _local_vol_at(kb: np.ndarray, y: np.ndarray, params: SabrParams) -> np.ndarray:
@@ -530,6 +534,20 @@ class QuoteSet:
     def p_plus1(self) -> float:
         """ITM put at k_{n+1}, synthesized from the quoted call by parity."""
         return self.c_plus1 + self.h_plus_n
+
+
+@dataclass
+class CalibDiagnostics:
+    """The z, y and kappa the inversion read at k_{n-1} (minus) and k_{n+1}
+    (plus), and the ATM normal vol sigma_atm that kappa was taken at."""
+
+    z_minus: float
+    z_plus: float
+    y_minus: float
+    y_plus: float
+    kappa_minus: float
+    kappa_plus: float
+    sigma_atm: float
 
 
 def extract_quote_set(surface: PriceSurface) -> QuoteSet:

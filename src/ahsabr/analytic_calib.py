@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .ah_engine import (QuoteSet, SabrParams, _kappa_scalar, _kappa_scale,
-                         _y, kappa, quote_set_from_curve)
+from .ah_engine import (CalibDiagnostics, QuoteSet, SabrParams, _kappa_scalar,
+                         _kappa_scale, _y, kappa, quote_set_from_curve)
 from .errors import (
     DegenerateButterfly,
     DegenerateStraddle,
@@ -26,20 +26,6 @@ from .errors import (
     UnstableDifferences,
 )
 from .numerics import atm_normal_vol
-
-
-@dataclass
-class CalibDiagnostics:
-    """The z, y and kappa the inversion read at k_{n-1} (minus) and k_{n+1}
-    (plus), and the ATM normal vol sigma_atm that kappa was taken at."""
-
-    z_minus: float
-    z_plus: float
-    y_minus: float
-    y_plus: float
-    kappa_minus: float
-    kappa_plus: float
-    sigma_atm: float
 
 
 @dataclass

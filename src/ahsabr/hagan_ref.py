@@ -23,28 +23,16 @@ def _z_over_x(z: float, rho: float) -> float:
     return z / math.asinh(z * (1.0 + s) / (1.0 + s - rho * z)) if z else 1.0
 
 
-class _Overflowed:
-    """Stands in for a term whose square overflowed (alpha or nu past about
-    1.3e154) when the smile was set up.  The first division or addition on
-    it raises that OverflowError, at the point where the expansion forms the
-    term, so each strike's checks still come first."""
-
-    def __init__(self, exc: OverflowError):
-        self.args = exc.args
-
-    def _raise(self, other):
-        raise OverflowError(*self.args)
-
-    __truediv__ = __radd__ = _raise
-
-
 def _hagan_vol_fn(params: SabrParams, forward: float,
                   expiry: float) -> Callable[[float], float]:
     """Strike -> lognormal implied vol of the shifted rate, the standard SABR
     expansion applied in shifted coordinates (F+b, k+b).  The terms that do
-    not depend on the strike are formed once, here, and nothing here raises:
-    an expiry that is not positive and finite raises ValueError, and a k + b
-    or F + b that is not positive NonpositiveShiftedStrike, at each strike."""
+    not depend on the strike are formed once, here, where an expiry that is
+    not positive and finite raises ValueError, and an alpha or nu past about
+    1.3e154 the OverflowError of its square; a k + b or F + b that is not
+    positive raises NonpositiveShiftedStrike at each strike."""
+    if not 0.0 < expiry < math.inf:
+        raise ValueError(f"expiry must be positive and finite, got {expiry!r}")
     alpha, beta, rho, nu, b = (params.alpha, params.beta, params.rho,
                                params.nu, params.shift)
     f = forward + b
@@ -53,21 +41,12 @@ def _hagan_vol_fn(params: SabrParams, forward: float,
     omb2, omb4 = one_m_beta**2, one_m_beta**4
     # the maturity correction, the expansion's term of order T, is
     # 1 + (level / fk_mid^2 + skew / fk_mid + vvol) T
-    try:
-        level = omb2 * alpha**2
-    except OverflowError as exc:
-        level = _Overflowed(exc)
+    level = omb2 * alpha**2
     skew = rho * beta * nu * alpha
-    try:
-        vvol = (2.0 - 3.0 * rho**2) * nu**2 / 24.0
-    except OverflowError as exc:
-        vvol = _Overflowed(exc)
+    vvol = (2.0 - 3.0 * rho**2) * nu**2 / 24.0
     nu_over_alpha = nu / alpha
-    expiry_ok = 0.0 < expiry < math.inf
 
     def vol(strike: float) -> float:
-        if not expiry_ok:
-            raise ValueError(f"expiry must be positive and finite, got {expiry!r}")
         K = strike + b
         if K <= 0.0 or f <= 0.0:
             raise NonpositiveShiftedStrike(
@@ -93,12 +72,13 @@ def hagan_price_fn(params: SabrParams, forward: float,
     shifted rate at the Hagan vol: the put below the forward, the call at and
     above it.  Each side is priced directly; parity would cancel out of the
     money.  Everything that does not depend on the strike is formed once, so
-    a recalibration's five quotes pay only their own terms; the errors are
-    hagan_implied_vol's, raised by each price."""
+    a recalibration's five quotes pay only their own terms.  A bad expiry or
+    an overflowing square raises here, as _hagan_vol_fn says; a strike with
+    k + b <= 0, or a forward with F + b <= 0, raises at each price."""
     vol = _hagan_vol_fn(params, forward, expiry)
     b = params.shift
     f = forward + b
-    sqrt_t = math.sqrt(expiry) if expiry > 0.0 else math.nan  # vol raises first
+    sqrt_t = math.sqrt(expiry)
 
     def price(strike: float) -> float:
         s = vol(strike) * sqrt_t

@@ -4,8 +4,7 @@ Quotes arrive in futures-price space (strike 99.50 means a 0.50% rate) and
 are flipped into rate space before the five-quote set is assembled.  Files
 are LF-terminated CSV (write_csv) or indented JSON (write_json; reports are
 versioned).  Both write a float as Python's shortest repr that reads back to
-the same double, so the write/read round trip is lossless.  read_report
-alone needs analytic_calib and imports it, so writing a CSV does not.
+the same double, so the write/read round trip is lossless.
 """
 
 from __future__ import annotations
@@ -17,7 +16,8 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
-from .ah_engine import QuoteSet, SabrParams, quote_set_from_curve
+from .ah_engine import (CalibDiagnostics, QuoteSet, SabrParams,
+                        quote_set_from_curve)
 from .errors import AmbiguousQuote, MalformedRow, MissingStrike, SchemaMismatch
 
 SCHEMA_VERSION = 4
@@ -260,8 +260,6 @@ def write_recalibration(source_kind: str, source: SabrParams, target: SabrParams
 
 
 def read_report(path) -> CalibrationReport:
-    from .analytic_calib import CalibDiagnostics
-
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -603,9 +603,14 @@ class TestRecalibrate:
 
     @pytest.mark.parametrize("expiry", [0.0, -1.0, math.nan, math.inf])
     def test_hagan_source_rejects_an_unpriceable_expiry(self, expiry):
-        # bad input, not the source's breakdown (PriceOutOfBounds)
-        price = hagan_price_fn(SabrParams(**HAGAN_SOURCE), 0.02, expiry)
-        with pytest.raises(ValueError, match="expiry must be positive and finite"):
+        # bad input, not the source's breakdown (PriceOutOfBounds): the source
+        # rejects it when built, and the quote set when a valid source is
+        # sampled at it
+        params = SabrParams(**HAGAN_SOURCE)
+        with pytest.raises(ValueError, match="^expiry must be positive and finite"):
+            hagan_price_fn(params, 0.02, expiry)
+        price = hagan_price_fn(params, 0.02, 10.0)
+        with pytest.raises(ValueError, match="^expiry must be positive and finite$"):
             recalibrate(price, 0.02, expiry, 0.5, 0.03, 0.001)
 
     @pytest.mark.parametrize("bad", [0.0, -1e-18, math.nan, math.inf])

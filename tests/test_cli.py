@@ -725,6 +725,25 @@ class TestRecalibrate:
         assert_one_line_error(capsys, "forward + shift 0.0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("big", ["alpha_pct", "nu_pct"])
+    def test_overflowing_source_square_exit_3(self, tmp_path, capsys, big):
+        # alpha or nu past about 1.3e154 overflows its square in the Hagan
+        # source: a numerical error, one stderr line, no file
+        out = tmp_path / "recal.json"
+        cfg = write_config(
+            tmp_path,
+            grid={"lo_pct": -2.0, "hi_pct": 8.0, "count": 81},
+            market={"forward_pct": pct(HAGAN_FORWARD),
+                    "expiry_years": HAGAN_EXPIRY},
+            model={**{f"{k}_pct": pct(v) for k, v in HAGAN_SOURCE.items()},
+                   big: 1e200},
+            out=str(out),
+        )
+        assert main(["recalibrate", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            "error: OverflowError: (34, 'Numerical result out of range')\n")
+        assert not out.exists()
+
     def test_smile_leaves_out_strikes_below_the_source_shift(self, tmp_path):
         # source shift 1%, target shift 6%: the target prices the ED grid from
         # -5%, the Hagan source only the strikes above -1%

@@ -1,8 +1,8 @@
 """The package defers a relative import into a function only where that
 keeps a module from loading: the CLI's price and density never load the
-calibration or the Hagan reference, and a CSV write never loads the
-calibration.  Each such import is listed here, and none of them names a
-module that its own module's top-level imports load anyway."""
+calibration or the Hagan reference.  Each such import is listed here, and
+none of them names a module that its own module's top-level imports load
+anyway."""
 
 import ast
 from pathlib import Path
@@ -16,7 +16,6 @@ ALLOWED = [
     ("cli", "cmd_calibrate", "analytic_calib"),
     ("cli", "cmd_recalibrate", "analytic_calib"),
     ("cli", "cmd_recalibrate", "hagan_ref"),
-    ("market_io", "read_report", "analytic_calib"),
 ]
 
 

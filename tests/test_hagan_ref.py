@@ -222,17 +222,13 @@ class TestPriceFn:
             assert price(k).hex() == want, k
 
     @pytest.mark.parametrize("forward,expiry,error,message", [
-        (0.02, 0.0, ValueError, "expiry must be positive and finite, got 0.0"),
-        (0.02, -1.0, ValueError, "expiry must be positive and finite, got -1.0"),
-        (0.02, math.nan, ValueError, "expiry must be positive and finite, got nan"),
-        (0.02, math.inf, ValueError, "expiry must be positive and finite, got inf"),
         (-0.03, 10.0, NonpositiveShiftedStrike,
          "strike 0.018 or forward -0.03 violates k + shift > 0"),
         (-0.04, 10.0, NonpositiveShiftedStrike,
          "strike 0.018 or forward -0.04 violates k + shift > 0"),
     ])
     def test_built_without_raising(self, forward, expiry, error, message):
-        # the source is built whatever its inputs; each price raises what
+        # the source is built whatever its forward; each price raises what
         # hagan_price raised before the closure, type and message
         *_, p = quote(0.018)
         price = hagan_price_fn(p, forward, expiry)
@@ -241,15 +237,27 @@ class TestPriceFn:
                 fn(0.018)
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("expiry", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_expiry_raised_at_build(self, expiry):
+        # the source checks its expiry once, when it is built; the
+        # one-strike form raises the same error, type and message
+        *_, p = quote(0.018)
+        for build in (lambda: hagan_price_fn(p, 0.02, expiry),
+                      lambda: hagan_price(0.018, 0.02, expiry, p)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == (
+                f"expiry must be positive and finite, got {expiry!r}")
+
     @pytest.mark.parametrize("big", ["alpha", "nu"])
-    def test_overflowing_square_raised_per_price(self, big):
+    def test_overflowing_square_raised_at_build(self, big):
         # alpha or nu past 1.3e154 overflows its square when the source is
-        # built; the OverflowError comes from each price, after its checks
+        # built, before any strike is read; a bad expiry is checked first
         *_, p = quote(0.018, **{big: 1e200})
-        price = hagan_price_fn(p, 0.02, 10.0)
+        with pytest.raises(OverflowError) as info:
+            hagan_price_fn(p, 0.02, 10.0)
+        assert info.value.args == (34, "Numerical result out of range")
         with pytest.raises(OverflowError, match="Numerical result out of range"):
-            price(0.018)
-        with pytest.raises(NonpositiveShiftedStrike):
-            price(-0.031)
+            hagan_price(-0.031, 0.02, 10.0, p)
         with pytest.raises(ValueError, match="expiry"):
-            hagan_price_fn(p, 0.02, -1.0)(0.018)
+            hagan_price_fn(p, 0.02, -1.0)
