@@ -149,6 +149,16 @@ def calibrate(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
                          kap_m, kap_p, sigma_atm)
 
 
+def _half_z(left, mid, right, h, atm, message,
+            error=DegenerateButterfly) -> float:
+    """z_j / 2 of an equal-step row at k_j, mid / (left + right - 2 mid) with
+    each price times h; raises error(message) where _row_z would."""
+    denom = left * h + right * h - mid * (h + h)
+    if denom <= 1e-14 * atm * (h + h):
+        raise error(message)
+    return mid * h / denom
+
+
 def calibrate_uniform(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
     """Uniform-grid specialization: the compact equal-step formulas.
 
@@ -163,24 +173,14 @@ def calibrate_uniform(q: QuoteSet, beta: float, b: float) -> CalibrationResult:
         if abs(getattr(q, name) - h) > 1e-12 * h:
             raise ValueError("calibrate_uniform requires an equal-step quote set")
     F, T = q.forward, q.expiry
-    p_plus1 = q.p_plus1  # c(F+h) + h by parity
-
-    # half the ATM row coefficient: z_n/2 = ATM / (p_{n-1} + p_{n+1} - 2 ATM)
-    denom_a = q.p_minus1 * h + p_plus1 * h - q.atm * (h + h)
-    if denom_a <= 1e-14 * q.atm * (h + h):
-        raise DegenerateStraddle(_NO_ATM_DENSITY)
-    zh_n = q.atm * h / denom_a
+    # z_n/2 = ATM / (p_{n-1} + p_{n+1} - 2 ATM), p_{n+1} = c(F+h) + h by parity
+    zh_n = _half_z(q.p_minus1, q.atm, q.p_plus1, h, q.atm, _NO_ATM_DENSITY,
+                   DegenerateStraddle)
     alpha = math.sqrt(zh_n * h * h / T) / _cev_level(F, beta, b)
-
-    # half butterfly coefficients: z_{n-1}/2 and z_{n+1}/2
-    denom_m = q.p_minus2 * h + q.atm * h - q.p_minus1 * (h + h)
-    if denom_m <= 1e-14 * q.atm * (h + h):
-        raise DegenerateButterfly(_NO_PUT_FLY_DENSITY)
-    zh_minus = q.p_minus1 * h / denom_m
-    denom_p = q.c_plus2 * h + q.atm * h - q.c_plus1 * (h + h)
-    if denom_p <= 1e-14 * q.atm * (h + h):
-        raise DegenerateButterfly(_NO_CALL_FLY_DENSITY)
-    zh_plus = q.c_plus1 * h / denom_p
+    zh_minus = _half_z(q.p_minus2, q.p_minus1, q.atm, h, q.atm,
+                       _NO_PUT_FLY_DENSITY)
+    zh_plus = _half_z(q.atm, q.c_plus1, q.c_plus2, h, q.atm,
+                      _NO_CALL_FLY_DENSITY)
 
     k_m, k_p, y_m, y_p, kap_m, kap_p, sigma_atm = _neighbours(q, alpha, beta, b)
     kap_half_m = 0.5 * kap_m
@@ -203,10 +203,6 @@ class LimitingResult:
     d1_right: float
     d2_left: float
     d2_right: float
-
-
-def _second_difference(f: Callable[[float], float], x: float, h: float) -> float:
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
 def limiting_params(
@@ -236,8 +232,8 @@ def limiting_params(
 
     def pdf(k: float, h: float) -> float:
         # Richardson-extrapolated central second difference of the call
-        coarse = _second_difference(call, k, h)
-        fine = _second_difference(call, k, 0.5 * h)
+        coarse, fine = ((call(k + s) - 2.0 * call(k) + call(k - s)) / (s * s)
+                        for s in (h, 0.5 * h))
         return (4.0 * fine - coarse) / 3.0
 
     if not 0.0 < h0 < math.inf:

@@ -2,8 +2,9 @@
 
 Configuration values arrive in market units (percent for rates and model
 numbers, basis points for vols, years for expiries) and are converted to
-absolute units exactly once, here.  Every command writes deterministic
-output: identical config and inputs give byte-identical files.
+absolute units exactly once, here.  market_io reads the config file and
+holds the rule for its numbers.  Every command writes deterministic output:
+identical config and inputs give byte-identical files.
 
 Exit codes: 0 success, 2 input error (configuration, files, quote data),
 3 numerical/model error.
@@ -16,7 +17,6 @@ file, loads with this module.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -31,9 +31,9 @@ from .ah_engine import (
     price_self_consistent,
 )
 from .errors import AhSabrError, ConfigError
-from .market_io import (CalibrationReport, assemble_quote_set, parse_quotes,
-                        to_rate_space, write_csv, write_recalibration,
-                        write_report)
+from .market_io import (CalibrationReport, assemble_quote_set, json_number,
+                        parse_quotes, read_json, to_rate_space, write_csv,
+                        write_recalibration, write_report)
 
 PCT = 0.01
 BP = 0.0001
@@ -54,17 +54,6 @@ _FLAGS = {
     "--quotes": (str, "quote CSV path", None, "quotes"),
     "--out": (str, "output file path", None, "out"),
 }
-
-
-def _load_config(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return doc
 
 
 def _merge(config: dict, args: argparse.Namespace) -> dict:
@@ -91,12 +80,7 @@ def _merge(config: dict, args: argparse.Namespace) -> dict:
 def _require(section: dict, key: str, where: str) -> float:
     if key not in section:
         raise ConfigError(f"missing {where}.{key}")
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # NaN, inf or an int past it
-        raise ConfigError(f"{where}.{key} must be finite")
-    return float(value)
+    return float(json_number(section[key], f"{where}.{key}", ConfigError))
 
 
 def _parse_grid(config: dict):
@@ -299,13 +283,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        try:
-            config = _load_config(args.config) if args.config else {}
-            return _COMMANDS[args.command][0](_merge(config, args))
-        except OSError as exc:
-            # no file is opened but --config, --quotes and --out
-            raise ConfigError(f"cannot access file: {exc}") from None
-    except (ConfigError, ValueError) as exc:
+        config = read_json(args.config, ConfigError) if args.config else {}
+        return _COMMANDS[args.command][0](_merge(config, args))
+    except (ConfigError, ValueError, OSError) as exc:
+        # OSError: no file is opened but --config, --quotes and --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AhSabrError, ArithmeticError) as exc:

@@ -10,7 +10,7 @@ import math
 from typing import Callable
 
 from .ah_engine import SabrParams
-from .errors import NonpositiveShiftedStrike
+from .errors import NonpositiveShiftedStrike, NumericalError
 from .numerics import norm_cdf
 
 
@@ -29,12 +29,17 @@ def _hagan_vol_fn(params: SabrParams, forward: float,
     expansion applied in shifted coordinates (F+b, k+b).  The terms that do
     not depend on the strike are formed once, here, where an expiry that is
     not positive and finite raises ValueError, and an alpha or nu past about
-    1.3e154 the OverflowError of its square; a k + b or F + b that is not
-    positive raises NonpositiveShiftedStrike at each strike."""
+    1.3e154, whose square leaves the double range, NumericalError naming it;
+    a k + b or F + b that is not positive raises NonpositiveShiftedStrike at
+    each strike."""
     if not 0.0 < expiry < math.inf:
         raise ValueError(f"expiry must be positive and finite, got {expiry!r}")
     alpha, beta, rho, nu, b = (params.alpha, params.beta, params.rho,
                                params.nu, params.shift)
+    for name, value in (("alpha", alpha), ("nu", nu)):
+        if value * value == math.inf:  # where value**2 raises OverflowError
+            raise NumericalError(f"the Hagan source's {name} {value!r} "
+                                 "squares past the double range")
     f = forward + b
     one_m_beta = 1.0 - beta
     half_omb = 0.5 * one_m_beta

@@ -4,7 +4,9 @@ Quotes arrive in futures-price space (strike 99.50 means a 0.50% rate) and
 are flipped into rate space before the five-quote set is assembled.  Files
 are LF-terminated CSV (write_csv) or indented JSON (write_json; reports are
 versioned).  Both write a float as Python's shortest repr that reads back to
-the same double, so the write/read round trip is lossless.
+the same double, so the write/read round trip is lossless.  read_json reads
+both JSON documents, the CLI's config and the report, and json_number is the
+one rule for a number in either.
 """
 
 from __future__ import annotations
@@ -259,14 +261,30 @@ def write_recalibration(source_kind: str, source: SabrParams, target: SabrParams
     }, path)
 
 
-def read_report(path) -> CalibrationReport:
+def read_json(path, error) -> dict:
+    """The JSON object in the file at path (a config, a report); error naming
+    the file where it holds none.  An OSError passes through."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaMismatch(f"not a JSON document: {exc}") from None
+        except ValueError as exc:  # bad JSON, bad UTF-8, an int past 4300 digits
+            raise error(f"{path} is not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
-        raise SchemaMismatch(f"a report is a JSON object, got {type(doc).__name__}")
+        raise error(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def json_number(value, where: str, error):
+    """value if it is an int or a float, not a bool, within the double range;
+    else error naming its place, `where`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):  # NaN, inf, a huge int
+        raise error(f"{where} must be a finite number, got {value!r}")
+    return value
+
+
+def read_report(path) -> CalibrationReport:
+    doc = read_json(path, SchemaMismatch)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaMismatch(
             f"unsupported schema_version {doc.get('schema_version')!r}"
@@ -292,14 +310,12 @@ def read_report(path) -> CalibrationReport:
 
 
 def _numbers(section, where: str, keys=None) -> dict:
-    """section, checked to be a JSON object of finite numbers (a bool is not
-    one) and, given keys, to hold exactly those; TypeError otherwise."""
+    """section, checked to be a JSON object of json_numbers and, given keys,
+    to hold exactly those; TypeError otherwise."""
     if not isinstance(section, dict):
         raise TypeError(f"{where} must be a JSON object, got {section!r}")
     if keys is not None and sorted(section) != sorted(keys):
         raise TypeError(f"{where} must hold {', '.join(keys)}, got {list(section)}")
     for key, value in section.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or isinstance(value, float) and not math.isfinite(value)):
-            raise TypeError(f"{where}.{key} must be a finite number, got {value!r}")
+        json_number(value, f"{where}.{key}", TypeError)
     return section

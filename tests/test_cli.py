@@ -727,8 +727,9 @@ class TestRecalibrate:
 
     @pytest.mark.parametrize("big", ["alpha_pct", "nu_pct"])
     def test_overflowing_source_square_exit_3(self, tmp_path, capsys, big):
-        # alpha or nu past about 1.3e154 overflows its square in the Hagan
-        # source: a numerical error, one stderr line, no file
+        # alpha or nu past about 1.3e154 squares past the double range in
+        # the Hagan source: a numerical error naming it, one stderr line, no
+        # file
         out = tmp_path / "recal.json"
         cfg = write_config(
             tmp_path,
@@ -741,7 +742,8 @@ class TestRecalibrate:
         )
         assert main(["recalibrate", "--config", cfg]) == 3
         assert capsys.readouterr().err == (
-            "error: OverflowError: (34, 'Numerical result out of range')\n")
+            f"error: NumericalError: the Hagan source's {big[:-4]} "
+            f"{1e200 * 0.01!r} squares past the double range\n")
         assert not out.exists()
 
     def test_smile_leaves_out_strikes_below_the_source_shift(self, tmp_path):
@@ -812,6 +814,30 @@ class TestConfigHandling:
         for text in ("{not json", "[]"):
             path.write_text(text)
             assert main(["price", "--config", str(path)]) == 2, text
+
+    @pytest.mark.parametrize("content", [
+        b"{not json", b"[]", b'{"a": "\xff"}', b"1" * 5000,
+    ], ids=["text", "array", "bad-utf8", "5000-digit-int"])
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["price", "--config", str(path)]) == 2
+        assert_one_line_error(capsys, str(path))
+
+    @pytest.mark.parametrize("value", [10**400, math.nan, math.inf, True, "1.0",
+                                       None], ids=["10**400", "nan", "inf",
+                                                   "true", "text", "null"])
+    def test_config_number_exit_2(self, tmp_path, capsys, value):
+        # market_io's rule for a JSON number, as read_report applies it: an
+        # int or a float, not a bool, within the double range
+        out = tmp_path / "surface.csv"
+        cfg = ed_config(tmp_path, out, model={
+            **{f"{k}_pct": pct(v) for k, v in ED_PARAMS.items()},
+            "alpha_pct": value})
+        assert main(["price", "--config", cfg]) == 2
+        assert_one_line_error(
+            capsys, f"error: model.alpha_pct must be a finite number, got {value!r}\n")
+        assert not out.exists()
 
     def test_invalid_kappa_sigma_exit_2(self, tmp_path, capsys):
         # kappa has one convention; a config that still names one, even

@@ -2,12 +2,13 @@
 Black pricing layer feeding the recalibration workflow."""
 
 import math
+import re
 
 import mpmath
 import pytest
 
 from ahsabr.ah_engine import SabrParams, build_uniform_grid
-from ahsabr.errors import NonpositiveShiftedStrike
+from ahsabr.errors import NonpositiveShiftedStrike, NumericalError
 from ahsabr.hagan_ref import (_z_over_x, hagan_implied_vol, hagan_price,
                               hagan_price_fn)
 from ahsabr.numerics import atm_normal_vol
@@ -251,13 +252,17 @@ class TestPriceFn:
 
     @pytest.mark.parametrize("big", ["alpha", "nu"])
     def test_overflowing_square_raised_at_build(self, big):
-        # alpha or nu past 1.3e154 overflows its square when the source is
-        # built, before any strike is read; a bad expiry is checked first
+        # alpha or nu past 1.3e154 squares past the double range: a
+        # numerical error naming it, raised when the source is built, before
+        # any strike is read; a bad expiry is checked first
         *_, p = quote(0.018, **{big: 1e200})
-        with pytest.raises(OverflowError) as info:
+        message = (f"the Hagan source's {big} 1e+200 squares past the double "
+                   "range")
+        with pytest.raises(NumericalError) as info:
             hagan_price_fn(p, 0.02, 10.0)
-        assert info.value.args == (34, "Numerical result out of range")
-        with pytest.raises(OverflowError, match="Numerical result out of range"):
+        assert type(info.value) is NumericalError
+        assert str(info.value) == message
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
             hagan_price(-0.031, 0.02, 10.0, p)
         with pytest.raises(ValueError, match="expiry"):
             hagan_price_fn(p, 0.02, -1.0)

@@ -446,6 +446,44 @@ class TestReportRoundTrip:
             with pytest.raises(SchemaMismatch):
                 read_report(path)
 
+    @pytest.mark.parametrize("content", [
+        b"not json at all", b"[1, 2]", b'{"a": "\xff"}', b"1" * 5000,
+    ], ids=["text", "array", "bad-utf8", "5000-digit-int"])
+    def test_unreadable_document_names_the_file(self, tmp_path, content):
+        # invalid UTF-8 and an int past Python's 4300-digit conversion limit
+        # fail to decode with a ValueError of their own: a SchemaMismatch too
+        path = tmp_path / "report.json"
+        path.write_bytes(content)
+        with pytest.raises(SchemaMismatch, match=re.escape(str(path))):
+            read_report(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_one_wrong_field_fuzz(self, solved, data):
+        # one field, section or vol_curve row of a valid report replaced by
+        # anything a JSON document can hold: the reader refuses it, or every
+        # number of what it returns is a finite double
+        doc = report_to_dict(sample_report(solved))
+        places = [(key,) for key in doc]
+        places += [(name, key) for name in ("params", "diagnostics", "quotes", "grid")
+                   for key in doc[name]]
+        places += [("vol_curve", i, *key) for i, row in enumerate(doc["vol_curve"])
+                   for key in [()] + [(k,) for k in row]]
+        *path, last = data.draw(st.sampled_from(places))
+        parent = doc
+        for key in path:
+            parent = parent[key]
+        parent[last] = data.draw(WRONG_VALUE)
+        with tempfile.TemporaryDirectory() as tmp:
+            file = pathlib.Path(tmp) / "report.json"
+            file.write_text(json.dumps(doc))
+            try:
+                report = read_report(file)
+            except SchemaMismatch:
+                return
+        for number in numbers_in(report_to_dict(report)):
+            assert math.isfinite(float(number)), number
+
     def test_missing_section(self, solved, tmp_path):
         report = sample_report(solved)
         path = tmp_path / "report.json"
@@ -478,6 +516,18 @@ class TestReportRoundTrip:
         ("grid", "count", 81.0, "grid.count must be an integer"),
         (None, "vol_curve", [{"strike": 0.02}],
          r"vol_curve\[0\] must hold strike, normal_vol_bp"),
+        # an int past the double range, which float() cannot take
+        pytest.param("params", "alpha", 10**400, "params.alpha must be a finite "
+                     "number", id="params-alpha-10**400"),
+        pytest.param("diagnostics", "sigma_atm", 10**400, "diagnostics.sigma_atm "
+                     "must be a finite number", id="diagnostics-sigma_atm-10**400"),
+        pytest.param("quotes", "atm", 10**400, "quotes.atm must be a finite number",
+                     id="quotes-atm-10**400"),
+        pytest.param("grid", "count", 10**400, "grid.count must be a finite number",
+                     id="grid-count-10**400"),
+        pytest.param(None, "vol_curve", [{"strike": 0.02, "normal_vol_bp": 10**400}],
+                     r"vol_curve\[0\]\.normal_vol_bp must be a finite number",
+                     id="vol_curve-row-10**400"),
     ])
     def test_mistyped_field(self, solved, tmp_path, section, field, value, message):
         # a string, list, bool or NaN where the report holds finite numbers,
@@ -524,6 +574,19 @@ class TestReportRoundTrip:
         assert spelled == [repr(float(x)) if isinstance(x, float) else str(x)
                            for x in numbers]
         assert [float(t).hex() for t in spelled] == [float(x).hex() for x in numbers]
+
+
+# anything a JSON document can hold where a report has a number or a section
+WRONG_VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, -1.0, 81.0, 1e308, 10**400, -(10**400)]),
+    st.integers(-10**6, 10**6),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=5),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
 
 
 def numbers_in(doc):

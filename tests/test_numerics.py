@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import ahsabr as ah
 from ahsabr import numerics
 from ahsabr.ah_engine import SabrParams, kappa, local_vol
-from ahsabr.errors import PriceOutOfBounds, SingularPivot
+from ahsabr.errors import ConvergenceError, PriceOutOfBounds, SingularPivot
 from ahsabr.numerics import (
     _INV_SQRT2,
     _erfcx,
@@ -447,6 +447,16 @@ class TestBachelierOtmVols:
 
     def test_empty_input(self):
         assert bachelier_otm_vols(np.empty(0), np.empty(0), 1.0).size == 0
+
+    @pytest.mark.parametrize("time_value,distance", [
+        (0.0, 0.01), (math.nan, 0.01), (math.inf, 0.01), (1e-4, 0.0)])
+    def test_out_of_contract_input_raises(self, time_value, distance):
+        # a time value of 0, NaN or inf, or a distance of 0, leaves log h
+        # without a finite target: the bracketed loop runs its 100 steps and
+        # raises rather than return a vol (numpy warns at the log first)
+        with np.errstate(all="ignore"), pytest.raises(
+                ConvergenceError, match="^normal-vol inversion did not converge$"):
+            bachelier_otm_vols([time_value], [distance], 1.0)
 
     @staticmethod
     def counting(monkeypatch):
