@@ -31,10 +31,10 @@ FIXED_POINT_TOL = 1e-13  # relative change of sigma that ends the ATM fixed poin
 FIXED_POINT_MAX_ITER = 50  # evaluations: 6 on ED, 4 to 6 on A1 grids; the surface adds none
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SabrParams:
     """Shifted-SABR model constants: level alpha, exponent beta, correlation
-    rho, vol-of-vol nu and shift b applied to rates."""
+    rho, vol-of-vol nu and shift b applied to rates, checked when built."""
 
     alpha: float
     beta: float
@@ -42,17 +42,19 @@ class SabrParams:
     nu: float
     shift: float = 0.0
 
-    def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if not abs(self.rho) < 1.0:
-            raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
-        if not self.nu >= 0.0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
-        if not self.shift >= 0.0:
-            raise ValueError(f"shift must be nonnegative, got {self.shift}")
+    def __init__(self, alpha, beta, rho, nu, shift=0.0):
+        if not alpha > 0.0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError(f"beta must lie in [0, 1], got {beta}")
+        if not abs(rho) < 1.0:
+            raise ValueError(f"rho must lie in (-1, 1), got {rho}")
+        if not nu >= 0.0:
+            raise ValueError(f"nu must be nonnegative, got {nu}")
+        if not shift >= 0.0:
+            raise ValueError(f"shift must be nonnegative, got {shift}")
+        # frozen: the fields are written once, in one call past __setattr__
+        self.__dict__.update(alpha=alpha, beta=beta, rho=rho, nu=nu, shift=shift)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .ah_engine import (CalibDiagnostics, QuoteSet, SabrParams, _kappa_scalar,
@@ -227,8 +228,10 @@ def limiting_params(
     output by more than 10%.
     """
 
+    price = cache(price_fn)  # each strike once: the stencils share strikes
+
     def call(k: float) -> float:
-        return price_fn(k) + max(F - k, 0.0)
+        return price(k) + max(F - k, 0.0)
 
     def pdf(k: float, h: float) -> float:
         # Richardson-extrapolated central second difference of the call
@@ -246,8 +249,8 @@ def limiting_params(
     reach = f"h0 {h0!r} takes the stencil to k + b <= 0 from F + b = {F + b!r}"
     if F - h0 + b <= 0.0:
         raise ValueError(reach)
-    atm = price_fn(F)
-    if not price_fn(F - h0) < atm:
+    atm = price(F)
+    if not price(F - h0) < atm:
         raise ValueError("price_fn must give out-of-the-money prices, the put "
                          "below F: its price at F - h0 is not below its ATM price")
     sigma_atm = atm_normal_vol(atm, T)
@@ -271,7 +274,7 @@ def limiting_params(
                 raise ValueError(reach)
             # the halved coefficient kappa/2 makes G(y) = T alpha^2 J(y)^2
             kap_half = 0.5 * kappa(k, F, sigma_atm, T)
-            return price_fn(k) / (kap_half * pdf(k, h) * (k + b) ** (2.0 * beta))
+            return price(k) / (kap_half * pdf(k, h) * (k + b) ** (2.0 * beta))
 
         # y-space step matching the rate-space step h: dy/dk = -1/(alpha (F+b)^beta)
         delta = h / (alpha * level)
@@ -319,14 +322,13 @@ def recalibrate(
     target_b: float,
     h: float,
 ) -> CalibrationResult:
-    """Sample five quotes at spacing h from a source model and calibrate the
-    one-step parameters at the target beta and shift."""
-
-    def sampled(k: float) -> float:
+    """Calibrate at the target beta and shift to a source model's prices at
+    quote_set_from_curve's five strikes, ascending; a price that is not
+    positive and finite raises PriceOutOfBounds naming its strike."""
+    prices = []
+    for k in (F - 2.0 * h, F - h, F, F + h, F + 2.0 * h):
         price = price_fn(k)
         if not 0.0 < price < math.inf:  # the source model broke down, not the input
             raise PriceOutOfBounds(f"source price {price!r} at strike {k!r}")
-        return price
-
-    q = quote_set_from_curve(sampled, F, T, h)
-    return calibrate(q, target_beta, target_b)
+        prices.append(price)
+    return calibrate(QuoteSet(*prices, h, h, h, h, F, T), target_beta, target_b)

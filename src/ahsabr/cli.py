@@ -3,8 +3,8 @@
 Configuration values arrive in market units (percent for rates and model
 numbers, basis points for vols, years for expiries) and are converted to
 absolute units exactly once, here.  market_io reads the config file and
-holds the rule for its numbers.  Every command writes deterministic output:
-identical config and inputs give byte-identical files.
+holds the rules for its numbers and integers.  Every command writes
+deterministic output: identical config and inputs give byte-identical files.
 
 Exit codes: 0 success, 2 input error (configuration, files, quote data),
 3 numerical/model error.
@@ -31,9 +31,9 @@ from .ah_engine import (
     price_self_consistent,
 )
 from .errors import AhSabrError, ConfigError
-from .market_io import (CalibrationReport, assemble_quote_set, json_number,
-                        parse_quotes, read_json, to_rate_space, write_csv,
-                        write_recalibration, write_report)
+from .market_io import (CalibrationReport, assemble_quote_set, json_integer,
+                        json_number, parse_quotes, read_json, to_rate_space,
+                        write_csv, write_recalibration, write_report)
 
 PCT = 0.01
 BP = 0.0001
@@ -88,9 +88,7 @@ def _parse_grid(config: dict):
     grid = config["grid"]
     lo = _require(grid, "lo_pct", "grid") * PCT
     hi = _require(grid, "hi_pct", "grid") * PCT
-    count = grid.get("count")
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise ConfigError(f"grid.count must be an integer, got {count!r}")
+    count = json_integer(grid.get("count"), "grid.count", ConfigError)
     if count > MAX_GRID_COUNT:
         raise ConfigError(f"grid.count must be at most {MAX_GRID_COUNT}")
     if count < 5:  # the forward needs two nodes on each side

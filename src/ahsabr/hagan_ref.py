@@ -11,7 +11,7 @@ from typing import Callable
 
 from .ah_engine import SabrParams
 from .errors import NonpositiveShiftedStrike, NumericalError
-from .numerics import norm_cdf
+from .numerics import _INV_SQRT2
 
 
 def _z_over_x(z: float, rho: float) -> float:
@@ -23,15 +23,18 @@ def _z_over_x(z: float, rho: float) -> float:
     return z / math.asinh(z * (1.0 + s) / (1.0 + s - rho * z)) if z else 1.0
 
 
-def _hagan_vol_fn(params: SabrParams, forward: float,
-                  expiry: float) -> Callable[[float], float]:
-    """Strike -> lognormal implied vol of the shifted rate, the standard SABR
-    expansion applied in shifted coordinates (F+b, k+b).  The terms that do
-    not depend on the strike are formed once, here, where an expiry that is
-    not positive and finite raises ValueError, and an alpha or nu past about
-    1.3e154, whose square leaves the double range, NumericalError naming it;
-    a k + b or F + b that is not positive raises NonpositiveShiftedStrike at
-    each strike."""
+def _hagan_source(params: SabrParams, forward: float, expiry: float,
+                  black: bool = True) -> Callable[[float], float]:
+    """Strike -> undiscounted out-of-the-money Black price of the shifted rate
+    at the Hagan vol, or (black False) that lognormal vol: the standard SABR
+    expansion in shifted coordinates (F+b, k+b).  The put below the forward
+    and the call at and above it are each priced directly, since parity
+    would cancel out of the money, with N(x) written as norm_cdf writes it,
+    0.5 erfc(-x / sqrt 2).  The terms that do not depend on the strike are
+    formed once, here, where an expiry that is not positive and finite
+    raises ValueError, and an alpha or nu past about 1.3e154, whose square
+    leaves the double range, NumericalError naming it; a k + b or F + b
+    that is not positive raises NonpositiveShiftedStrike at each strike."""
     if not 0.0 < expiry < math.inf:
         raise ValueError(f"expiry must be positive and finite, got {expiry!r}")
     alpha, beta, rho, nu, b = (params.alpha, params.beta, params.rho,
@@ -50,59 +53,48 @@ def _hagan_vol_fn(params: SabrParams, forward: float,
     skew = rho * beta * nu * alpha
     vvol = (2.0 - 3.0 * rho**2) * nu**2 / 24.0
     nu_over_alpha = nu / alpha
+    sqrt_t = math.sqrt(expiry)
 
-    def vol(strike: float) -> float:
+    def source(strike: float) -> float:
         K = strike + b
         if K <= 0.0 or f <= 0.0:
-            raise NonpositiveShiftedStrike(
-                f"strike {strike} or forward {forward} violates k + shift > 0"
-            )
+            raise NonpositiveShiftedStrike(f"strike {strike} or forward "
+                                           f"{forward} violates k + shift > 0")
         log_fk = math.log(f / K)
         fk_mid = (f * K) ** half_omb
-        corr = 1.0 + (
-            level / (24.0 * fk_mid**2) + skew / (4.0 * fk_mid) + vvol
-        ) * expiry
+        corr = 1.0 + (level / (24.0 * fk_mid**2) + skew / (4.0 * fk_mid)
+                      + vvol) * expiry
         z_over_x = _z_over_x(nu_over_alpha * fk_mid * log_fk, rho)
-        denom = fk_mid * (
-            1.0 + omb2 * log_fk**2 / 24.0 + omb4 * log_fk**4 / 1920.0
-        )
-        return alpha / denom * z_over_x * corr
+        denom = fk_mid * (1.0 + omb2 * log_fk**2 / 24.0
+                          + omb4 * log_fk**4 / 1920.0)
+        vol = alpha / denom * z_over_x * corr
+        if not black:
+            return vol
+        s = vol * sqrt_t
+        d1 = log_fk / s + 0.5 * s
+        d2 = d1 - s
+        if strike < forward:  # K N(-d2) - f N(-d1)
+            return (K * (0.5 * math.erfc(d2 * _INV_SQRT2))
+                    - f * (0.5 * math.erfc(d1 * _INV_SQRT2)))
+        return (f * (0.5 * math.erfc(-d1 * _INV_SQRT2))  # f N(d1) - K N(d2)
+                - K * (0.5 * math.erfc(-d2 * _INV_SQRT2)))
 
-    return vol
+    return source
 
 
 def hagan_price_fn(params: SabrParams, forward: float,
                    expiry: float) -> Callable[[float], float]:
     """Source strike -> undiscounted out-of-the-money Black price of the
-    shifted rate at the Hagan vol: the put below the forward, the call at and
-    above it.  Each side is priced directly; parity would cancel out of the
-    money.  Everything that does not depend on the strike is formed once, so
-    a recalibration's five quotes pay only their own terms.  A bad expiry or
-    an overflowing square raises here, as _hagan_vol_fn says; a strike with
-    k + b <= 0, or a forward with F + b <= 0, raises at each price."""
-    vol = _hagan_vol_fn(params, forward, expiry)
-    b = params.shift
-    f = forward + b
-    sqrt_t = math.sqrt(expiry)
-
-    def price(strike: float) -> float:
-        s = vol(strike) * sqrt_t
-        K = strike + b
-        d1 = math.log(f / K) / s + 0.5 * s
-        d2 = d1 - s
-        if strike < forward:
-            return K * norm_cdf(-d2) - f * norm_cdf(-d1)
-        return f * norm_cdf(d1) - K * norm_cdf(d2)
-
-    return price
+    shifted rate at the Hagan vol, the source that recalibrate and
+    limiting_params take; _hagan_source says what raises, and where."""
+    return _hagan_source(params, forward, expiry)
 
 
 def hagan_implied_vol(strike: float, forward: float, expiry: float,
                       params: SabrParams) -> float:
-    """Lognormal implied vol of the shifted rate at one strike.  An expiry
-    that is not positive and finite raises ValueError, and a strike or
-    forward with k + b <= 0 NonpositiveShiftedStrike."""
-    return _hagan_vol_fn(params, forward, expiry)(strike)
+    """Lognormal implied vol of the shifted rate at one strike: the vol
+    that _hagan_source prices at, which raises as it says."""
+    return _hagan_source(params, forward, expiry, black=False)(strike)
 
 
 def hagan_price(strike: float, forward: float, expiry: float,

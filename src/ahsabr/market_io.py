@@ -5,8 +5,8 @@ are flipped into rate space before the five-quote set is assembled.  Files
 are LF-terminated CSV (write_csv) or indented JSON (write_json; reports are
 versioned).  Both write a float as Python's shortest repr that reads back to
 the same double, so the write/read round trip is lossless.  read_json reads
-both JSON documents, the CLI's config and the report, and json_number is the
-one rule for a number in either.
+both JSON documents, the CLI's config and the report; json_number is the
+one rule for a number in either, and json_integer for an integer.
 """
 
 from __future__ import annotations
@@ -283,6 +283,13 @@ def json_number(value, where: str, error):
     return value
 
 
+def json_integer(value, where: str, error) -> int:
+    """value if it is an int, not a bool; else error naming its place."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def read_report(path) -> CalibrationReport:
     doc = read_json(path, SchemaMismatch)
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -294,8 +301,7 @@ def read_report(path) -> CalibrationReport:
         diagnostics = CalibDiagnostics(**_numbers(doc["diagnostics"], "diagnostics"))
         quotes = QuoteSet(**_numbers(doc["quotes"], "quotes"))
         grid = _numbers(doc["grid"], "grid", ("lo", "hi", "count", "forward"))
-        if not isinstance(grid["count"], int):
-            raise TypeError(f"grid.count must be an integer, got {grid['count']!r}")
+        json_integer(grid["count"], "grid.count", TypeError)
         vol_curve = doc["vol_curve"]
         if not isinstance(vol_curve, list):
             raise TypeError(f"vol_curve must be a list, got {vol_curve!r}")

@@ -227,7 +227,7 @@ _START_ROWS = np.array([
      0.0337730304382109, 0.006607068412616972, 0.0008788888073878447,
      8.16661284990894e-05, 4.214446459433695e-06],
 ])
-_LOG_H_ONE = math.log(math.exp(_LOG_PDF_ONE) - 0.5 * math.erfc(_INV_SQRT2))
+_LOG_H_ONE = math.log(math.exp(_LOG_PDF_ONE) - norm_cdf(-1.0))  # log h(1)
 # the start's operands, read-only 0-d arrays as the kernel's: the branch
 # split, the factor and clamps of s, p^2's clamp and the two y offsets
 (_A_LOG_H_ONE, _A_MINUS_TWO, _A_S_LO, _A_S_HI, _A_THREE, _A_NEAR_Y0,

@@ -478,9 +478,13 @@ class TestLimitingParams:
             limiting_params(price, F, T, beta, b, h0)
 
     def test_prices_the_stencil_once(self):
-        # ATM and F - h0 for the convention check, then at each of h0 and
-        # h0/2 the ATM density (6 prices) and four stencil points, each a
-        # price and a density (7 prices); the centre is T alpha^2, unpriced
+        # each distinct strike is priced once: ATM and F - h0 for the
+        # convention check; at h0 the ATM density's F + h0 and F +- h0/2 and
+        # four stencil points of five strikes (k, k +- h0, k +- h0/2); at
+        # h0/2 the density's F +- h0/4, two inner points of five strikes,
+        # and two outer points on h0's inner ones (alpha agrees to the bit
+        # here), which add k +- h0/4.  Pricing each strike where it was used
+        # took 2 + 2 * (6 + 4 * 7) = 70 calls.  The centre is T alpha^2.
         params = SabrParams(**HAGAN_SOURCE)
         source = hagan_price_fn(params, 0.02, 0.5)
         strikes = []
@@ -490,7 +494,8 @@ class TestLimitingParams:
             return source(k)
 
         limiting_params(price, 0.02, 0.5, params.beta, params.shift, 2e-4)
-        assert len(strikes) == 2 + 2 * (6 + 4 * 7)
+        assert len(set(strikes)) == len(strikes)
+        assert len(strikes) == 2 + (3 + 4 * 5) + (2 + 2 * 5 + 2 * 2) == 41
 
     @pytest.mark.parametrize("source, F, T", [
         (HAGAN_SOURCE, 0.02, 0.5),
@@ -626,6 +631,42 @@ class TestRecalibrate:
 
         with pytest.raises(PriceOutOfBounds, match=f"at strike {k_bad!r}"):
             recalibrate(price, HAGAN_FORWARD, HAGAN_EXPIRY, 0.40, 0.03, HAGAN_STEP)
+
+    @pytest.mark.parametrize("h", [5e-4, HAGAN_STEP, 2.5e-3])
+    def test_prices_each_quote_strike_once(self, h):
+        # five calls, at quote_set_from_curve's strikes in ascending order
+        F, T = HAGAN_FORWARD, HAGAN_EXPIRY
+        hagan = hagan_price_fn(SabrParams(**HAGAN_SOURCE), F, T)
+        seen, expected = [], []
+
+        def recording(strikes):
+            def price(k):
+                strikes.append(k)
+                return hagan(k)
+            return price
+
+        recalibrate(recording(seen), F, T, 0.40, 0.03, h)
+        quote_set_from_curve(recording(expected), F, T, h)
+        assert len(seen) == 5
+        assert [k.hex() for k in seen] == [k.hex() for k in expected]
+        assert seen == sorted(seen)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_out_of_bounds_price_ends_the_sampling(self, bad):
+        # the check runs as each strike is priced: F + h raises, naming that
+        # strike, and F + 2h is never priced
+        F, T, h = HAGAN_FORWARD, HAGAN_EXPIRY, HAGAN_STEP
+        hagan = hagan_price_fn(SabrParams(**HAGAN_SOURCE), F, T)
+        seen = []
+
+        def price(k):
+            seen.append(k)
+            return bad if k == F + h else hagan(k)
+
+        with pytest.raises(PriceOutOfBounds) as info:
+            recalibrate(price, F, T, 0.40, 0.03, h)
+        assert str(info.value) == f"source price {bad!r} at strike {F + h!r}"
+        assert seen == [F - 2.0 * h, F - h, F, F + h]
 
 
 # float.hex of (alpha, nu, rho) and the seven CalibDiagnostics fields in
@@ -815,6 +856,33 @@ class TestRecords:
             p.alpha = 0.03
         assert hash(p) == hash(SabrParams(**HAGAN_SOURCE))
         assert {p: 1}[SabrParams(**HAGAN_SOURCE)] == 1
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", 0.0, "alpha must be positive, got 0.0"),
+        ("alpha", math.nan, "alpha must be positive, got nan"),
+        ("beta", 1.5, "beta must lie in [0, 1], got 1.5"),
+        ("rho", -1.0, "rho must lie in (-1, 1), got -1.0"),
+        ("nu", -0.1, "nu must be nonnegative, got -0.1"),
+        ("shift", -0.01, "shift must be nonnegative, got -0.01"),
+    ])
+    def test_params_checked_however_built(self, field, value, message):
+        # by keyword, by position and through dataclasses.replace
+        good = SabrParams(**HAGAN_SOURCE)
+        bad = {**HAGAN_SOURCE, field: value}
+        for build in (lambda: SabrParams(**bad),
+                      lambda: SabrParams(*bad.values()),
+                      lambda: dataclasses.replace(good, **{field: value})):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_params_fields_and_default_shift(self):
+        p = SabrParams(0.02, 0.4, -0.25, 0.3)
+        assert dataclasses.asdict(p) == dict(alpha=0.02, beta=0.4, rho=-0.25,
+                                             nu=0.3, shift=0.0)
+        assert p == SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.3, shift=0.0)
+        assert repr(p) == ("SabrParams(alpha=0.02, beta=0.4, rho=-0.25, nu=0.3, "
+                           "shift=0.0)")
 
     def test_calibration_records_compare_by_value(self):
         a, b = hagan_quote_set(), hagan_quote_set()

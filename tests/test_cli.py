@@ -930,3 +930,21 @@ class TestConfigHandling:
             out=str(out),
         )
         assert main(["price", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("count, message", [
+        (True, "grid.count must be an integer, got True"),
+        (241.0, "grid.count must be an integer, got 241.0"),
+        ("241", "grid.count must be an integer, got '241'"),
+        # an integer, so market_io's rule passes it, and then past the bound
+        (10**400, "grid.count must be at most 100001"),
+    ], ids=["bool", "float", "string", "huge-int"])
+    def test_grid_count_integer_rule_exit_2(self, tmp_path, capsys, count,
+                                            message):
+        # the config's count goes through market_io.json_integer, the rule
+        # read_report holds its count to
+        out = tmp_path / "surface.csv"
+        cfg = ed_config(tmp_path, out, grid={
+            "lo_pct": pct(ED_GRID[0]), "hi_pct": pct(ED_GRID[1]), "count": count})
+        assert main(["price", "--config", cfg]) == 2
+        assert_one_line_error(capsys, f"error: {message}\n")
+        assert not out.exists()

@@ -11,16 +11,18 @@ from ahsabr.ah_engine import SabrParams, build_uniform_grid
 from ahsabr.errors import NonpositiveShiftedStrike, NumericalError
 from ahsabr.hagan_ref import (_z_over_x, hagan_implied_vol, hagan_price,
                               hagan_price_fn)
-from ahsabr.numerics import atm_normal_vol
+from ahsabr.numerics import atm_normal_vol, norm_cdf
 
 from conftest import (
     ED_EXPIRY,
     ED_FORWARD,
     ED_GRID,
     ED_PARAMS,
+    HAGAN_CASES,
     HAGAN_EXPIRY,
     HAGAN_FORWARD,
     HAGAN_SOURCE,
+    HAGAN_STEP,
 )
 
 
@@ -209,7 +211,41 @@ PINNED_SMILE = [
 ]
 
 
+def black_otm(strike, forward, expiry, shift, vol):
+    """Undiscounted out-of-the-money Black price of the shifted rate at a
+    lognormal vol, written out in full: the put below the forward."""
+    f, K = forward + shift, strike + shift
+    s = vol * math.sqrt(expiry)
+    d1 = math.log(f / K) / s + 0.5 * s
+    d2 = d1 - s
+    if strike < forward:
+        return K * norm_cdf(-d2) - f * norm_cdf(-d1)
+    return f * norm_cdf(d1) - K * norm_cdf(d2)
+
+
+# the published source and, as sources too, the one-step parameters each
+# published recalibration case expects
+HAGAN_CASE_SOURCES = [HAGAN_SOURCE] + [
+    dict(alpha=alpha, beta=beta, rho=rho, nu=nu, shift=shift)
+    for beta, shift, alpha, rho, nu in HAGAN_CASES
+]
+
+
 class TestPriceFn:
+    @pytest.mark.parametrize("source", HAGAN_CASE_SOURCES, ids=["source"] + [
+        f"case{i}" for i in range(len(HAGAN_CASES))])
+    def test_price_is_black_at_the_vol(self, source):
+        # one expansion serves both: each price is the Black price at
+        # hagan_implied_vol's vol, to the bit, at F, F +- h and F +- 2h
+        p, F, T = SabrParams(**source), HAGAN_FORWARD, HAGAN_EXPIRY
+        price = hagan_price_fn(p, F, T)
+        for h in (5e-4, HAGAN_STEP, 2.5e-3):
+            for k in (F - 2.0 * h, F - h, F, F + h, F + 2.0 * h):
+                vol = hagan_implied_vol(k, F, T, p)
+                want = black_otm(k, F, T, p.shift, vol).hex()
+                assert price(k).hex() == want, (h, k)
+                assert hagan_price(k, F, T, p).hex() == want, (h, k)
+
     def test_pinned_bits(self):
         # the closure and both one-strike forms give the recorded doubles
         p, F, T = SabrParams(**HAGAN_SOURCE), HAGAN_FORWARD, HAGAN_EXPIRY

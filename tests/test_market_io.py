@@ -26,6 +26,7 @@ from ahsabr.market_io import (
     FuturesOptionQuote,
     RateQuote,
     assemble_quote_set,
+    json_integer,
     parse_quotes,
     read_report,
     report_to_dict,
@@ -540,6 +541,24 @@ class TestReportRoundTrip:
         with pytest.raises(SchemaMismatch, match=f"malformed report.*{message}"):
             read_report(path)
 
+    @pytest.mark.parametrize("count, message", [
+        # the number rule runs first, on the whole grid section
+        (True, "grid.count must be a finite number, got True"),
+        (81.0, "grid.count must be an integer, got 81.0"),
+        ("81", "grid.count must be a finite number, got '81'"),
+        (10**400, "grid.count must be a finite number, got " + str(10**400)),
+    ], ids=["bool", "float", "string", "huge-int"])
+    def test_grid_count_integer_rule(self, solved, tmp_path, count, message):
+        # the report's count goes through json_integer, the rule the CLI
+        # holds its config's count to
+        doc = report_to_dict(sample_report(solved))
+        doc["grid"]["count"] = count
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatch) as info:
+            read_report(path)
+        assert str(info.value) == f"malformed report document: {message}"
+
     def test_nan_rejected_at_write(self, solved, tmp_path):
         report = sample_report(solved)
         broken = CalibrationReport(
@@ -598,3 +617,21 @@ def numbers_in(doc):
             yield from numbers_in(item)
     elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
         yield doc
+
+
+class TestJsonInteger:
+    """The one rule for a JSON integer, which both the CLI's grid.count and
+    read_report's take: an int that is not a bool, of any size."""
+
+    @pytest.mark.parametrize("value", [True, False, 81.0, "81", None, [81]],
+                             ids=["true", "false", "float", "string", "null",
+                                  "list"])
+    def test_rejected(self, value):
+        with pytest.raises(SchemaMismatch) as info:
+            json_integer(value, "grid.count", SchemaMismatch)
+        assert str(info.value) == f"grid.count must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("value", [0, -3, 81, 10**400],
+                             ids=["0", "-3", "81", "10**400"])
+    def test_accepted_unchanged(self, value):
+        assert json_integer(value, "grid.count", SchemaMismatch) is value
