@@ -299,9 +299,9 @@ class _OneStepRows:
     the grid alone and come from Grid.row_geometry, computed once per grid.
     Only r depends on the ATM vol, as a / kappa with
     a = h+ h- / (T local_vol^2), so a is the one array built per set of rows.
-    They keep no result: a MarketSlice holds the elimination a surface reads.
-    Their callers hold one np.errstate(all="ignore") around the build and
-    every evaluation: diagonal's range check, not a warning, catches z."""
+    They keep no result and die with the fixed point.  Their callers hold
+    one np.errstate(all="ignore") around the build and every evaluation:
+    diagonal's range check, not a warning, catches z."""
 
     def __init__(self, grid: Grid, params: SabrParams, expiry: float):
         if grid.strikes[0] + params.shift <= 0.0:
@@ -310,13 +310,13 @@ class _OneStepRows:
             )
         if not expiry > 0.0:
             raise ValueError("expiry must be positive")
-        (k, self.hh, self.lo, self.up, self.c_left, self.c_right,
+        (k, hh, _, _, self.c_left, self.c_right,
          self.n, self.source, self.distance) = grid.row_geometry
         self.expiry = expiry
         # k_0 + b > 0 and increasing strikes give k + b, F + b > 0: rounding is monotone
         kb = k + params.shift
         lv = _local_vol_at(kb, _y_at(kb, grid.forward + params.shift, params), params)
-        self.a = self.hh / (expiry * lv**2)
+        self.a = hh / (expiry * lv**2)
 
     def diagonal(self, sigma: float):
         """(r, 1 + r) at ATM vol sigma, as arrays."""
@@ -358,16 +358,16 @@ def _pivots(diag, coupling) -> list:
 
 @dataclass(frozen=True, eq=False)
 class MarketSlice:
-    """The one-step rows of a grid, params and expiry at one ATM normal vol,
-    which fixes the ATM price by the ATM identity price = vol * sqrt(T / (2*pi))
-    (numerics.atm_normal_vol), and their elimination there: (r, tv_n, p, q)
-    of _OneStepRows.eliminate.  self_consistent_slice returns the fixed
-    point's last evaluation, and at_vol the rows at a vol the caller gives.
+    """A grid and expiry at one ATM normal vol, which fixes the ATM price by
+    the ATM identity price = vol * sqrt(T / (2*pi)) (numerics.atm_normal_vol),
+    and the elimination of the one-step rows there, (r, tv_n, p, q): plain
+    data.  self_consistent_slice returns the fixed point's last evaluation,
+    and at_vol the rows eliminated at a vol the caller gives.
     evaluations counts the eliminations that made it, 1 for at_vol.  A slice,
     like a grid, equals and hashes as itself only."""
 
     grid: Grid
-    rows: _OneStepRows
+    expiry: float
     atm_normal_vol: float
     elimination: tuple
     evaluations: int
@@ -380,10 +380,6 @@ class MarketSlice:
         sigma = self.atm_normal_vol
         return abs(atm_normal_vol(self.elimination[1], self.expiry) - sigma) / sigma
 
-    @property
-    def expiry(self) -> float:
-        return self.rows.expiry
-
     @classmethod
     def at_vol(cls, grid: Grid, params: SabrParams, expiry: float,
                atm_normal_vol: float) -> MarketSlice:
@@ -392,7 +388,7 @@ class MarketSlice:
             rows = _OneStepRows(grid, params, expiry)
             if not atm_normal_vol > 0.0:
                 raise ValueError("atm_normal_vol must be positive")
-            return cls(grid, rows, atm_normal_vol, rows.eliminate(atm_normal_vol), 1)
+            return cls(grid, expiry, atm_normal_vol, rows.eliminate(atm_normal_vol), 1)
 
 
 def solve_one_step(slice_: MarketSlice) -> PriceSurface:
@@ -405,19 +401,19 @@ def solve_one_step(slice_: MarketSlice) -> PriceSurface:
     row gives the density exactly: c''_j = 2 tv_j r_j / (h+_j h-_j).  The
     boundary rows give tv = 0 at the first and last interior nodes, and the
     end nodes, which have no row, stay at intrinsic too.  The slice's
-    elimination gives tv at the forward, and the ratios of its pivots carry
-    it outward to every other interior node: the solve eliminates nothing.
+    elimination gives tv at the forward, and the ratios of the grid's couplings
+    to its pivots carry it outward to every node: nothing is eliminated again.
     """
-    grid, rows = slice_.grid, slice_.rows
+    grid = slice_.grid
+    _, hh, lo, up, _, _, n, _, _ = grid.row_geometry
     r, tv_n, p, q = slice_.elimination
-    n = rows.n
     tv = np.zeros(grid.size)
     tv[n + 1] = tv_n
-    np.divide(rows.up[:n], p, out=tv[1:n + 1])
-    np.divide(rows.lo[n + 1:], q[::-1], out=tv[n + 2:-1])
+    np.divide(up[:n], p, out=tv[1:n + 1])
+    np.divide(lo[n + 1:], q[::-1], out=tv[n + 2:-1])
     for side in (tv[n + 1:0:-1], tv[n + 1:-1]):  # the ratios' products outward
         np.cumprod(side, out=side)
-    density = _A_TWO * tv[1:-1] * r / rows.hh
+    density = _A_TWO * tv[1:-1] * r / hh
     return PriceSurface(grid=grid, slice=slice_, time_value=tv, density=density)
 
 
@@ -430,9 +426,8 @@ def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> Mark
     step where a secant one is not positive and finite.  The rows are built
     once, and each evaluation (_OneStepRows.eliminate) reads tv at the forward
     alone.  The slice is the last evaluation, whose residual
-    |ATM vol - sigma| <= FIXED_POINT_TOL sigma the loop checked: its sigma,
-    rows and elimination, which solve_one_step carries outward as they are,
-    and the number of evaluations."""
+    |ATM vol - sigma| <= FIXED_POINT_TOL sigma the loop checked: its sigma and
+    elimination, which solve_one_step carries outward, and its evaluations."""
     with np.errstate(all="ignore"):
         # the rows reject k_0 + b <= 0 and an expiry that is not positive first,
         # and k_0 < F, so the guess is real
@@ -445,7 +440,7 @@ def self_consistent_slice(grid: Grid, params: SabrParams, expiry: float) -> Mark
             if not 0.0 < vol < math.inf:
                 raise ConvergenceError("ATM fixed point left the positive domain")
             if abs(vol - sigma) <= FIXED_POINT_TOL * sigma:
-                return MarketSlice(grid, rows, sigma, elimination, evaluations)
+                return MarketSlice(grid, expiry, sigma, elimination, evaluations)
             g = 1.0 - sigma / vol
             step = vol  # the plain step, unless a secant step is positive and finite
             if last is not None and g != last[1]:

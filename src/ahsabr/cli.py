@@ -77,17 +77,19 @@ def _merge(config: dict, args: argparse.Namespace) -> dict:
     return merged
 
 
-def _require(section: dict, key: str, where: str) -> float:
+def _number(section: dict, key: str, where: str) -> float:
+    """section[key] as a float, a key ending in _pct taken from percent."""
     if key not in section:
         raise ConfigError(f"missing {where}.{key}")
-    return float(json_number(section[key], f"{where}.{key}", ConfigError))
+    value = float(json_number(section[key], f"{where}.{key}", ConfigError))
+    return value * PCT if key.endswith("_pct") else value
 
 
 def _parse_grid(config: dict):
     """(lo, hi, count, step) of the uniform grid."""
     grid = config["grid"]
-    lo = _require(grid, "lo_pct", "grid") * PCT
-    hi = _require(grid, "hi_pct", "grid") * PCT
+    lo = _number(grid, "lo_pct", "grid")
+    hi = _number(grid, "hi_pct", "grid")
     count = json_integer(grid.get("count"), "grid.count", ConfigError)
     if count > MAX_GRID_COUNT:
         raise ConfigError(f"grid.count must be at most {MAX_GRID_COUNT}")
@@ -101,23 +103,18 @@ def _parse_grid(config: dict):
 
 def _parse_market(config: dict):
     market = config["market"]
-    F = _require(market, "forward_pct", "market") * PCT
-    T = _require(market, "expiry_years", "market")
+    F = _number(market, "forward_pct", "market")
+    T = _number(market, "expiry_years", "market")
     if T <= 0.0:
         raise ConfigError("market.expiry_years must be positive")
     return F, T
 
 
 def _parse_model(config: dict) -> SabrParams:
-    model = config["model"]
+    values = [_number(config["model"], f"{name}_pct", "model")
+              for name in ("alpha", "beta", "rho", "nu", "shift")]
     try:
-        return SabrParams(
-            alpha=_require(model, "alpha_pct", "model") * PCT,
-            beta=_require(model, "beta_pct", "model") * PCT,
-            rho=_require(model, "rho_pct", "model") * PCT,
-            nu=_require(model, "nu_pct", "model") * PCT,
-            shift=_require(model, "shift_pct", "model") * PCT,
-        )
+        return SabrParams(*values)
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from None
 
@@ -176,8 +173,8 @@ def cmd_calibrate(config: dict) -> int:
 
     lo, hi, count, h = _parse_grid(config)
     F, T = _parse_market(config)
-    beta = _require(config["model"], "beta_pct", "model") * PCT
-    b = _require(config["model"], "shift_pct", "model") * PCT
+    beta = _number(config["model"], "beta_pct", "model")
+    b = _number(config["model"], "shift_pct", "model")
     quotes_path = _path(config, "quotes", "quotes")
     out = _path(config, "out", "output")
 
@@ -215,8 +212,8 @@ def cmd_recalibrate(config: dict) -> int:
     model = config["model"]
     target = {"beta_pct": model["beta_pct"], "shift_pct": model["shift_pct"],
               **config["target"]}
-    target_beta = _require(target, "beta_pct", "target") * PCT
-    target_b = _require(target, "shift_pct", "target") * PCT
+    target_beta = _number(target, "beta_pct", "target")
+    target_b = _number(target, "shift_pct", "target")
     out = _path(config, "out", "output")
     grid = build_uniform_grid(lo, hi, count, F)
 

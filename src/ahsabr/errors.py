@@ -64,10 +64,13 @@ class MalformedRow(ConfigError):
 
 
 class MissingStrike(ConfigError):
-    """A required strike is absent from the supplied quotes."""
+    """A required strike is absent from the supplied quotes; listed, if
+    given, is a quoted strike near it but off it."""
 
-    def __init__(self, strike: float):
-        super().__init__(f"no quote found at required strike {strike:.6%}")
+    def __init__(self, strike: float, listed: float | None = None):
+        near = "" if listed is None else (
+            f": the quote at {listed:.6%} is {listed - strike:+.3g} off it")
+        super().__init__(f"no quote found at required strike {strike:.6%}{near}")
         self.strike = strike
 
 

@@ -150,10 +150,13 @@ def assemble_quote_set(
     a strike is completed by parity from the other kind.  Quotes match a
     target strike when within grid_step/10 of it.  One calibration takes
     one contract on one quote date, and at most one row of a kind per
-    target strike: anything else raises AmbiguousQuote.
+    target strike: anything else raises AmbiguousQuote.  That row must sit
+    on the target up to the rounding of the price-to-rate map, within
+    1e-9 grid_step, or MissingStrike names both: a forward between listed
+    strikes has no quote set.
     """
     h = grid_step
-    tol = h / 10.0
+    tol, on_target = h / 10.0, 1e-9 * h
     pairs = sorted({(q.contract, q.quote_date) for q in quotes})
     if len(pairs) > 1:
         raise AmbiguousQuote(
@@ -166,6 +169,8 @@ def assemble_quote_set(
         if len(found) > 1:
             raise AmbiguousQuote(
                 f"{len(found)} {kind} quotes match the strike {target:.6%}")
+        if found and not abs(found[0].strike_rate - target) <= on_target:
+            raise MissingStrike(target, found[0].strike_rate)
         return found[0] if found else None
 
     # half the straddle where both kinds are quoted at the forward

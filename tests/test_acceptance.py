@@ -185,7 +185,10 @@ def test_a5_limiting_convergence():
         slack = 0.5e-5 * abs(limit.alpha) if name == "alpha" else 0.5e-3
         if not all(gaps[i + 1] <= gaps[i] + slack for i in range(3)):
             failures.append(f"{name} gaps not monotone: {gaps}")
-    # Richardson extrapolation from the two finest levels (O(h^2) error)
+    # Richardson extrapolation from the two finest levels, which removes an
+    # h^2 term.  Only alpha is second order: its successive differences
+    # shrink by 3.95 to 4.00 per halving.  Those of nu and rho shrink by 5
+    # to 9 here and by only 1.2 to 1.9 at F 0.3%, T 10, with no clean order
     for name, tol, relative in (
         ("alpha", 1e-5, True), ("nu", 1e-3, False), ("rho", 1e-3, False),
     ):
@@ -212,7 +215,14 @@ def test_a6_arbitrage_free_surface(a1_draws):
     smallest normal double (L ~ 706) and to L = 3000 on all 12 failing
     draws.  Coarse wing cells would hold the unit mass only by
     under-resolving the wing, and growing the shift rescales the problem
-    onto itself.  So this criterion reports those draws as failures rather
+    onto itself.  At beta < 1 the atom at k + b = 0 belongs to the model,
+    not to the grid: CEV dynamics absorb at zero, and Hagan et al.
+    ("Arbitrage-free SABR", Wilmott 2014) keep the absorbed mass as a
+    boundary atom.  The A2 targets carry 5.3% to 8.8% there
+    (tests/test_ah_engine.py); the beta < 1 draws here do not show it, as
+    their mass grids grow the shift until the lower tail decays on the
+    grid.  At beta = 1 the continuous model's atom is not established.  So
+    this criterion reports those draws as failures rather
     than widening the tolerance or coarsening the grid.
     """
     failures = []

@@ -24,10 +24,12 @@ from ahsabr.ah_engine import (
     kappa,
     local_vol,
     price_self_consistent,
+    quote_set_from_curve,
     self_consistent_slice,
     solve_one_step,
     y_of_k,
 )
+from ahsabr.analytic_calib import calibrate
 from ahsabr.errors import (
     ConvergenceError,
     ForwardTooCloseToBoundary,
@@ -35,6 +37,7 @@ from ahsabr.errors import (
     NumericalError,
     SingularPivot,
 )
+from ahsabr.hagan_ref import hagan_price_fn
 from ahsabr.numerics import atm_normal_vol, bachelier_otm_vols
 
 from conftest import (
@@ -43,6 +46,11 @@ from conftest import (
     ED_FORWARD,
     ED_GRID,
     ED_PARAMS,
+    HAGAN_CASES,
+    HAGAN_EXPIRY,
+    HAGAN_FORWARD,
+    HAGAN_SOURCE,
+    HAGAN_STEP,
     draw_parameters,
     inversion_setup,
     mass_setup,
@@ -73,6 +81,33 @@ class TestSabrParams:
 
 
 class TestMarketSlice:
+    def test_fields_are_plain_data(self):
+        # the slice is the grid, expiry and vol of one elimination and its
+        # count; the rows that made the elimination are not part of it
+        assert [f.name for f in dataclasses.fields(MarketSlice)] == [
+            "grid", "expiry", "atm_normal_vol", "elimination", "evaluations"]
+        grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
+        for slice_ in (self_consistent_slice(grid, make_params(), 2.0),
+                       MarketSlice.at_vol(grid, make_params(), 2.0, 0.0095)):
+            assert slice_.grid is grid and slice_.expiry == 2.0
+
+    def test_rows_die_with_the_fixed_point(self, monkeypatch):
+        # the fixed point's rows are collected while the surface it priced,
+        # and so its slice, is still alive: nothing but the loop holds them
+        built = []
+        init = _OneStepRows.__init__
+
+        def recording(rows, *args):
+            init(rows, *args)
+            built.append(weakref.ref(rows))
+
+        monkeypatch.setattr(_OneStepRows, "__init__", recording)
+        grid = build_uniform_grid(*ED_GRID, ED_FORWARD)
+        surface = price_self_consistent(grid, SabrParams(**ED_PARAMS), ED_EXPIRY)
+        gc.collect()
+        assert len(built) == 1 and built[0]() is None
+        assert surface.slice.evaluations == 6
+
     def test_atm_identity_links_fields(self):
         # numerics.atm_normal_vol and its inverse, price = vol * sqrt(T / 2 pi)
         price = 0.0095 * math.sqrt(2.0 / (2.0 * math.pi))
@@ -566,14 +601,15 @@ class TestSolveOneStep:
         params = make_params()
         grid = build_uniform_grid(-0.02, 0.08, 81, 0.02)
         slice_ = self_consistent_slice(grid, params, 5.0)
-        rows = _OneStepRows(grid, params, 5.0)
-        r, diag = rows.diagonal(slice_.atm_normal_vol)
+        r, diag = _OneStepRows(grid, params, 5.0).diagonal(slice_.atm_normal_vol)
         assert np.all(r > 0.0)  # r = 1/z
         # each row divided by its z: |diag| - |lower| - |upper| = 1/z exactly
-        # on the coupled rows; the boundary rows are tv = 0
-        slack = diag - rows.lo - rows.up
+        # on the coupled rows; the boundary rows are tv = 0.  The couplings
+        # are the grid's
+        lo, up = grid.row_geometry[2:4]
+        slack = diag - lo - up
         assert np.all(np.abs(slack - r)[1:-1] < 1e-12 * diag[1:-1])
-        assert rows.up[0] == rows.lo[-1] == 0.0
+        assert up[0] == lo[-1] == 0.0
 
     def test_grid_refinement_is_second_order(self):
         params = make_params()
@@ -656,23 +692,42 @@ class TestSolveOneStep:
 
     def test_prices_at_or_above_intrinsic_and_mass_balance(self):
         # the inversion and mass grids of the A1 draws (seed 20260825), as A6
-        # builds them.  tv is zero at the first and last two nodes, so the
-        # mass beyond each edge is the slope of tv over the second cell, and
-        # with the interior mass it adds up to 1 (measured within 2.0e-15)
+        # builds them, and the five A2 targets calibrated from the Hagan
+        # source's quotes, each on stretched grids at 2 and 8 steps per sd
+        # whose lowest node sits within 1.3e-14 of -b.  tv is zero at the
+        # first and last two nodes, so the mass beyond each edge is the slope
+        # of tv over the second cell, and with the interior mass it adds up
+        # to 1 (measured within 2.0e-15 on A1, 2.4e-15 on A2).  At beta < 1
+        # the A2 targets put 0.0527 to 0.0881 beyond the lower edge: the
+        # model's atom at k + b = 0 (CEV absorption), not the grid's
         rng = np.random.default_rng(20260825)
+        cases = []
         for _ in range(200):
             d = draw_parameters(rng)
             for setup in (inversion_setup, mass_setup):
                 params, grid = setup(
                     0.02, d["alpha"], d["beta"], d["rho"], d["nu"], d["T"]
                 )[:2]
-                surface = price_self_consistent(grid, params, d["T"])
-                tv, k = surface.time_value, grid.strikes
-                assert tv.min() >= 0.0
-                edges = tv[2] / (k[2] - k[1]) + tv[-3] / (k[-2] - k[-3])
-                assert abs(surface.density_mass() + edges - 1.0) <= 1e-12
-                assert surface.edge_masses() == (tv[2] / (k[2] - k[1]),
-                                                 tv[-3] / (k[-2] - k[-3]))
+                cases.append((grid, params, d["T"], False))
+        source = hagan_price_fn(SabrParams(**HAGAN_SOURCE), HAGAN_FORWARD, HAGAN_EXPIRY)
+        quotes = quote_set_from_curve(source, HAGAN_FORWARD, HAGAN_EXPIRY, HAGAN_STEP)
+        for beta, shift, *_ in HAGAN_CASES:
+            params = calibrate(quotes, beta, shift).params
+            for per_sd in (2.0, 8.0):
+                grid = stretched_grid(HAGAN_FORWARD, params, HAGAN_EXPIRY,
+                                      per_sd=per_sd, target=25)[0]
+                assert 0.0 < grid.strikes[0] + shift <= 1.3e-14
+                cases.append((grid, params, HAGAN_EXPIRY, True))
+        for grid, params, T, atom in cases:
+            surface = price_self_consistent(grid, params, T)
+            tv, k = surface.time_value, grid.strikes
+            assert tv.min() >= 0.0
+            edges = tv[2] / (k[2] - k[1]) + tv[-3] / (k[-2] - k[-3])
+            assert abs(surface.density_mass() + edges - 1.0) <= 1e-12
+            assert surface.edge_masses() == (tv[2] / (k[2] - k[1]),
+                                             tv[-3] / (k[-2] - k[-3]))
+            if atom:
+                assert 0.05 <= surface.edge_masses()[0] <= 0.09
 
     def test_beta_one_lower_edge_mass_survives_a_resolved_wing(self):
         # A6's draw 24 (seed 20260825) misses unit mass by its lower-edge
@@ -813,7 +868,8 @@ class TestSelfConsistentSlice:
         # the rows on a grid's cached geometry, built twice, against the rows
         # formed inline from the strikes, bit for bit, a from the public
         # local_vol: the ED fixture, the first 10 A1 grids, A1 grids at beta
-        # 0, 0.4 and 1 (the log branch) and a graded beta = 1 grid
+        # 0, 0.4 and 1 (the log branch) and a graded beta = 1 grid.  The
+        # couplings lo and up, which solve_one_step reads, are the grid's
         ed = build_uniform_grid(*ED_GRID, ED_FORWARD)
         beta1 = make_params(alpha=0.4, beta=1.0)
         at_beta = [(grid, params, 5.0) for params, grid in (
@@ -830,7 +886,7 @@ class TestSelfConsistentSlice:
             n = grid.forward_index - 1
             want = dict(
                 a=h_plus * h_minus / (T * local_vol(k[1:-1], k[n + 1], params) ** 2),
-                lo=lo, up=up, n=n, distance=np.abs(k[1:-1] - k[n + 1]),
+                n=n, distance=np.abs(k[1:-1] - k[n + 1]),
                 c_left=[0.0, *(lo[j] * up[j - 1] for j in range(1, n + 1))],
                 c_right=[0.0, *(up[j] * lo[j + 1] for j in range(len(lo) - 2, n - 1, -1))],
                 source=h_plus[n] * h_minus[n] / hs[n],
@@ -839,6 +895,8 @@ class TestSelfConsistentSlice:
                 rows = _OneStepRows(grid, params, T)
                 for name, value in want.items():
                     assert np.array_equal(getattr(rows, name), value), name
+            assert np.array_equal(grid.row_geometry[2], lo)
+            assert np.array_equal(grid.row_geometry[3], up)
 
     def test_rows_read_kappa_at_the_grid_distances(self):
         # r = a / kappa bit for bit: the rows take xi from the distances the
@@ -877,11 +935,10 @@ class TestSelfConsistentSlice:
                  *self.a1_grids(10), (stretched_grid(0.02, beta1, 5.0)[0], beta1, 5.0)]
         for grid, params, T in cases:
             sigma = self_consistent_slice(grid, params, T).atm_normal_vol
-            rows = _OneStepRows(grid, params, T)
-            _, _, p, q = rows.eliminate(sigma)
-            n = rows.n
-            assert np.all(np.array(p) >= rows.up[:n] * (1.0 - 1e-12))
-            assert np.all(np.array(q) >= rows.lo[:n:-1] * (1.0 - 1e-12))
+            _, _, p, q = _OneStepRows(grid, params, T).eliminate(sigma)
+            lo, up, _, _, n = grid.row_geometry[2:7]
+            assert np.all(np.array(p) >= up[:n] * (1.0 - 1e-12))
+            assert np.all(np.array(q) >= lo[:n:-1] * (1.0 - 1e-12))
 
     def test_one_errstate_scope_per_slice(self, monkeypatch):
         # the fixed point and at_vol each hold one np.errstate scope around

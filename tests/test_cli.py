@@ -498,6 +498,19 @@ class TestInputFiles:
         assert main(["calibrate", "--config", cfg]) == 2
         assert_one_line_error(capsys, "no quote found at required strike")
 
+    @pytest.mark.parametrize("forward", ["0.2525", "0.255", "0.26", "0.262", "0.27"])
+    def test_forward_between_listed_strikes_exit_2(self, tmp_path, capsys, forward):
+        # the ED quotes are listed every 0.125% around 0.25%.  Within a tenth
+        # of that step of 0.25% (up to 0.2625%) the listed quotes were read as
+        # if they sat at the forward, and calibrate wrote a report with
+        # exit 0; past it no quote is near the forward
+        out = tmp_path / "report.json"
+        cfg = ed_config(tmp_path, out, quotes=ed_quotes(tmp_path))
+        assert main(["calibrate", "--config", cfg, "--forward", forward]) == 2
+        near = ": the quote at 0.250000% is" if forward != "0.27" else "\n"
+        assert_one_line_error(capsys, f"required strike {float(forward):.6f}%{near}")
+        assert not out.exists()
+
 
 def test_import_loads_no_scipy():
     """The package and its CLI import numpy only; scipy is a test oracle."""

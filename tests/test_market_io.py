@@ -345,6 +345,29 @@ class TestAssembleQuoteSet:
         assert q.p_minus1 == pytest.approx(extract_quote_set(surface).p_minus1,
                                            rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+    def test_quote_must_sit_on_its_target(self, solved, offset):
+        # a row within h/10 of a target strike but 0.02 h off it (a 0.0025
+        # futures tick off a 0.125% listing) is no quote at the target: it
+        # raises, naming both strikes.  1e-12 h off, as by rounding, it is
+        # read as it was on the target.  At the forward the call moves
+        _, surface = solved
+        h = float(surface.grid.strikes[1] - surface.grid.strikes[0])
+        target = 0.02 + offset * h
+        quotes = surface_rate_quotes(surface)
+        i = next(i for i, q in enumerate(quotes) if abs(q.strike_rate - target) < h / 10)
+        on_target = assemble_quote_set(quotes, 0.02, 5.0, h)
+        for shift, raises in ((0.02 * h, True), (-0.02 * h, True),
+                              (1e-12 * h, False), (-1e-12 * h, False)):
+            moved = list(quotes)
+            moved[i] = dataclasses.replace(quotes[i], strike_rate=quotes[i].strike_rate + shift)
+            if raises:
+                with pytest.raises(MissingStrike, match=re.escape(
+                        f"strike {target:.6%}: the quote at {moved[i].strike_rate:.6%}")):
+                    assemble_quote_set(moved, 0.02, 5.0, h)
+            else:
+                assert assemble_quote_set(moved, 0.02, 5.0, h) == on_target
+
     def test_missing_strike(self, solved):
         _, surface = solved
         h = float(surface.grid.strikes[1] - surface.grid.strikes[0])
